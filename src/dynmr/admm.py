@@ -9,10 +9,12 @@ One iteration:
     x <- argmin 0.5*||A(x) - b||^2 + mu/2*||z - x - l||^2
     l <- l - eta*(z - x)
 
-The x step has a closed form on Cartesian grids because the encoding DFT is
-unitary: per k-space entry, x_hat = (m*b + mu*y_hat) / (m + mu) with
-y = z - l.  A conjugate-gradient solve of the same normal equations is
-available as an alternative route.
+The x step solves the normal equations (A^H A + mu I) x = A^H b + mu y with
+y = z - l.  On a Cartesian grid A^H A is a projection P (the encoding DFT is
+unitary and the mask binary), so the solve has the closed form
+x = y + (A^H b - P y) / (1 + mu).  A conjugate-gradient solve of the same
+equations is available as an alternative route.  Both take A^H b, which the
+caller computes once per reconstruction.
 """
 
 from dataclasses import dataclass
@@ -20,7 +22,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .encoding import fft2_frames
 from .errors import NumericalError
 from .volume import check_same_shape, fro_norm
 
@@ -99,20 +100,25 @@ def z_update(state, cfg):
     return _transform(shrunk, cfg, "inverse")
 
 
-def x_update_closed_form(z, l, b, encoder, mu):
-    """Exact minimizer of the data-consistency subproblem on a Cartesian grid."""
+def x_update_closed_form(z, l, atb, encoder, mu):
+    """Exact minimizer of the data-consistency subproblem; atb = A^H b."""
     if mu <= 0:
         raise ValueError("mu must be > 0")
     check_same_shape(z, l)
-    check_same_shape(z, b)
-    y_hat = fft2_frames(z - l, "forward")
-    m = encoder.mask.astype(np.float64)
-    x_hat = (m * b + mu * y_hat) / (m + mu)
-    return fft2_frames(x_hat, "inverse")
+    check_same_shape(z, atb)
+    y = z - l
+    # x = y + (atb - P y)/(1 + mu), in the P y buffer: fresh temporaries here
+    # make the heap shrink and regrow every iteration, page-faulting the
+    # other steps.
+    x = encoder.normal(y)
+    np.subtract(atb, x, out=x)
+    x /= 1.0 + mu
+    x += y
+    return x
 
 
-def x_update_cg(z, l, b, encoder, mu, tol=1e-8, max_iters=100):
-    """Solve (A^H A + mu I) x = A^H b + mu (z - l) by conjugate gradients.
+def x_update_cg(z, l, atb, encoder, mu, tol=1e-8, max_iters=100):
+    """Solve (A^H A + mu I) x = atb + mu (z - l) by conjugate gradients.
 
     Returns (x, CgInfo).  The operator is Hermitian positive definite with
     spectrum {mu, 1 + mu}, so a handful of iterations suffices.
@@ -120,12 +126,12 @@ def x_update_cg(z, l, b, encoder, mu, tol=1e-8, max_iters=100):
     if mu <= 0:
         raise ValueError("mu must be > 0")
     check_same_shape(z, l)
-    check_same_shape(z, b)
+    check_same_shape(z, atb)
 
     def apply(v):
-        return encoder.adjoint(encoder.forward(v)) + mu * v
+        return encoder.normal(v) + mu * v
 
-    rhs = encoder.adjoint(b) + mu * (z - l)
+    rhs = atb + mu * (z - l)
     rhs_norm = fro_norm(rhs)
     if rhs_norm == 0.0:
         return np.zeros_like(rhs), CgInfo(0, 0.0)
@@ -170,16 +176,16 @@ def reconstruct(b, encoder, cfg):
     Returns (x, diagnostics): the final iterate and one IterRecord per
     iteration.  Objectives are reported, not asserted monotone.
     """
-    x0 = encoder.adjoint(b)
-    state = AdmmState(x=x0, z=x0.copy(), l=np.zeros_like(x0))
+    atb = encoder.adjoint(b)
+    state = AdmmState(x=atb, z=atb.copy(), l=np.zeros_like(atb))
     diagnostics = []
     for it in range(1, cfg.n_iters + 1):
         state.z = z_update(state, cfg)
         if cfg.x_update == "closed_form":
-            state.x = x_update_closed_form(state.z, state.l, b, encoder, cfg.mu)
+            state.x = x_update_closed_form(state.z, state.l, atb, encoder, cfg.mu)
         else:
             state.x, _ = x_update_cg(
-                state.z, state.l, b, encoder, cfg.mu, cfg.cg_tol, cfg.cg_max_iters
+                state.z, state.l, atb, encoder, cfg.mu, cfg.cg_tol, cfg.cg_max_iters
             )
         state.l = l_update(state, cfg.eta)
         total, fidelity, l1 = objective(state.x, b, encoder, cfg)

@@ -116,7 +116,7 @@ _INT_KEYS = {
     "center_lines",
 }
 _FLOAT_KEYS = {"lr0", "decay", "zeta", "sigma", "motion", "accel"}
-_STR_KEYS = {"dc_mode", "pattern"}
+_STR_KEYS = {"pattern"}
 
 _TRAIN_DEFAULTS = {
     "n_samples": 8,
@@ -167,7 +167,7 @@ def _cmd_train(args):
     for key in list(values):
         if key in data_opts:
             data_opts[key] = values.pop(key)
-    net_keys = {"n_phases", "nc", "dc_mode", "f_depth", "fhat_depth"}
+    net_keys = {"n_phases", "nc", "f_depth", "fhat_depth"}
     net_cfg = NetworkConfig(**{k: v for k, v in values.items() if k in net_keys})
     train_cfg = TrainConfig(**{k: v for k, v in values.items() if k not in net_keys})
 

@@ -42,6 +42,9 @@ class Encoder:
         if not np.all(mask.reshape(-1, mask.shape[2]).sum(axis=0) >= 1):
             raise ValueError("every frame needs at least one sampled location")
         self.mask = mask.astype(np.uint8)
+        # A^H A is circulant in each frame, so the centring shifts of
+        # fft2_frames cancel around it: only the mask needs uncentring.
+        self._normal_filter = np.fft.ifftshift(self.mask, axes=_AXES).astype(np.float64)
 
     @property
     def shape(self):
@@ -56,6 +59,12 @@ class Encoder:
         """Adjoint of forward: inverse FFT of the masked data."""
         check_same_shape(b, self.mask)
         return fft2_frames(np.where(self.mask == 1, b, 0.0 + 0.0j), "inverse")
+
+    def normal(self, v):
+        """Normal operator A^H A: the projection onto sampled k-space."""
+        check_same_shape(v, self.mask)
+        k = np.fft.fft2(v, axes=_AXES, norm="ortho")
+        return np.fft.ifft2(self._normal_filter * k, axes=_AXES, norm="ortho")
 
 
 def make_pseudo_radial_mask(shape, n_spokes, seed=0):

@@ -10,16 +10,19 @@ DMRT (arrays)
 
 DUSC (network checkpoints)
     magic "DUSC" | version u32 = 1 | n_phases u32 | nc u32
-    | dc_mode u8 (0 = closed_form, 1 = cg) | f_depth u32 | fhat_depth u32
+    | dc u8 = 0 | f_depth u32 | fhat_depth u32
     | n_tensors u32 | per tensor: name_len u32, name utf8, ndims u32,
       dims u32 each, f64 payload | step u64 | seed i64
 
+The dc byte keeps the v1 layout: 0 is the closed-form data-consistency step,
+the only one the network has, and any other value is rejected.
 Tensor names are the ones named_tensors yields; layer activations are not
 stored because they are positional (last layer of a stack linear, the rest
 ReLU).  Loads validate magic, version, and exact payload lengths and raise
 FormatError on anything malformed.  Round trips are bit-exact.
 """
 
+import math
 import struct
 
 import numpy as np
@@ -32,8 +35,6 @@ DUSC_MAGIC = b"DUSC"
 _DTYPE_MASK = 0
 _DTYPE_COMPLEX = 1
 _DTYPE_REAL = 3
-_DC_CODES = {"closed_form": 0, "cg": 1}
-_DC_NAMES = {code: name for name, code in _DC_CODES.items()}
 
 
 class _Reader:
@@ -116,8 +117,7 @@ def load_dmrt(path):
         dt = np.dtype("<f8")
     else:
         raise FormatError(f"{r.label}: unknown dtype code {code}")
-    count = int(np.prod(dims)) if dims else 1
-    payload = r.take(count * dt.itemsize)
+    payload = r.take(math.prod(dims) * dt.itemsize)
     r.done()
     return np.frombuffer(payload, dtype=dt).reshape(dims).copy()
 
@@ -128,7 +128,7 @@ def save_checkpoint(path, params, cfg, step=0, seed=0):
     out += struct.pack("<I", 1)
     out += struct.pack("<I", cfg.n_phases)
     out += struct.pack("<I", cfg.nc)
-    out += struct.pack("<B", _DC_CODES[cfg.dc_mode])
+    out += struct.pack("<B", 0)
     out += struct.pack("<I", cfg.f_depth)
     out += struct.pack("<I", cfg.fhat_depth)
     tensors = list(named_tensors(params))
@@ -165,7 +165,7 @@ def load_checkpoint(path):
     n_phases = r.u32()
     nc = r.u32()
     dc_code = r.u8()
-    if dc_code not in _DC_NAMES:
+    if dc_code != 0:
         raise FormatError(f"{r.label}: unknown dc_mode code {dc_code}")
     f_depth = r.u32()
     fhat_depth = r.u32()
@@ -173,7 +173,6 @@ def load_checkpoint(path):
         cfg = NetworkConfig(
             n_phases=n_phases,
             nc=nc,
-            dc_mode=_DC_NAMES[dc_code],
             f_depth=f_depth,
             fhat_depth=fhat_depth,
         )
@@ -204,8 +203,7 @@ def load_checkpoint(path):
             raise FormatError(
                 f"{r.label}: tensor {name} has shape {dims}, expected {target.shape}"
             )
-        count = int(np.prod(dims)) if dims else 1
-        payload = r.take(count * 8)
+        payload = r.take(math.prod(dims) * 8)
         target[...] = np.frombuffer(payload, dtype="<f8").reshape(dims)
     step = struct.unpack("<Q", r.take(8))[0]
     seed = struct.unpack("<q", r.take(8))[0]

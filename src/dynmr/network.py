@@ -12,18 +12,21 @@ channel-attention soft threshold, and mu, eta are learned per phase through a
 softplus so they stay positive.  The initial state is the zero-filled adjoint
 with L = 0.
 
-The backward pass is written out by hand (reverse sweep over phases, exact
-chain rule through the closed-form data-consistency solve in k-space) and is
-validated against finite differences in the test suite.  Gradients flow as a
-flat dict keyed by the names from named_tensors, one entry per learnable
-array, so the optimizer never needs to know the phase structure.
+The data-consistency block is the classical solver's closed-form x step,
+x = y + (A^H b - P y)/(1 + mu) with y = Z - L and P = A^H A the encoder's
+normal operator, so the network and the classical solver share one DC
+operator.  The backward pass is written out by hand (reverse sweep over
+phases, exact chain rule through that closed form) and is validated against
+finite differences in the test suite.  Gradients flow as a flat dict keyed by
+the names from named_tensors, one entry per learnable array, so the optimizer
+never needs to know the phase structure.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .admm import x_update_cg, x_update_closed_form
+from .admm import x_update_closed_form
 from .attention import AttnParams, attn_backward, attn_forward, init_attn_params
 from .conv3d import (
     identity_decode_stack,
@@ -33,7 +36,6 @@ from .conv3d import (
     stack_backward,
     stack_forward,
 )
-from .encoding import fft2_frames
 from .mathutil import sigmoid, softplus, softplus_inv
 from .volume import from_channels, real_inner, to_channels
 
@@ -42,7 +44,6 @@ from .volume import from_channels, real_inner, to_channels
 class NetworkConfig:
     n_phases: int = 15
     nc: int = 16
-    dc_mode: str = "closed_form"
     f_depth: int = 2
     fhat_depth: int = 2
 
@@ -51,8 +52,6 @@ class NetworkConfig:
             raise ValueError("n_phases must be >= 1")
         if self.nc < 1:
             raise ValueError("nc must be >= 1")
-        if self.dc_mode not in ("closed_form", "cg"):
-            raise ValueError(f"unknown dc_mode {self.dc_mode!r}")
         if self.f_depth < 1 or self.fhat_depth < 1:
             raise ValueError("stack depths must be >= 1")
 
@@ -175,26 +174,25 @@ def z_block(x, l, phase):
     )
 
 
-def x_block(z, l, b, encoder, mu, dc_mode="closed_form"):
-    """Data-consistency step; delegates to the classical solvers."""
-    if dc_mode == "closed_form":
-        return x_update_closed_form(z, l, b, encoder, mu)
-    x, _ = x_update_cg(z, l, b, encoder, mu)
-    return x
+def x_block(z, l, atb, encoder, mu):
+    """Data-consistency step; the classical closed-form x step, atb = A^H b."""
+    return x_update_closed_form(z, l, atb, encoder, mu)
 
 
 def network_forward(b, encoder, params, cfg, want_cache=True):
     """Run all phases from the zero-filled adjoint.
 
     Returns (reconstruction, cache); cache is None when want_cache is False,
-    which spares the per-phase intermediates during plain inference.
+    which spares the per-phase intermediates during plain inference.  The
+    phases come from params; cfg is not read.
     """
-    x = encoder.adjoint(b)
+    atb = encoder.adjoint(b)
+    x = atb
     l = np.zeros_like(x)
     cache = NetCache(b=b, encoder=encoder) if want_cache else None
     for phase in params.phases:
         z, pc = z_block(x, l, phase)
-        x = x_block(z, l, b, encoder, mu_of(phase), dc_mode=cfg.dc_mode)
+        x = x_block(z, l, atb, encoder, mu_of(phase))
         l = l - eta_of(phase) * (z - x)
         if want_cache:
             pc.x = x
@@ -215,22 +213,20 @@ def _z_block_backward(gz, pc, phase):
     return from_channels(g), f_grads, attn_grads, fhat_grads
 
 
-def network_backward(grad_x, cache, params, cfg):
+def network_backward(grad_x, cache, params):
     """Pull a loss gradient on the output volume back to every parameter.
 
-    Reverse sweep over the phases.  The data-consistency block is inverted in
-    k-space, where the closed-form solve is diagonal: the gradient picks up a
-    factor mu/(m + mu) per sample and the mu-derivative is
-    m * (yhat - b) / (m + mu)^2 against the incoming k-space gradient.
-    Only the closed-form mode is supported here.
+    Reverse sweep over the phases.  The data-consistency block
+    x = y + (A^H b - P y)/(1 + mu) is linear in y with the self-adjoint
+    Jacobian I - P/(1 + mu), so an incoming gradient g pulls back to
+    g - P g/(1 + mu), and the mu-derivative of the loss is
+    (<P g, y> - <g, A^H b>)/(1 + mu)^2.  P is the encoder's normal operator.
     """
-    if cfg.dc_mode != "closed_form":
-        raise NotImplementedError("backward needs dc_mode='closed_form'")
     if len(cache.phases) != len(params.phases):
         raise ValueError("cache does not match the parameter phase count")
     grads = zero_grads(params)
-    m = cache.encoder.mask.astype(np.float64)
-    b = cache.b
+    encoder = cache.encoder
+    atb = encoder.adjoint(cache.b)
     gx = np.asarray(grad_x)
     gl = np.zeros_like(gx)
     for n in range(len(params.phases) - 1, -1, -1):
@@ -243,12 +239,11 @@ def network_backward(grad_x, cache, params, cfg):
         grads[f"{tag}.eta_raw"] += real_inner(gl, pc.x - pc.z) * sigmoid(
             phase.eta_raw
         )
-        gx_tot = gx + eta * gl
-        gxt_hat = fft2_frames(gx_tot)
-        gy = fft2_frames(mu / (m + mu) * gxt_hat, direction="inverse")
-        yhat = fft2_frames(pc.z - pc.l_prev)
-        grads[f"{tag}.mu_raw"] += real_inner(
-            gxt_hat, m * (yhat - b) / (m + mu) ** 2
+        g = gx + eta * gl
+        pg = encoder.normal(g)
+        gy = g - pg / (1.0 + mu)
+        grads[f"{tag}.mu_raw"] += (
+            (real_inner(pg, pc.z - pc.l_prev) - real_inner(g, atb)) / (1.0 + mu) ** 2
         ) * sigmoid(phase.mu_raw)
 
         gz = gy - eta * gl
@@ -295,15 +290,3 @@ def inverse_penalty(cache, params):
             grads[f"{tag}.fhat{j}.w"] = gw
             grads[f"{tag}.fhat{j}.b"] = gb
     return total, grads
-
-
-def inverse_penalty_from_inputs(v_list, params):
-    """Penalty value on explicitly given block inputs (for verification)."""
-    total = 0.0
-    for v, phase in zip(v_list, params.phases):
-        c = to_channels(v)
-        f_out, _ = stack_forward(c, phase.f_stack)
-        pen_out, _ = stack_forward(f_out, phase.fhat_stack)
-        r = pen_out - c
-        total += float(np.sum(r * r))
-    return total

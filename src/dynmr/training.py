@@ -54,34 +54,6 @@ class TrainConfig:
             raise ValueError("zeta and sigma must be >= 0")
 
 
-@dataclass
-class PatchSpec:
-    crop: tuple  # (h, w, t)
-    strides: tuple  # (sh, sw, st)
-
-    def __post_init__(self):
-        if len(self.crop) != 3 or len(self.strides) != 3:
-            raise ValueError("crop and strides must have three entries")
-        if any(c < 1 for c in self.crop):
-            raise ValueError("crop entries must be >= 1")
-        if any(s < 1 for s in self.strides):
-            raise ValueError("strides must be >= 1")
-
-
-def extract_patches(v, spec):
-    """All crops at stride-multiple offsets that fit entirely, row-major."""
-    if any(c > d for c, d in zip(spec.crop, v.shape)):
-        raise ValueError(f"crop {spec.crop} larger than volume {v.shape}")
-    ch, cw, ct = spec.crop
-    sh, sw, st = spec.strides
-    patches = []
-    for i in range(0, v.shape[0] - ch + 1, sh):
-        for j in range(0, v.shape[1] - cw + 1, sw):
-            for k in range(0, v.shape[2] - ct + 1, st):
-                patches.append(v[i : i + ch, j : j + cw, k : k + ct].copy())
-    return patches
-
-
 def mse_loss(x_hat, x_gt):
     """Mean squared error over all 2*h*w*t real components.
 
@@ -193,7 +165,7 @@ def train_loop(dataset, sampler, net_cfg, train_cfg, params=None, ckpt_path=None
                     raise NumericalError(
                         f"non-finite loss at epoch {epoch}, sample {idx}"
                     )
-                sample_grads = network_backward(gloss, cache, params, net_cfg)
+                sample_grads = network_backward(gloss, cache, params)
                 if cfg.zeta > 0:
                     pen, pgrads = inverse_penalty(cache, params)
                     for name, g in pgrads.items():

@@ -41,26 +41,6 @@ def fro_norm(v):
     return float(np.linalg.norm(np.ravel(v)))
 
 
-def scale(v, alpha):
-    return alpha * v
-
-
-def axpy(alpha, x, y):
-    """alpha * x + y."""
-    check_same_shape(x, y)
-    return alpha * x + y
-
-
-def add(u, v):
-    check_same_shape(u, v)
-    return u + v
-
-
-def sub(u, v):
-    check_same_shape(u, v)
-    return u - v
-
-
 def real_inner(u, v):
     """Real-valued inner product sum(re*re + im*im); the gradient pairing."""
     check_same_shape(u, v)

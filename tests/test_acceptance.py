@@ -121,8 +121,9 @@ def test_data_consistency_solver_equivalence(capsys):
         l = rand_volume(rng, shape)
         b = enc.forward(rand_volume(rng, shape))
         mu = float(rng.uniform(0.1, 2.0))
-        xc = x_update_closed_form(z, l, b, enc, mu)
-        xg, info = x_update_cg(z, l, b, enc, mu)
+        atb = enc.adjoint(b)
+        xc = x_update_closed_form(z, l, atb, enc, mu)
+        xg, info = x_update_cg(z, l, atb, enc, mu)
         worst_diff = max(worst_diff, fro_norm(xg - xc) / fro_norm(xc))
         worst_res = max(worst_res, info.residual)
     ok = worst_diff < 1e-6 and worst_res <= 1e-8
@@ -150,13 +151,14 @@ def test_single_phase_classical_equivalence(capsys):
 
     phase = neutral_phase_params(4, mu, eta)
     z_n, _ = z_block(x_prev, l_prev, phase)
-    x_n = x_block(z_n, l_prev, b, enc, mu_of(phase))
+    atb = enc.adjoint(b)
+    x_n = x_block(z_n, l_prev, atb, enc, mu_of(phase))
     l_n = l_prev - eta_of(phase) * (z_n - x_n)
 
     admm_cfg = AdmmConfig(lam=0.0, mu=mu, eta=eta, n_iters=1)
     state = AdmmState(x=x_prev, z=x_prev.copy(), l=l_prev)
     z_c = z_update(state, admm_cfg)
-    x_c = x_update_closed_form(z_c, l_prev, b, enc, mu)
+    x_c = x_update_closed_form(z_c, l_prev, atb, enc, mu)
     l_c = l_update(AdmmState(x=x_c, z=z_c, l=l_prev), eta)
 
     errs = (
@@ -251,7 +253,7 @@ def test_unrolled_network_gradients(capsys):
 
     x, cache = network_forward(b, enc, params, cfg)
     _, gloss = mse_loss(x, gt)
-    grads = network_backward(gloss, cache, params, cfg)
+    grads = network_backward(gloss, cache, params)
 
     step = 1e-6
     worst = 0.0

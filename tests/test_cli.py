@@ -240,6 +240,16 @@ def test_train_rejects_unknown_key(tmp_path):
     assert "learning_rate" in r.stderr
 
 
+def test_train_rejects_dc_mode_key(tmp_path):
+    # dc_mode is not a config key: the network has one data-consistency step
+    cfg_p = tmp_path / "cg.cfg"
+    cfg_p.write_text("n_phases = 1\nnc = 4\ndc_mode = cg\n")
+    r = run_cli("train", "--config", str(cfg_p), "--out-ckpt", str(tmp_path / "c"))
+    assert r.returncode == 3
+    assert "dc_mode" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_train_rejects_malformed_line(tmp_path):
     cfg_p = tmp_path / "bad.cfg"
     cfg_p.write_text("epochs\n")

@@ -100,6 +100,22 @@ def test_fully_sampled_encoder_is_unitary():
     assert np.max(np.abs(enc.adjoint(enc.forward(x)) - x)) < 1e-12
 
 
+@pytest.mark.parametrize("shape", [(8, 8, 4), (33, 21, 5)])
+def test_normal_is_adjoint_of_forward_and_self_adjoint(shape):
+    # odd sides put the k-space centre off the half-way point, where the
+    # centring shifts that normal() leaves out do not trivially cancel
+    rng = np.random.default_rng(41)
+    for _ in range(5):
+        enc = Encoder(rand_mask(rng, shape))
+        u = rand_volume(rng, shape)
+        v = rand_volume(rng, shape)
+        want = enc.adjoint(enc.forward(v))
+        assert fro_norm(enc.normal(v) - want) <= 1e-12 * fro_norm(want)
+        lhs = inner(u, enc.normal(v))
+        rhs = inner(enc.normal(u), v)
+        assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+
+
 def test_forward_adjoint_forward_is_projection():
     # A A^H is the projector onto the sampled set, so applying the forward
     # model to a zero-filled reconstruction returns the data unchanged

@@ -3,7 +3,8 @@ import types
 import numpy as np
 import pytest
 
-from dynmr.admm import AdmmConfig, reconstruct
+from dynmr.admm import AdmmConfig, reconstruct, x_update_cg
+from dynmr.conv3d import stack_forward
 from dynmr.encoding import Encoder, make_pseudo_radial_mask
 from dynmr.network import (
     NetCache,
@@ -13,7 +14,6 @@ from dynmr.network import (
     eta_of,
     init_network_params,
     inverse_penalty,
-    inverse_penalty_from_inputs,
     mu_of,
     named_tensors,
     network_backward,
@@ -24,7 +24,7 @@ from dynmr.network import (
     zero_grads,
 )
 from dynmr.phantom import PhantomSpec, generate_phantom
-from dynmr.volume import fro_norm, real_inner
+from dynmr.volume import fro_norm, real_inner, to_channels
 
 STEP = 1e-6
 
@@ -49,6 +49,18 @@ def fd_at(fn, arr, idx, step=STEP):
     lo = fn()
     arr[idx] = orig
     return (hi - lo) / (2.0 * step)
+
+
+def inverse_penalty_from_inputs(v_list, params):
+    """Penalty value on explicitly given block inputs; the oracle for inverse_penalty."""
+    total = 0.0
+    for v, phase in zip(v_list, params.phases):
+        c = to_channels(v)
+        f_out, _ = stack_forward(c, phase.f_stack)
+        pen_out, _ = stack_forward(f_out, phase.fhat_stack)
+        r = pen_out - c
+        total += float(np.sum(r * r))
+    return total
 
 
 def assert_close_grad(num, an, label, rtol=1e-4, atol=1e-8):
@@ -130,7 +142,7 @@ def test_x_block_all_zero_mask_returns_y():
     rng = np.random.default_rng(3)
     z = rand_volume(rng, (6, 6, 2))
     l = rand_volume(rng, (6, 6, 2))
-    fake = types.SimpleNamespace(mask=np.zeros((6, 6, 2), dtype=np.uint8))
+    fake = types.SimpleNamespace(normal=np.zeros_like)
     x = x_block(z, l, np.zeros_like(z), fake, mu=0.3)
     assert np.max(np.abs(x - (z - l))) < 1e-12
 
@@ -139,8 +151,9 @@ def test_x_block_cg_agrees_with_closed_form():
     gt, enc, b, rng = small_problem(seed=4)
     z = rand_volume(rng, gt.shape)
     l = rand_volume(rng, gt.shape)
-    xc = x_block(z, l, b, enc, mu=0.5, dc_mode="closed_form")
-    xg = x_block(z, l, b, enc, mu=0.5, dc_mode="cg")
+    atb = enc.adjoint(b)
+    xc = x_block(z, l, atb, enc, mu=0.5)
+    xg, _ = x_update_cg(z, l, atb, enc, mu=0.5)
     assert fro_norm(xg - xc) / fro_norm(xc) < 1e-6
 
 
@@ -157,7 +170,7 @@ def test_single_phase_forward_matches_manual_composition():
     x0 = enc.adjoint(b)
     l0 = np.zeros_like(x0)
     z, _ = z_block(x0, l0, phase)
-    x1 = x_block(z, l0, b, enc, mu_of(phase))
+    x1 = x_block(z, l0, x0, enc, mu_of(phase))
     assert np.array_equal(x_out, x1)
     assert np.array_equal(cache.phases[0].z, z)
     assert np.array_equal(cache.phases[0].x_prev, x0)
@@ -204,8 +217,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         NetworkConfig(nc=0)
     with pytest.raises(ValueError):
-        NetworkConfig(dc_mode="exact")
-    with pytest.raises(ValueError):
         NetworkConfig(f_depth=0)
 
 
@@ -244,12 +255,12 @@ def test_backward_rejects_cg_mode_and_bad_cache():
     cfg = NetworkConfig(n_phases=1, nc=4)
     params = init_network_params(cfg, seed=9)
     _, cache = network_forward(b, enc, params, cfg)
-    with pytest.raises(NotImplementedError):
-        network_backward(np.zeros_like(gt), cache, params,
-                         NetworkConfig(n_phases=1, nc=4, dc_mode="cg"))
+    # the closed form is the only data-consistency step; there is no CG mode
+    with pytest.raises(TypeError):
+        NetworkConfig(n_phases=1, nc=4, dc_mode="cg")
     short = NetCache(b=b, encoder=enc, phases=[])
     with pytest.raises(ValueError):
-        network_backward(np.zeros_like(gt), short, params, cfg)
+        network_backward(np.zeros_like(gt), short, params)
 
 
 def test_backward_zero_upstream_gives_zero_grads():
@@ -257,7 +268,7 @@ def test_backward_zero_upstream_gives_zero_grads():
     cfg = NetworkConfig(n_phases=2, nc=4)
     params = init_network_params(cfg, seed=10)
     _, cache = network_forward(b, enc, params, cfg)
-    grads = network_backward(np.zeros_like(gt), cache, params, cfg)
+    grads = network_backward(np.zeros_like(gt), cache, params)
     for name, g in grads.items():
         assert not g.any(), name
 
@@ -269,7 +280,7 @@ def test_last_phase_eta_gradient_is_dead():
     cfg = NetworkConfig(n_phases=3, nc=4)
     params = init_network_params(cfg, seed=11)
     _, cache = network_forward(b, enc, params, cfg)
-    grads = network_backward(rand_volume(rng, gt.shape), cache, params, cfg)
+    grads = network_backward(rand_volume(rng, gt.shape), cache, params)
     assert grads["phase02.eta_raw"] == 0.0
     assert grads["phase00.eta_raw"] != 0.0
     assert grads["phase01.eta_raw"] != 0.0
@@ -286,7 +297,7 @@ def test_network_gradient_spot_checks():
         return real_inner(c, x)
 
     _, cache = network_forward(b, enc, params, cfg)
-    grads = network_backward(c, cache, params, cfg)
+    grads = network_backward(c, cache, params)
 
     probe = np.random.default_rng(99)
     for name, arr in named_tensors(params):
@@ -315,7 +326,7 @@ def test_mu_gradient_moves_the_loss():
         return 0.5 * fro_norm(d) ** 2
 
     x, cache = network_forward(b, enc, params, cfg)
-    grads = network_backward(x - gt, cache, params, cfg)
+    grads = network_backward(x - gt, cache, params)
     g = float(grads["phase00.mu_raw"])
     assert g != 0.0
     before = loss()

@@ -177,6 +177,16 @@ def test_dmrt_zero_dimension(tmp_path):
         load_dmrt(p)
 
 
+def test_dmrt_oversized_dims_are_truncation(tmp_path):
+    # 65536**4 entries overflow int64 to 0; the payload size must not wrap
+    p = tmp_path / "huge.dmrt"
+    out = b"DMRT" + struct.pack("<I", 1) + struct.pack("<I", 4)
+    out += struct.pack("<IIII", 65536, 65536, 65536, 65536) + struct.pack("<B", 0)
+    p.write_bytes(out)
+    with pytest.raises(FormatError, match="truncated"):
+        load_dmrt(p)
+
+
 # ------------------------------------------------------ checkpoint files
 
 
@@ -194,7 +204,7 @@ def test_checkpoint_round_trip_exact(tmp_path):
     p = tmp_path / "net.dusc"
     save_checkpoint(p, params, cfg, step=17, seed=-3)
     loaded, cfg2, step, seed = load_checkpoint(p)
-    assert (cfg2.n_phases, cfg2.nc, cfg2.dc_mode) == (2, 4, "closed_form")
+    assert (cfg2.n_phases, cfg2.nc) == (2, 4)
     assert (cfg2.f_depth, cfg2.fhat_depth) == (2, 3)
     assert step == 17 and seed == -3
     a = dict(named_tensors(params))
@@ -274,10 +284,13 @@ def test_checkpoint_bad_dc_code(tmp_path):
     p = tmp_path / "dc.dusc"
     save_checkpoint(p, init_network_params(cfg, seed=0), cfg)
     raw = bytearray(p.read_bytes())
-    raw[16] = 9
-    p.write_bytes(bytes(raw))
-    with pytest.raises(FormatError, match="dc_mode"):
-        load_checkpoint(p)
+    assert raw[16] == 0
+    # code 1 named a conjugate-gradient mode the network does not have
+    for code in (1, 9):
+        raw[16] = code
+        p.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="dc_mode"):
+            load_checkpoint(p)
 
 
 def test_train_loop_writes_loadable_checkpoint(tmp_path):

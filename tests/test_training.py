@@ -7,72 +7,13 @@ from dynmr.network import NetworkConfig, named_tensors
 from dynmr.phantom import make_phantom_dataset
 from dynmr.training import (
     AdamState,
-    PatchSpec,
     TrainConfig,
     adam_step,
-    extract_patches,
     init_adam,
     lr_schedule,
     mse_loss,
     train_loop,
 )
-
-# --------------------------------------------------------------- patches
-
-
-def test_patch_spec_validation():
-    with pytest.raises(ValueError):
-        PatchSpec(crop=(2, 2), strides=(1, 1, 1))
-    with pytest.raises(ValueError):
-        PatchSpec(crop=(0, 2, 2), strides=(1, 1, 1))
-    with pytest.raises(ValueError):
-        PatchSpec(crop=(2, 2, 2), strides=(1, 0, 1))
-
-
-def test_whole_volume_is_one_patch():
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal((4, 5, 6)) + 1j * rng.standard_normal((4, 5, 6))
-    patches = extract_patches(v, PatchSpec(crop=(4, 5, 6), strides=(1, 1, 1)))
-    assert len(patches) == 1
-    assert np.array_equal(patches[0], v)
-
-
-def test_eight_patches_row_major():
-    v = np.arange(64.0).reshape(4, 4, 4)
-    patches = extract_patches(v, PatchSpec(crop=(2, 2, 2), strides=(2, 2, 2)))
-    assert len(patches) == 8
-    assert np.array_equal(patches[0], v[:2, :2, :2])
-    # the last axis advances fastest
-    assert np.array_equal(patches[1], v[:2, :2, 2:])
-    assert np.array_equal(patches[2], v[:2, 2:, :2])
-    assert np.array_equal(patches[-1], v[2:, 2:, 2:])
-
-
-def test_patch_count_formula():
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        shape = tuple(rng.integers(3, 10, size=3))
-        v = rng.standard_normal(shape)
-        crop = tuple(int(rng.integers(1, d + 1)) for d in shape)
-        strides = tuple(int(rng.integers(1, 4)) for _ in range(3))
-        got = len(extract_patches(v, PatchSpec(crop=crop, strides=strides)))
-        want = 1
-        for d, c, s in zip(shape, crop, strides):
-            want *= (d - c) // s + 1
-        assert got == want
-
-
-def test_patches_are_copies():
-    v = np.zeros((3, 3, 3))
-    patches = extract_patches(v, PatchSpec(crop=(2, 2, 2), strides=(1, 1, 1)))
-    patches[0][0, 0, 0] = 7.0
-    assert v[0, 0, 0] == 0.0
-
-
-def test_oversized_crop_rejected():
-    with pytest.raises(ValueError):
-        extract_patches(np.zeros((2, 2, 2)), PatchSpec((3, 2, 2), (1, 1, 1)))
-
 
 # ------------------------------------------------------------------ loss
 

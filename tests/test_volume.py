@@ -2,15 +2,11 @@ import numpy as np
 import pytest
 
 from dynmr.volume import (
-    add,
-    axpy,
     check_same_shape,
     fro_norm,
     from_channels,
     inner,
     real_inner,
-    scale,
-    sub,
     to_channels,
 )
 
@@ -72,21 +68,12 @@ def test_inner_conjugate_linear_in_first_argument():
     assert abs(got - want) < 1e-12 * abs(want)
 
 
-def test_elementwise_algebra():
-    rng = np.random.default_rng(3)
-    u, v = rand_volume(rng), rand_volume(rng)
-    assert np.array_equal(scale(v, 0.0), np.zeros_like(v))
-    assert fro_norm(add(v, scale(v, -1.0))) == 0.0
-    np.testing.assert_allclose(axpy(2.0, u, v), 2.0 * u + v, rtol=0, atol=0)
-    np.testing.assert_allclose(sub(u, v), u - v, rtol=0, atol=0)
-
-
 def test_shape_mismatch_raises():
     a = np.zeros((2, 2, 2), dtype=complex)
     b = np.zeros((2, 2, 3), dtype=complex)
     with pytest.raises(ValueError):
         check_same_shape(a, b)
-    for op in (inner, add, sub, real_inner):
+    for op in (inner, real_inner):
         with pytest.raises(ValueError):
             op(a, b)
 
@@ -100,9 +87,3 @@ def test_real_inner_is_the_gradient_pairing():
     want = float(np.sum(u.real * w.real + u.imag * w.imag))
     assert abs(got - want) < 1e-12 * max(1.0, abs(want))
 
-
-def test_finiteness_preserved():
-    rng = np.random.default_rng(5)
-    u, v = rand_volume(rng), rand_volume(rng)
-    for out in (add(u, v), sub(u, v), axpy(1.5, u, v), scale(u, -2.0)):
-        assert np.all(np.isfinite(out.real)) and np.all(np.isfinite(out.imag))
