@@ -2,8 +2,7 @@
 
 Minimizes 0.5*||A(x) - b||_F^2 + lam*||T(x)||_1 by alternating-direction
 splitting with auxiliary variable z and scaled multiplier l.  The sparsifying
-transform T is the unitary temporal DFT (configurable to identity for tests).
-One iteration:
+transform T is the unitary temporal DFT.  One iteration:
 
     z <- T^H( ST( T(x + l), lam/mu ) )
     x <- argmin 0.5*||A(x) - b||^2 + mu/2*||z - x - l||^2
@@ -12,9 +11,8 @@ One iteration:
 The x step solves the normal equations (A^H A + mu I) x = A^H b + mu y with
 y = z - l.  On a Cartesian grid A^H A is a projection P (the encoding DFT is
 unitary and the mask binary), so the solve has the closed form
-x = y + (A^H b - P y) / (1 + mu).  A conjugate-gradient solve of the same
-equations is available as an alternative route.  Both take A^H b, which the
-caller computes once per reconstruction.
+x = y + (A^H b - P y) / (1 + mu).  x_update_cg solves the same equations by
+conjugate gradients, as the independent reference for the closed form.
 """
 
 from dataclasses import dataclass
@@ -32,20 +30,12 @@ class AdmmConfig:
     mu: float = 0.1
     eta: float = 1.0
     n_iters: int = 50
-    cg_tol: float = 1e-8
-    cg_max_iters: int = 100
-    x_update: str = "closed_form"
-    transform: str = "temporal_fft"
 
     def __post_init__(self):
         if self.lam < 0 or self.mu <= 0 or self.eta <= 0:
             raise ValueError("lam must be >= 0 and mu, eta > 0")
-        if self.cg_tol <= 0:
-            raise ValueError("cg_tol must be > 0")
-        if self.x_update not in ("closed_form", "cg"):
-            raise ValueError(f"unknown x_update {self.x_update!r}")
-        if self.transform not in ("temporal_fft", "identity"):
-            raise ValueError(f"unknown transform {self.transform!r}")
+        if self.n_iters < 0:
+            raise ValueError("n_iters must be >= 0")
 
 
 @dataclass
@@ -58,15 +48,6 @@ class AdmmState:
 class CgInfo(NamedTuple):
     n_iters: int
     residual: float  # relative to ||rhs||
-
-
-@dataclass
-class IterRecord:
-    iteration: int
-    objective: float
-    fidelity: float
-    l1_term: float
-    constraint: float  # ||z - x||_F
 
 
 def soft_threshold_complex(v, tau):
@@ -87,17 +68,11 @@ def temporal_fft(v, direction="forward"):
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def _transform(v, cfg, direction):
-    if cfg.transform == "identity":
-        return v
-    return temporal_fft(v, direction)
-
-
 def z_update(state, cfg):
     """Shrinkage step: T^H(ST(T(x + l), lam/mu))."""
-    coeffs = _transform(state.x + state.l, cfg, "forward")
+    coeffs = temporal_fft(state.x + state.l, "forward")
     shrunk = soft_threshold_complex(coeffs, cfg.lam / cfg.mu)
-    return _transform(shrunk, cfg, "inverse")
+    return temporal_fft(shrunk, "inverse")
 
 
 def x_update_closed_form(z, l, atb, encoder, mu):
@@ -166,38 +141,33 @@ def objective(x, b, encoder, cfg):
     """Objective value split into (total, fidelity, l1 term)."""
     residual = encoder.forward(x) - b
     fidelity = 0.5 * fro_norm(residual) ** 2
-    l1 = float(np.sum(np.abs(_transform(x, cfg, "forward"))))
+    l1 = float(np.sum(np.abs(temporal_fft(x, "forward"))))
     return fidelity + cfg.lam * l1, fidelity, l1
 
 
-def reconstruct(b, encoder, cfg):
-    """Run n_iters alternating steps from the zero-filled start.
+def iterate(b, encoder, cfg):
+    """Run n_iters alternating steps from the zero-filled start, lazily.
 
-    Returns (x, diagnostics): the final iterate and one IterRecord per
-    iteration.  Objectives are reported, not asserted monotone.
+    Yields the solver's state after each z/x/l step.  It is the same
+    AdmmState object every time, updated in place, so copy what must outlive
+    the next step.  Raises NumericalError, naming the iteration, as soon as
+    the x iterate is non-finite.
     """
     atb = encoder.adjoint(b)
     state = AdmmState(x=atb, z=atb.copy(), l=np.zeros_like(atb))
-    diagnostics = []
     for it in range(1, cfg.n_iters + 1):
         state.z = z_update(state, cfg)
-        if cfg.x_update == "closed_form":
-            state.x = x_update_closed_form(state.z, state.l, atb, encoder, cfg.mu)
-        else:
-            state.x, _ = x_update_cg(
-                state.z, state.l, atb, encoder, cfg.mu, cfg.cg_tol, cfg.cg_max_iters
-            )
+        state.x = x_update_closed_form(state.z, state.l, atb, encoder, cfg.mu)
         state.l = l_update(state, cfg.eta)
-        total, fidelity, l1 = objective(state.x, b, encoder, cfg)
-        if not np.isfinite(total):
-            raise NumericalError(f"non-finite objective at iteration {it}")
-        diagnostics.append(
-            IterRecord(
-                iteration=it,
-                objective=total,
-                fidelity=fidelity,
-                l1_term=l1,
-                constraint=fro_norm(state.z - state.x),
-            )
-        )
-    return state.x, diagnostics
+        # x is built from z and the previous l, so a finite x vouches for both.
+        if not np.isfinite(state.x).all():
+            raise NumericalError(f"non-finite iterate at iteration {it}")
+        yield state
+
+
+def reconstruct(b, encoder, cfg):
+    """Final iterate of n_iters steps; the zero-filled start when n_iters is 0."""
+    x = None
+    for state in iterate(b, encoder, cfg):
+        x = state.x
+    return encoder.adjoint(b) if x is None else x

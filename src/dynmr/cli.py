@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .admm import AdmmConfig, reconstruct
+from .admm import AdmmConfig, iterate, objective, reconstruct
 from .encoding import Encoder, make_pseudo_radial_mask, make_vds_mask
 from .errors import FormatError, NumericalError
 from .fileio import load_checkpoint, load_dmrt, save_dmrt
@@ -22,6 +22,7 @@ from .metrics import psnr, ssim
 from .network import NetworkConfig, network_forward
 from .phantom import PhantomSpec, generate_phantom, make_phantom_dataset
 from .training import TrainConfig, train_loop
+from .volume import fro_norm
 
 PSNR_DISPLAY_CAP = 999.99
 
@@ -81,23 +82,21 @@ def _cmd_recon_admm(args):
     mask = _load_mask(args.mask)
     encoder = Encoder(mask)
     b = encoder.forward(gt)
-    cfg = AdmmConfig(
-        lam=args.lam,
-        mu=args.mu,
-        eta=args.eta,
-        n_iters=args.iters,
-        x_update={"closed": "closed_form", "cg": "cg"}[args.x_update],
-    )
-    x, records = reconstruct(b, encoder, cfg)
-    save_dmrt(args.out, x)
-    if args.diag is not None:
+    cfg = AdmmConfig(lam=args.lam, mu=args.mu, eta=args.eta, n_iters=args.iters)
+    if args.diag is None:
+        x = reconstruct(b, encoder, cfg)
+    else:  # the same loop, walked here to report the objective per iteration
+        x = encoder.adjoint(b)  # what n_iters = 0 returns
         with open(args.diag, "w") as fh:
             fh.write("iteration objective fidelity l1 constraint\n")
-            for r in records:
+            for it, state in enumerate(iterate(b, encoder, cfg), start=1):
+                total, fidelity, l1 = objective(state.x, b, encoder, cfg)
+                constraint = fro_norm(state.z - state.x)
                 fh.write(
-                    f"{r.iteration} {r.objective:.12e} {r.fidelity:.12e} "
-                    f"{r.l1_term:.12e} {r.constraint:.12e}\n"
+                    f"{it} {total:.12e} {fidelity:.12e} {l1:.12e} {constraint:.12e}\n"
                 )
+                x = state.x
+    save_dmrt(args.out, x)
     return 0
 
 
@@ -267,7 +266,6 @@ def build_parser():
     p.add_argument("--mu", type=float, default=0.1)
     p.add_argument("--eta", type=float, default=1.0)
     p.add_argument("--iters", type=int, default=50)
-    p.add_argument("--x-update", choices=("closed", "cg"), default="closed")
     p.add_argument("--out", required=True)
     p.add_argument("--diag", help="per-iteration diagnostics file")
     p.set_defaults(func=_cmd_recon_admm)

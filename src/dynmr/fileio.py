@@ -20,13 +20,18 @@ Tensor names are the ones named_tensors yields; layer activations are not
 stored because they are positional (last layer of a stack linear, the rest
 ReLU).  Loads validate magic, version, and exact payload lengths and raise
 FormatError on anything malformed.  Round trips are bit-exact.
+Saves fsync a temporary file and rename it over the target, so a crash
+mid-write leaves either the old file or the new one.
 """
 
+import contextlib
 import math
+import os
 import struct
 
 import numpy as np
 
+from .conv3d import KERNEL
 from .errors import FormatError
 from .network import NetworkConfig, init_network_params, named_tensors
 
@@ -65,6 +70,21 @@ class _Reader:
             )
 
 
+def _write_atomic(path, data):
+    """Replace path with data; on any failure the old file is left as it was."""
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def _read_dims(r):
     ndims = r.u32()
     if ndims > 8:
@@ -94,8 +114,7 @@ def save_dmrt(path, arr):
         out += struct.pack("<I", d)
     out += struct.pack("<B", code)
     out += payload.tobytes(order="C")
-    with open(path, "wb") as fh:
-        fh.write(out)
+    _write_atomic(path, out)
 
 
 def load_dmrt(path):
@@ -143,8 +162,15 @@ def save_checkpoint(path, params, cfg, step=0, seed=0):
         out += np.asarray(arr, dtype="<f8").tobytes(order="C")
     out += struct.pack("<Q", step)
     out += struct.pack("<q", seed)
-    with open(path, "wb") as fh:
-        fh.write(out)
+    _write_atomic(path, out)
+
+
+def _param_floats(cfg):
+    """f64 count of cfg's tensors, in closed form so absurd values cost nothing."""
+    nc, taps = cfg.nc, KERNEL**3
+    inner = (cfg.f_depth + cfg.fhat_depth - 2) * (nc * nc * taps + nc)  # nc -> nc
+    ends = (2 * nc * taps + nc) + (nc * 2 * taps + 2)  # 2 -> nc and nc -> 2 layers
+    return cfg.n_phases * (inner + ends + 2 * nc * (nc + 1) + 2)  # + attn, mu, eta
 
 
 def load_checkpoint(path):
@@ -178,6 +204,10 @@ def load_checkpoint(path):
         )
     except ValueError as exc:
         raise FormatError(f"{r.label}: bad config block: {exc}") from exc
+    # The header fields are unchecked u32s: size them against the file
+    # before building shells, which could otherwise ask for gigabytes.
+    if 8 * _param_floats(cfg) > len(r.data) - r.pos:
+        raise FormatError(f"{r.label}: truncated: too short for its config block")
     params = init_network_params(cfg, seed=0)
     expected = dict(named_tensors(params))
     n_tensors = r.u32()

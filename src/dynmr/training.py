@@ -4,7 +4,7 @@ Each step simulates an acquisition from one ground-truth volume (mask, FFT,
 optional noise), runs the unrolled network, and takes one Adam step on the
 mean-squared error, optionally plus a weighted soft-inversion penalty on the
 conv stacks.  Masks are regenerated per (seed, epoch, sample) so the network
-never sees the same sampling twice unless a fixed operator is passed in.
+never sees the same sampling twice unless the sampler ignores the seed.
 Everything is deterministic under a fixed seed.
 """
 
@@ -124,9 +124,9 @@ def _sample_seed(cfg, epoch, idx, tag=None):
 def train_loop(dataset, sampler, net_cfg, train_cfg, params=None, ckpt_path=None):
     """Train on a list of ground-truth volumes; returns (params, history).
 
-    sampler is either a fixed Encoder (one operator for every step) or a
-    callable (shape, seed) -> mask, called with a fresh derived seed per
-    (epoch, sample).  With batch > 1, gradients are averaged over the batch
+    sampler is a callable (shape, seed) -> mask, called with a fresh derived
+    seed per (epoch, sample); one that ignores the seed gives a fixed
+    operator.  With batch > 1, gradients are averaged over the batch
     before the Adam step.  A checkpoint is rewritten at ckpt_path after every
     epoch when a path is given.
     """
@@ -150,10 +150,7 @@ def train_loop(dataset, sampler, net_cfg, train_cfg, params=None, ckpt_path=None
             pen_sum = 0.0
             for idx in idxs:
                 gt = dataset[idx]
-                if isinstance(sampler, Encoder):
-                    enc = sampler
-                else:
-                    enc = Encoder(sampler(gt.shape, _sample_seed(cfg, epoch, idx)))
+                enc = Encoder(sampler(gt.shape, _sample_seed(cfg, epoch, idx)))
                 b = enc.forward(gt)
                 if cfg.sigma > 0:
                     b = add_noise(

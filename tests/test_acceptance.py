@@ -173,7 +173,7 @@ def test_single_phase_classical_equivalence(capsys):
     params = NetworkParams(phases=[neutral_phase_params(4, mu, eta)])
     cfg = NetworkConfig(n_phases=1, nc=4)
     x_net, _ = network_forward(b2, enc, params, cfg, want_cache=False)
-    x_admm, _ = reconstruct(b2, enc, admm_cfg)
+    x_admm = reconstruct(b2, enc, admm_cfg)
     end_err = fro_norm(x_net - x_admm) / fro_norm(x_admm)
 
     worst = max(max(errs), end_err)

@@ -3,9 +3,11 @@ import types
 import numpy as np
 import pytest
 
+from dynmr import admm
 from dynmr.admm import (
     AdmmConfig,
     AdmmState,
+    iterate,
     l_update,
     objective,
     reconstruct,
@@ -16,6 +18,7 @@ from dynmr.admm import (
     z_update,
 )
 from dynmr.encoding import Encoder, make_pseudo_radial_mask
+from dynmr.errors import NumericalError
 from dynmr.metrics import psnr
 from dynmr.phantom import PhantomSpec, generate_phantom
 from dynmr.volume import fro_norm
@@ -105,15 +108,6 @@ def test_z_update_lambda_zero_is_identity():
     cfg = AdmmConfig(lam=0.0, mu=1.0)
     z = z_update(state, cfg)
     assert np.max(np.abs(z - (state.x + state.l))) < 1e-12
-
-
-def test_z_update_identity_transform_is_plain_shrinkage():
-    rng = np.random.default_rng(4)
-    state = AdmmState(x=rand_volume(rng), z=rand_volume(rng), l=rand_volume(rng))
-    cfg = AdmmConfig(lam=0.3, mu=0.5, transform="identity")
-    z = z_update(state, cfg)
-    want = soft_threshold_complex(state.x + state.l, 0.3 / 0.5)
-    assert np.array_equal(z, want)
 
 
 def test_z_update_kills_constant_series_under_large_threshold():
@@ -290,9 +284,9 @@ def test_reconstruct_fully_sampled_lambda_zero_exact():
     enc = Encoder(np.ones((16, 16, 4), dtype=np.uint8))
     b = enc.forward(gt)
     cfg = AdmmConfig(lam=0.0, mu=1.0, n_iters=1)
-    x, recs = reconstruct(b, enc, cfg)
+    x = reconstruct(b, enc, cfg)
     assert fro_norm(x - gt) / fro_norm(gt) < 1e-8
-    assert len(recs) == 1
+    assert len(list(iterate(b, enc, cfg))) == 1
 
 
 def test_reconstruct_beats_zero_filled():
@@ -300,7 +294,7 @@ def test_reconstruct_beats_zero_filled():
     mask = make_pseudo_radial_mask((32, 32, 8), 8, seed=2)
     enc = Encoder(mask)
     b = enc.forward(gt)
-    x, _ = reconstruct(b, enc, AdmmConfig())
+    x = reconstruct(b, enc, AdmmConfig())
     gain = psnr(gt, x) - psnr(gt, enc.adjoint(b))
     assert gain >= 3.0
 
@@ -310,20 +304,58 @@ def test_reconstruct_constraint_violation_shrinks():
     mask = make_pseudo_radial_mask((32, 32, 8), 8, seed=2)
     enc = Encoder(mask)
     b = enc.forward(gt)
-    _, recs = reconstruct(b, enc, AdmmConfig())
-    assert recs[-1].constraint <= recs[0].constraint / 10.0
-    assert [r.iteration for r in recs] == list(range(1, 51))
-    assert all(np.isfinite(r.objective) for r in recs)
+    cfg = AdmmConfig()
+    constraints, objectives = [], []
+    for state in iterate(b, enc, cfg):
+        constraints.append(fro_norm(state.z - state.x))
+        objectives.append(objective(state.x, b, enc, cfg)[0])
+    assert len(constraints) == 50
+    assert constraints[-1] <= constraints[0] / 10.0
+    assert all(np.isfinite(objectives))
 
 
-def test_reconstruct_cg_route_agrees():
+def test_reconstruct_is_the_last_iterate():
     gt = generate_phantom(PhantomSpec(shape=(16, 16, 4), seed=1))
-    mask = make_pseudo_radial_mask((16, 16, 4), 6, seed=0)
-    enc = Encoder(mask)
+    enc = Encoder(make_pseudo_radial_mask((16, 16, 4), 6, seed=0))
     b = enc.forward(gt)
-    xc, _ = reconstruct(b, enc, AdmmConfig(n_iters=10))
-    xg, _ = reconstruct(b, enc, AdmmConfig(n_iters=10, x_update="cg"))
-    assert fro_norm(xg - xc) / fro_norm(xc) < 1e-6
+    cfg = AdmmConfig(n_iters=7)
+    *_, last = iterate(b, enc, cfg)
+    assert np.array_equal(reconstruct(b, enc, cfg), last.x)
+    zero_filled = reconstruct(b, enc, AdmmConfig(n_iters=0))
+    assert np.array_equal(zero_filled, enc.adjoint(b))
+
+
+def test_reconstruct_never_evaluates_the_objective(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("objective called")
+
+    monkeypatch.setattr(admm, "objective", refuse)
+    gt = generate_phantom(PhantomSpec(shape=(16, 16, 4), seed=1))
+    enc = Encoder(make_pseudo_radial_mask((16, 16, 4), 6, seed=0))
+    x = reconstruct(enc.forward(gt), enc, AdmmConfig(n_iters=5))
+    assert np.all(np.isfinite(x))
+
+
+def test_iterate_names_the_first_non_finite_iteration(monkeypatch):
+    gt = generate_phantom(PhantomSpec(shape=(16, 16, 4), seed=1))
+    enc = Encoder(make_pseudo_radial_mask((16, 16, 4), 6, seed=0))
+    b = enc.forward(gt)
+    calls = []
+    exact = admm.x_update_closed_form
+
+    def poisoned_third_step(*args):
+        calls.append(1)
+        x = exact(*args)
+        if len(calls) == 3:
+            x[0, 0, 0] = np.nan
+        return x
+
+    monkeypatch.setattr(admm, "x_update_closed_form", poisoned_third_step)
+    steps = iterate(b, enc, AdmmConfig(n_iters=5))
+    next(steps)
+    next(steps)
+    with pytest.raises(NumericalError, match="non-finite iterate at iteration 3$"):
+        next(steps)
 
 
 def test_config_validation():
@@ -334,8 +366,5 @@ def test_config_validation():
     with pytest.raises(ValueError):
         AdmmConfig(eta=-0.5)
     with pytest.raises(ValueError):
-        AdmmConfig(x_update="newton")
-    with pytest.raises(ValueError):
-        AdmmConfig(transform="wavelet")
-    with pytest.raises(ValueError):
-        AdmmConfig(cg_tol=0.0)
+        AdmmConfig(n_iters=-1)
+    AdmmConfig(n_iters=0)

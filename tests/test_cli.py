@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from dynmr.encoding import make_pseudo_radial_mask
 from dynmr.fileio import load_checkpoint, load_dmrt, save_dmrt
 from dynmr.phantom import PhantomSpec, generate_phantom
 
@@ -175,6 +176,48 @@ def test_recon_admm_non_mask_file_is_data_error(tmp_path):
         "--out", str(tmp_path / "x.dmrt"),
     )
     assert r.returncode == 3
+
+
+def write_radial_inputs(tmp_path):
+    gt_p, mask_p = tmp_path / "gt.dmrt", tmp_path / "mask.dmrt"
+    save_dmrt(gt_p, generate_phantom(PhantomSpec(shape=(16, 16, 4), seed=1)))
+    save_dmrt(mask_p, make_pseudo_radial_mask((16, 16, 4), 6, seed=0))
+    return gt_p, mask_p
+
+
+def test_recon_admm_diag_does_not_change_the_output(tmp_path):
+    gt_p, mask_p = write_radial_inputs(tmp_path)
+    argv = ["recon-admm", "--data", str(gt_p), "--mask", str(mask_p), "--iters", "8"]
+    plain, diag = tmp_path / "plain.dmrt", tmp_path / "diag.dmrt"
+    assert run_cli(*argv, "--out", str(plain)).returncode == 0
+    r = run_cli(*argv, "--out", str(diag), "--diag", str(tmp_path / "d.txt"))
+    assert r.returncode == 0, r.stderr
+    assert plain.read_bytes() == diag.read_bytes()
+    assert len((tmp_path / "d.txt").read_text().splitlines()) == 9
+
+
+def test_recon_admm_non_finite_volume_is_numerical_error(tmp_path):
+    gt_p, mask_p = write_radial_inputs(tmp_path)
+    gt = load_dmrt(gt_p)
+    gt[3, 5, 1] = np.nan
+    save_dmrt(gt_p, gt)
+    r = run_cli(
+        "recon-admm", "--data", str(gt_p), "--mask", str(mask_p),
+        "--out", str(tmp_path / "x.dmrt"),
+    )
+    assert r.returncode == 4
+    assert "non-finite" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_recon_admm_rejects_bad_options(tmp_path):
+    gt_p, mask_p = write_radial_inputs(tmp_path)
+    argv = ["recon-admm", "--data", str(gt_p), "--mask", str(mask_p)]
+    out = ["--out", str(tmp_path / "x.dmrt")]
+    r = run_cli(*argv, "--iters", "-5", *out)
+    assert r.returncode == 3
+    assert "n_iters" in r.stderr
+    assert run_cli(*argv, "--x-update", "cg", *out).returncode == 2
 
 
 # -------------------------------------------------------- train/recon-net

@@ -196,7 +196,7 @@ def test_neutral_network_matches_classical_lambda_zero():
         cfg = NetworkConfig(n_phases=n_phases, nc=4)
         x_net, _ = network_forward(b, enc, params, cfg)
         admm_cfg = AdmmConfig(lam=0.0, mu=mu, eta=eta, n_iters=n_phases)
-        x_admm, _ = reconstruct(b, enc, admm_cfg)
+        x_admm = reconstruct(b, enc, admm_cfg)
         assert fro_norm(x_net - x_admm) / fro_norm(x_admm) < 1e-10
 
 

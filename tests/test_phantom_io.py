@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dynmr.encoding import Encoder, make_pseudo_radial_mask
+from dynmr import fileio
 from dynmr.errors import FormatError
 from dynmr.fileio import load_checkpoint, load_dmrt, save_checkpoint, save_dmrt
 from dynmr.network import (
@@ -291,6 +292,58 @@ def test_checkpoint_bad_dc_code(tmp_path):
         p.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="dc_mode"):
             load_checkpoint(p)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("n_phases", 2**32 - 1), ("nc", 65536), ("f_depth", 2**32 - 1), ("fhat_depth", 2**32 - 1)],
+)
+def test_checkpoint_oversized_config_is_truncation(tmp_path, field, value):
+    # a header-only file must be rejected before parameter shells are built
+    # for the config it claims, which for these values would need gigabytes
+    header = dict(n_phases=1, nc=4, f_depth=2, fhat_depth=2)
+    header[field] = value
+    raw = (
+        b"DUSC"
+        + struct.pack("<III", 1, header["n_phases"], header["nc"])
+        + struct.pack("<B", 0)
+        + struct.pack("<II", header["f_depth"], header["fhat_depth"])
+        + struct.pack("<I", 0)
+    )
+    assert len(raw) == 29
+    p = tmp_path / "huge.dusc"
+    p.write_bytes(raw)
+    with pytest.raises(FormatError, match="truncated"):
+        load_checkpoint(p)
+
+
+def _save_dmrt(path):
+    save_dmrt(path, np.arange(6.0).reshape(2, 3))
+
+
+def _save_checkpoint(path):
+    cfg = NetworkConfig(n_phases=1, nc=4)
+    save_checkpoint(path, init_network_params(cfg, seed=1), cfg, step=3)
+
+
+@pytest.mark.parametrize("save", [_save_dmrt, _save_checkpoint])
+@pytest.mark.parametrize("failing", ["fsync", "replace"])
+def test_failed_save_keeps_old_file(tmp_path, monkeypatch, save, failing):
+    target = tmp_path / "out.bin"
+    target.write_bytes(b"previous contents")
+
+    def fail(*args):
+        raise OSError(f"injected {failing} failure")
+
+    monkeypatch.setattr(fileio.os, failing, fail)
+    with pytest.raises(OSError, match="injected"):
+        save(target)
+    assert target.read_bytes() == b"previous contents"
+    assert [f.name for f in tmp_path.iterdir()] == ["out.bin"]
+    monkeypatch.undo()
+    save(target)
+    assert target.read_bytes() != b"previous contents"
+    assert [f.name for f in tmp_path.iterdir()] == ["out.bin"]
 
 
 def test_train_loop_writes_loadable_checkpoint(tmp_path):
