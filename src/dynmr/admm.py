@@ -92,11 +92,12 @@ def x_update_closed_form(z, l, atb, encoder, mu):
     return x
 
 
-def x_update_cg(z, l, atb, encoder, mu, tol=1e-8, max_iters=100):
+def x_update_cg(z, l, atb, encoder, mu):
     """Solve (A^H A + mu I) x = atb + mu (z - l) by conjugate gradients.
 
-    Returns (x, CgInfo).  The operator is Hermitian positive definite with
-    spectrum {mu, 1 + mu}, so a handful of iterations suffices.
+    Returns (x, CgInfo).  Stops at a residual of 1e-8 relative to the
+    right-hand side, or after 100 iterations.  The operator is Hermitian
+    positive definite with spectrum {mu, 1 + mu}, so a handful suffices.
     """
     if mu <= 0:
         raise ValueError("mu must be > 0")
@@ -115,8 +116,8 @@ def x_update_cg(z, l, atb, encoder, mu, tol=1e-8, max_iters=100):
     p = r.copy()
     rs = np.vdot(r, r).real
     n_done = 0
-    for _ in range(max_iters):
-        if np.sqrt(rs) <= tol * rhs_norm:
+    for _ in range(100):
+        if np.sqrt(rs) <= 1e-8 * rhs_norm:
             break
         ap = apply(p)
         alpha = rs / np.vdot(p, ap).real

@@ -76,15 +76,16 @@ def attn_forward(u, params):
         raise ValueError(
             f"input shape {u.shape} does not match nc={params.nc} channel tensor"
         )
-    a = np.mean(np.abs(u), axis=(1, 2, 3))
+    mag = np.abs(u)
+    a = np.mean(mag, axis=(1, 2, 3))
     pre1 = params.w1 @ a + params.b1
     hidden = relu(pre1)
     pre2 = params.w2 @ hidden + params.b2
     s = sigmoid(pre2)
     tau = s * a
     tau_b = tau[:, None, None, None]
-    active = np.abs(u) > tau_b
-    out = np.sign(u) * np.maximum(np.abs(u) - tau_b, 0.0)
+    active = mag > tau_b
+    out = np.sign(u) * np.maximum(mag - tau_b, 0.0)
     return out, AttnCache(u=u, a=a, pre1=pre1, pre2=pre2, s=s, tau=tau, active=active)
 
 

@@ -2,9 +2,10 @@
 
 Convolutions are cross-correlations (no kernel flip), stride 1, zero padded
 by one voxel on every spatial/temporal side so output size equals input size.
-The forward pass lowers each layer to a single matmul over an im2col patch
-matrix; the backward pass is the exact adjoint (input gradients come from the
-same patch machinery with a flipped, transposed kernel).
+Each layer is 9 GEMMs, one per in-plane tap, on shifted views of one padded
+buffer of the input's three temporal shifts (3x the input; no im2col, as in
+MEC, Cho & Brand 2017).  The input gradient is the same kernel with the
+flipped, transposed weights; the weight gradient is 9 GEMMs on those views.
 
 A stack is a plain list of layers applied in order.  Factory helpers build
 the two stacks the reconstruction network needs: an encode stack 2 -> nc and
@@ -14,7 +15,6 @@ a decode stack nc -> 2, ReLU between layers and a linear final layer.
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 KERNEL = 3
 
@@ -53,14 +53,35 @@ class Conv3dCache:
     pre: np.ndarray  # pre-activation output, (out_ch, h, w, t)
 
 
-def _patch_matrix(x):
-    """im2col: (in_ch, h, w, t) -> (h*w*t, in_ch*27) with zero padding 1."""
-    padded = np.pad(x, ((0, 0), (1, 1), (1, 1), (1, 1)))
-    win = sliding_window_view(padded, (KERNEL, KERNEL, KERNEL), axis=(1, 2, 3))
-    # (in_ch, h, w, t, 3, 3, 3) -> (h, w, t, in_ch, 3, 3, 3) -> flat
-    win = win.transpose(1, 2, 3, 0, 4, 5, 6)
-    nvox = x.shape[1] * x.shape[2] * x.shape[3]
-    return win.reshape(nvox, x.shape[0] * KERNEL**3)
+def _tap_views(x):
+    """The 9 in-plane tap views of (C, h, w, t) x, lowered along t only.
+
+    One buffer holds x's three temporal shifts, zero padded, as rows k*C + i
+    (temporal tap k, channel i), flat with t zeros at each end.  View a*3 + b
+    is its zero-copy (3C, h(w+2)t) slice under in-plane tap (a, b) of the
+    output widened by one w column each side; those junk columns get cropped.
+    """
+    c, h, w, t = x.shape
+    plane = (w + 2) * t
+    buf = np.zeros((3, c, (h + 2) * plane + 2 * t))
+    grid = buf[:, :, t:-t].reshape(3, c, h + 2, w + 2, t)
+    grid[0, :, 1:-1, 1:-1, 1:] = x[..., :-1]
+    grid[1, :, 1:-1, 1:-1] = x
+    grid[2, :, 1:-1, 1:-1, :-1] = x[..., 1:]
+    buf = buf.reshape(3 * c, -1)
+    offsets = (t + a * plane + (b - 1) * t for a, b in np.ndindex(KERNEL, KERNEL))
+    return [buf[:, o:o + h * plane] for o in offsets]
+
+
+def _correlate(x, weights):
+    """Zero-padded cross-correlation of (C_in, h, w, t) x with (C_out, C_in, 3, 3, 3)."""
+    _, h, w, t = x.shape
+    taps = weights.transpose(2, 3, 0, 4, 1).reshape(KERNEL**2, weights.shape[0], -1)
+    acc = np.zeros((weights.shape[0], h * (w + 2) * t))
+    tmp = np.empty_like(acc)
+    for tap, view in zip(taps, _tap_views(x)):
+        acc += np.matmul(tap, view, out=tmp)
+    return acc.reshape(-1, h, w + 2, t)[:, :, 1:-1]
 
 
 def conv3d_forward(x, layer):
@@ -70,10 +91,7 @@ def conv3d_forward(x, layer):
         raise ValueError(
             f"input shape {x.shape} does not match {layer.in_channels} in-channels"
         )
-    _, h, w, t = x.shape
-    patches = _patch_matrix(x)
-    w_flat = layer.weights.reshape(layer.out_channels, -1)
-    pre = (patches @ w_flat.T + layer.bias).T.reshape(layer.out_channels, h, w, t)
+    pre = _correlate(x, layer.weights) + layer.bias[:, None, None, None]
     out = np.maximum(pre, 0.0) if layer.activation == "relu" else pre
     return out, Conv3dCache(x=x, pre=pre)
 
@@ -86,14 +104,16 @@ def conv3d_backward(grad_out, cache, layer):
         )
     g_pre = grad_out * (cache.pre > 0) if layer.activation == "relu" else grad_out
     g_bias = g_pre.sum(axis=(1, 2, 3))
-    g_flat = g_pre.reshape(layer.out_channels, -1)  # (out_ch, h*w*t)
-    g_weights = (g_flat @ _patch_matrix(cache.x)).reshape(layer.weights.shape)
     # d/d input: correlate the output gradient with the flipped, transposed kernel
     w_adj = np.transpose(layer.weights[:, :, ::-1, ::-1, ::-1], (1, 0, 2, 3, 4))
-    _, h, w, t = cache.x.shape
-    patches = _patch_matrix(g_pre)
-    w_adj_flat = np.ascontiguousarray(w_adj).reshape(layer.in_channels, -1)
-    grad_in = (patches @ w_adj_flat.T).T.reshape(layer.in_channels, h, w, t)
+    grad_in = _correlate(g_pre, w_adj)
+    # d/d weights: g_pre on the widened grid, zero in the junk columns
+    c_out, h, w, t = g_pre.shape
+    g_wide = np.zeros((c_out, h, w + 2, t))
+    g_wide[:, :, 1:-1] = g_pre
+    g_wide = g_wide.reshape(c_out, -1)
+    g_taps = np.array([g_wide @ view.T for view in _tap_views(cache.x)])
+    g_weights = g_taps.reshape(KERNEL, KERNEL, c_out, KERNEL, -1).transpose(2, 4, 0, 1, 3)
     return grad_in, g_weights, g_bias
 
 

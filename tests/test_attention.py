@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dynmr.attention import AttnParams, attn_backward, attn_forward, init_attn_params
+from dynmr.mathutil import relu, sigmoid
 
 STEP = 1e-6
 
@@ -106,6 +107,30 @@ def test_zero_params_match_per_channel_shrinkage():
     tau = 0.5 * np.mean(np.abs(u), axis=(1, 2, 3))
     want = np.sign(u) * np.maximum(np.abs(u) - tau[:, None, None, None], 0.0)
     assert np.array_equal(out, want)
+
+
+def test_forward_is_bit_identical_to_the_formula():
+    # the operator as the module docstring writes it, |u| taken afresh each time
+    rng = np.random.default_rng(5)
+    params = init_attn_params(4, rng)
+    params.b1[:] = rng.uniform(-0.3, 0.3, size=4)
+    u = rng.standard_normal((4, 6, 5, 3))
+    u[1, 2] = 0.0
+    a = np.mean(np.abs(u), axis=(1, 2, 3))
+    pre1 = params.w1 @ a + params.b1
+    pre2 = params.w2 @ relu(pre1) + params.b2
+    s = sigmoid(pre2)
+    tau = s * a
+    tau_b = tau[:, None, None, None]
+    active = np.abs(u) > tau_b
+    want = np.sign(u) * np.maximum(np.abs(u) - tau_b, 0.0)
+
+    out, cache = attn_forward(u, params)
+    assert out.tobytes() == want.tobytes()
+    for name, value in (("u", u), ("a", a), ("pre1", pre1), ("pre2", pre2),
+                        ("s", s), ("tau", tau), ("active", active)):
+        got = getattr(cache, name)
+        assert got.dtype == value.dtype and got.tobytes() == value.tobytes(), name
 
 
 def test_init_is_seeded_and_bounded():

@@ -176,6 +176,78 @@ def test_layer_gradients_match_finite_differences():
     check(x, grad_in, "x")
 
 
+# -------------------------------------------------- direct-sum oracle
+
+SHAPES = [(1, 1, 1), (3, 3, 1), (2, 5, 3), (33, 21, 5)]
+CHANNELS = [(1, 1), (2, 16), (16, 2), (3, 5)]
+
+
+def direct_forward(x, weights, bias):
+    """Pre-activation output as a literal sum of 27 shifted, padded slices."""
+    _, h, w, t = x.shape
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (1, 1)))
+    pre = np.zeros((weights.shape[0], h, w, t)) + bias[:, None, None, None]
+    for a, b, c in np.ndindex(3, 3, 3):
+        window = xp[:, a:a + h, b:b + w, c:c + t]
+        pre += np.tensordot(weights[:, :, a, b, c], window, axes=1)
+    return pre
+
+
+def direct_backward(g_pre, x, weights):
+    """(grad_in, grad_weights, grad_bias) of sum(g_pre * pre), tap by tap."""
+    _, h, w, t = x.shape
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (1, 1)))
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(weights)
+    for a, b, c in np.ndindex(3, 3, 3):
+        window = xp[:, a:a + h, b:b + w, c:c + t]
+        gxp[:, a:a + h, b:b + w, c:c + t] += np.tensordot(
+            weights[:, :, a, b, c].T, g_pre, axes=1)
+        gw[:, :, a, b, c] = np.tensordot(g_pre, window, axes=([1, 2, 3], [1, 2, 3]))
+    return gxp[:, 1:-1, 1:-1, 1:-1], gw, g_pre.sum(axis=(1, 2, 3))
+
+
+def rel_err(got, want):
+    return np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300)
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
+@pytest.mark.parametrize("ch", CHANNELS, ids=lambda c: f"{c[0]}to{c[1]}")
+@pytest.mark.parametrize("activation", ["relu", "linear"])
+def test_layer_matches_direct_sum(shape, ch, activation):
+    rng = np.random.default_rng(12)
+    layer = init_conv_layer(ch[0], ch[1], activation, rng)
+    layer.bias[:] = rng.uniform(-0.5, 0.5, size=ch[1])
+    x = rng.standard_normal((ch[0],) + shape)
+    g = rng.standard_normal((ch[1],) + shape)
+    out, cache = conv3d_forward(x, layer)
+    grad_in, gw, gb = conv3d_backward(g, cache, layer)
+
+    pre = direct_forward(x, layer.weights, layer.bias)
+    want_out = np.maximum(pre, 0.0) if activation == "relu" else pre
+    g_pre = g * (pre > 0) if activation == "relu" else g
+    want_in, want_w, want_b = direct_backward(g_pre, x, layer.weights)
+    assert rel_err(cache.pre, pre) <= 1e-12
+    assert rel_err(out, want_out) <= 1e-12
+    assert rel_err(grad_in, want_in) <= 1e-12
+    assert rel_err(gw, want_w) <= 1e-12
+    assert rel_err(gb, want_b) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_input_gradient_is_the_adjoint_on_odd_shapes(shape):
+    rng = np.random.default_rng(13)
+    layer = init_conv_layer(3, 5, "linear", rng)
+    layer.bias[:] = 0.0
+    x = rng.standard_normal((3,) + shape)
+    g = rng.standard_normal((5,) + shape)
+    out, cache = conv3d_forward(x, layer)
+    grad_in, _, _ = conv3d_backward(g, cache, layer)
+    lhs = float(np.sum(out * g))
+    rhs = float(np.sum(x * grad_in))
+    assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
+
+
 # --------------------------------------------------------------- stacks
 
 

@@ -3,6 +3,7 @@ import types
 import numpy as np
 import pytest
 
+import dynmr.conv3d
 from dynmr.admm import AdmmConfig, reconstruct, x_update_cg
 from dynmr.conv3d import stack_forward
 from dynmr.encoding import Encoder, make_pseudo_radial_mask
@@ -261,6 +262,28 @@ def test_backward_rejects_cg_mode_and_bad_cache():
     short = NetCache(b=b, encoder=enc, phases=[])
     with pytest.raises(ValueError):
         network_backward(np.zeros_like(gt), short, params)
+
+
+def test_conv_layer_call_counts(monkeypatch):
+    # one conv3d_forward per layer in the forward, one conv3d_backward per
+    # layer and no forward recomputation in the backward
+    calls = {"conv3d_forward": 0, "conv3d_backward": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(dynmr.conv3d, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(dynmr.conv3d, name, counted)
+    cfg = NetworkConfig(n_phases=3, nc=4, f_depth=2, fhat_depth=3)
+    params = init_network_params(cfg, seed=1)
+    _, enc, b, rng = small_problem(seed=3)
+    n_layers = cfg.n_phases * (cfg.f_depth + cfg.fhat_depth)
+
+    out, cache = network_forward(b, enc, params, cfg)
+    assert calls == {"conv3d_forward": n_layers, "conv3d_backward": 0}
+    calls["conv3d_forward"] = 0
+    network_backward(rand_volume(rng, out.shape), cache, params)
+    assert calls == {"conv3d_forward": 0, "conv3d_backward": n_layers}
 
 
 def test_backward_zero_upstream_gives_zero_grads():
