@@ -2,10 +2,14 @@
 
 Convolutions are cross-correlations (no kernel flip), stride 1, zero padded
 by one voxel on every spatial/temporal side so output size equals input size.
-Each layer is 9 GEMMs, one per in-plane tap, on shifted views of one padded
-buffer of the input's three temporal shifts (3x the input; no im2col, as in
-MEC, Cho & Brand 2017).  The input gradient is the same kernel with the
-flipped, transposed weights; the weight gradient is 9 GEMMs on those views.
+A pass works through bands of output rows.  Each band fills one small buffer
+with the input's three temporal shifts (no im2col, as in MEC, Cho & Brand
+2017) and runs one GEMM per kernel row: the row's three in-plane taps are
+stacked on the output rows, and their blocks are added at column shifts of
+0, t and 2t.  The input gradient is the same kernel with the flipped,
+transposed weights.  The weight gradient is the transposed product: per band
+and kernel row, one GEMM of the output gradient, stacked at the same three
+shifts, with the row's view of the buffer.
 
 A stack is a plain list of layers applied in order.  Factory helpers build
 the two stacks the reconstruction network needs: an encode stack 2 -> nc and
@@ -17,6 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 KERNEL = 3
+# A band's working set, its (3 C_out) kernel-row product and (3 C_in) tap
+# rows, sized to stay in a core's L2 cache.  Fewer, larger bands also mean
+# fewer numpy calls per pass.
+BAND_BYTES = 3 << 19  # 1.5 MB
 
 
 @dataclass
@@ -50,38 +58,103 @@ class Conv3dLayer:
 @dataclass
 class Conv3dCache:
     x: np.ndarray  # layer input, (in_ch, h, w, t)
-    pre: np.ndarray  # pre-activation output, (out_ch, h, w, t)
+    out: np.ndarray  # layer output, (out_ch, h, w, t); the next layer's x
 
 
-def _tap_views(x):
-    """The 9 in-plane tap views of (C, h, w, t) x, lowered along t only.
+def _band_rows(c_in, c_out, h, w, t):
+    """Rows per band: the fewest bands whose working set stays near BAND_BYTES."""
+    rows = max(1, BAND_BYTES // (KERNEL * (c_in + c_out) * (w + 2) * t * 8))
+    bands = -(-h // rows)
+    return -(-h // bands)
 
-    One buffer holds x's three temporal shifts, zero padded, as rows k*C + i
-    (temporal tap k, channel i), flat with t zeros at each end.  View a*3 + b
-    is its zero-copy (3C, h(w+2)t) slice under in-plane tap (a, b) of the
-    output widened by one w column each side; those junk columns get cropped.
+
+def _tap_bands(x, rows):
+    """Yield (r0, r1, taps) for bands of output rows r0:r1 of (C, h, w, t) x.
+
+    taps is one reused (3C, (rows+2)(w+2)t + 2t) buffer holding x's three
+    temporal shifts (row k*C + i for temporal tap k, channel i) over the
+    band's padded rows r0-1 .. r1, zero padded, flat with t zeros in front.
+    Band column j of the output widened by one w column each side reads
+    in-plane tap (a, b) at taps column j + a(w+2)t + bt; the junk columns
+    get cropped.  Past a short last band the buffer keeps the previous band's
+    rows; the band's views reach past its bottom pad row only into a zero pad
+    column.
     """
     c, h, w, t = x.shape
     plane = (w + 2) * t
-    buf = np.zeros((3, c, (h + 2) * plane + 2 * t))
-    grid = buf[:, :, t:-t].reshape(3, c, h + 2, w + 2, t)
-    grid[0, :, 1:-1, 1:-1, 1:] = x[..., :-1]
-    grid[1, :, 1:-1, 1:-1] = x
-    grid[2, :, 1:-1, 1:-1, :-1] = x[..., 1:]
-    buf = buf.reshape(3 * c, -1)
-    offsets = (t + a * plane + (b - 1) * t for a, b in np.ndindex(KERNEL, KERNEL))
-    return [buf[:, o:o + h * plane] for o in offsets]
+    buf = np.zeros((3, c, (rows + 2) * plane + 2 * t))
+    grid = buf[:, :, t:t + (rows + 2) * plane].reshape(3, c, rows + 2, w + 2, t)
+    taps = buf.reshape(3 * c, -1)
+    for r0 in range(0, h, rows):
+        r1 = min(r0 + rows, h)
+        lo, hi = max(r0 - 1, 0), min(r1 + 1, h)
+        d0 = lo - r0 + 1
+        d1 = d0 + hi - lo
+        grid[:, :, d1:r1 - r0 + 2] = 0
+        src = x[:, lo:hi]
+        dst = grid[:, :, d0:d1, 1:-1]
+        dst[0, ..., 1:] = src[..., :-1]
+        dst[1] = src
+        dst[2, ..., :-1] = src[..., 1:]
+        yield r0, r1, taps
 
 
 def _correlate(x, weights):
     """Zero-padded cross-correlation of (C_in, h, w, t) x with (C_out, C_in, 3, 3, 3)."""
-    _, h, w, t = x.shape
-    taps = weights.transpose(2, 3, 0, 4, 1).reshape(KERNEL**2, weights.shape[0], -1)
-    acc = np.zeros((weights.shape[0], h * (w + 2) * t))
-    tmp = np.empty_like(acc)
-    for tap, view in zip(taps, _tap_views(x)):
-        acc += np.matmul(tap, view, out=tmp)
-    return acc.reshape(-1, h, w + 2, t)[:, :, 1:-1]
+    c_in, h, w, t = x.shape
+    c_out = weights.shape[0]
+    plane = (w + 2) * t
+    rows = _band_rows(c_in, c_out, h, w, t)
+    # kernel row a: rows b*C_out + o, columns k*C_in + i
+    w_rows = list(weights.transpose(2, 3, 0, 4, 1).reshape(KERNEL, KERNEL * c_out, -1))
+    out = np.empty((c_out, h, w, t))
+    prod = np.empty((KERNEL * c_out, rows * plane + 2 * t))
+    acc = np.empty((c_out, rows * plane))
+    for r0, r1, taps in _tap_bands(x, rows):
+        n = (r1 - r0) * plane
+        p = prod[:, :n + 2 * t]
+        blocks = [p[b * c_out:(b + 1) * c_out, b * t:b * t + n] for b in range(KERNEL)]
+        band = acc[:, :n]
+        band.fill(0.0)
+        for a, w_row in enumerate(w_rows):
+            np.matmul(w_row, taps[:, a * plane:a * plane + n + 2 * t], out=p)
+            for block in blocks:
+                band += block
+        out[:, r0:r1] = band.reshape(c_out, -1, w + 2, t)[:, :, 1:-1]
+    return out
+
+
+def _grad_pre(grad_out, cache, layer):
+    """The loss gradient on the pre-activation output."""
+    if grad_out.shape != cache.out.shape:
+        raise ValueError(
+            f"grad shape {grad_out.shape} does not match output {cache.out.shape}"
+        )
+    # out > 0 exactly where pre > 0 (NaN included), so the ReLU mask needs no pre
+    return grad_out * (cache.out > 0) if layer.activation == "relu" else grad_out
+
+
+def _param_grads(g_pre, x):
+    """(grad_weights, grad_bias) from a layer's pre-activation gradient and input."""
+    c_out, h, w, t = g_pre.shape
+    c_in = x.shape[0]
+    plane = (w + 2) * t
+    rows = _band_rows(c_in, c_out, h, w, t)
+    # The forward's kernel-row product, transposed: g_pre on the band's widened
+    # grid (zero in the junk columns) at column shifts 0, t and 2t, row b*C_out + o.
+    # Past a short last band the previous band's values meet only zero pad columns.
+    g_rows = np.zeros((KERNEL, c_out, rows * plane + 2 * t))
+    g_taps = np.zeros((KERNEL, KERNEL * c_out, KERNEL * c_in))
+    for r0, r1, taps in _tap_bands(x, rows):
+        n = (r1 - r0) * plane
+        for b in range(KERNEL):
+            grid = g_rows[b, :, b * t:b * t + n].reshape(c_out, r1 - r0, w + 2, t)
+            grid[:, :, 1:-1] = g_pre[:, r0:r1]
+        g_stack = g_rows[:, :, :n + 2 * t].reshape(KERNEL * c_out, -1)
+        for a in range(KERNEL):
+            g_taps[a] += g_stack @ taps[:, a * plane:a * plane + n + 2 * t].T
+    g_weights = g_taps.reshape(KERNEL, KERNEL, c_out, KERNEL, c_in)
+    return g_weights.transpose(2, 4, 0, 1, 3), g_pre.sum(axis=(1, 2, 3))
 
 
 def conv3d_forward(x, layer):
@@ -91,30 +164,20 @@ def conv3d_forward(x, layer):
         raise ValueError(
             f"input shape {x.shape} does not match {layer.in_channels} in-channels"
         )
-    pre = _correlate(x, layer.weights) + layer.bias[:, None, None, None]
-    out = np.maximum(pre, 0.0) if layer.activation == "relu" else pre
-    return out, Conv3dCache(x=x, pre=pre)
+    out = _correlate(x, layer.weights)
+    out += layer.bias[:, None, None, None]
+    if layer.activation == "relu":
+        np.maximum(out, 0.0, out=out)
+    return out, Conv3dCache(x=x, out=out)
 
 
 def conv3d_backward(grad_out, cache, layer):
     """Gradients of one layer; returns (grad_input, grad_weights, grad_bias)."""
-    if grad_out.shape != cache.pre.shape:
-        raise ValueError(
-            f"grad shape {grad_out.shape} does not match output {cache.pre.shape}"
-        )
-    g_pre = grad_out * (cache.pre > 0) if layer.activation == "relu" else grad_out
-    g_bias = g_pre.sum(axis=(1, 2, 3))
+    g_pre = _grad_pre(grad_out, cache, layer)
     # d/d input: correlate the output gradient with the flipped, transposed kernel
     w_adj = np.transpose(layer.weights[:, :, ::-1, ::-1, ::-1], (1, 0, 2, 3, 4))
     grad_in = _correlate(g_pre, w_adj)
-    # d/d weights: g_pre on the widened grid, zero in the junk columns
-    c_out, h, w, t = g_pre.shape
-    g_wide = np.zeros((c_out, h, w + 2, t))
-    g_wide[:, :, 1:-1] = g_pre
-    g_wide = g_wide.reshape(c_out, -1)
-    g_taps = np.array([g_wide @ view.T for view in _tap_views(cache.x)])
-    g_weights = g_taps.reshape(KERNEL, KERNEL, c_out, KERNEL, -1).transpose(2, 4, 0, 1, 3)
-    return grad_in, g_weights, g_bias
+    return (grad_in, *_param_grads(g_pre, cache.x))
 
 
 def stack_forward(x, layers):
@@ -134,6 +197,12 @@ def stack_backward(grad_out, caches, layers):
         g, gw, gb = conv3d_backward(g, caches[j], layers[j])
         grads[j] = (gw, gb)
     return g, grads
+
+
+def stack_param_grads(grad_out, caches, layers):
+    """stack_backward's [(grad_w, grad_b), ...]; the input gradient is never formed."""
+    g, grads = stack_backward(grad_out, caches[1:], layers[1:])
+    return [_param_grads(_grad_pre(g, caches[0], layers[0]), caches[0].x)] + grads
 
 
 def init_conv_layer(in_ch, out_ch, activation, rng):

@@ -35,6 +35,7 @@ from .conv3d import (
     make_encode_stack,
     stack_backward,
     stack_forward,
+    stack_param_grads,
 )
 from .mathutil import sigmoid, softplus, softplus_inv
 from .volume import from_channels, real_inner, to_channels
@@ -282,7 +283,7 @@ def inverse_penalty(cache, params):
         r = pen_out - c_in
         total += float(np.sum(r * r))
         g, fhat_grads = stack_backward(2.0 * r, pen_caches, phase.fhat_stack)
-        _, f_grads = stack_backward(g, pc.f_caches, phase.f_stack)
+        f_grads = stack_param_grads(g, pc.f_caches, phase.f_stack)
         for j, (gw, gb) in enumerate(f_grads):
             grads[f"{tag}.f{j}.w"] = gw
             grads[f"{tag}.f{j}.b"] = gb

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import dynmr.conv3d
 from dynmr.conv3d import (
     Conv3dLayer,
+    _band_rows,
     conv3d_backward,
     conv3d_forward,
     identity_decode_stack,
@@ -12,6 +16,7 @@ from dynmr.conv3d import (
     make_encode_stack,
     stack_backward,
     stack_forward,
+    stack_param_grads,
 )
 
 STEP = 1e-6
@@ -83,7 +88,7 @@ def test_relu_activation_clamps():
     x = np.array([[-1.0, 2.0]]).reshape(1, 1, 1, 2)
     out, cache = conv3d_forward(x, layer)
     assert np.array_equal(out.ravel(), [0.0, 2.0])
-    assert np.array_equal(cache.pre, x)
+    assert cache.out is out and cache.x is x
 
 
 def test_forward_validation():
@@ -178,8 +183,9 @@ def test_layer_gradients_match_finite_differences():
 
 # -------------------------------------------------- direct-sum oracle
 
-SHAPES = [(1, 1, 1), (3, 3, 1), (2, 5, 3), (33, 21, 5)]
-CHANNELS = [(1, 1), (2, 16), (16, 2), (3, 5)]
+# 41x23x8 spans several bands, the last one short, at every channel pair but 1->1
+SHAPES = [(1, 1, 1), (3, 3, 1), (2, 5, 3), (33, 21, 5), (41, 23, 8)]
+CHANNELS = [(1, 1), (2, 16), (16, 2), (3, 5), (8, 8), (16, 16)]
 
 
 def direct_forward(x, weights, bias):
@@ -211,6 +217,22 @@ def rel_err(got, want):
     return np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300)
 
 
+def assert_layer_matches_direct_sum(layer, x, g):
+    out, cache = conv3d_forward(x, layer)
+    grad_in, gw, gb = conv3d_backward(g, cache, layer)
+
+    pre = direct_forward(x, layer.weights, layer.bias)
+    relu = layer.activation == "relu"
+    want_out = np.maximum(pre, 0.0) if relu else pre
+    g_pre = g * (pre > 0) if relu else g
+    want_in, want_w, want_b = direct_backward(g_pre, x, layer.weights)
+    assert cache.out is out
+    assert rel_err(out, want_out) <= 1e-12
+    assert rel_err(grad_in, want_in) <= 1e-12
+    assert rel_err(gw, want_w) <= 1e-12
+    assert rel_err(gb, want_b) <= 1e-12
+
+
 @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
 @pytest.mark.parametrize("ch", CHANNELS, ids=lambda c: f"{c[0]}to{c[1]}")
 @pytest.mark.parametrize("activation", ["relu", "linear"])
@@ -220,18 +242,7 @@ def test_layer_matches_direct_sum(shape, ch, activation):
     layer.bias[:] = rng.uniform(-0.5, 0.5, size=ch[1])
     x = rng.standard_normal((ch[0],) + shape)
     g = rng.standard_normal((ch[1],) + shape)
-    out, cache = conv3d_forward(x, layer)
-    grad_in, gw, gb = conv3d_backward(g, cache, layer)
-
-    pre = direct_forward(x, layer.weights, layer.bias)
-    want_out = np.maximum(pre, 0.0) if activation == "relu" else pre
-    g_pre = g * (pre > 0) if activation == "relu" else g
-    want_in, want_w, want_b = direct_backward(g_pre, x, layer.weights)
-    assert rel_err(cache.pre, pre) <= 1e-12
-    assert rel_err(out, want_out) <= 1e-12
-    assert rel_err(grad_in, want_in) <= 1e-12
-    assert rel_err(gw, want_w) <= 1e-12
-    assert rel_err(gb, want_b) <= 1e-12
+    assert_layer_matches_direct_sum(layer, x, g)
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
@@ -246,6 +257,47 @@ def test_input_gradient_is_the_adjoint_on_odd_shapes(shape):
     lhs = float(np.sum(out * g))
     rhs = float(np.sum(x * grad_in))
     assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
+
+
+def test_oracle_shape_spans_several_bands():
+    h, w, t = SHAPES[-1]
+    for c_in, c_out in CHANNELS[1:]:
+        rows = _band_rows(c_in, c_out, h, w, t)
+        assert rows < h and h % rows, (c_in, c_out, rows)
+
+
+@pytest.mark.parametrize("band_bytes", [1, 20000])
+@pytest.mark.parametrize("activation", ["relu", "linear"])
+def test_band_boundaries_match_direct_sum(monkeypatch, band_bytes, activation):
+    # one-row bands, and bands of 3 rows over h = 10 (4 bands, the last one row)
+    monkeypatch.setattr(dynmr.conv3d, "BAND_BYTES", band_bytes)
+    assert _band_rows(3, 5, 10, 7, 3) == (1 if band_bytes == 1 else 3)
+    rng = np.random.default_rng(14)
+    layer = init_conv_layer(3, 5, activation, rng)
+    layer.bias[:] = rng.uniform(-0.5, 0.5, size=5)
+    x = rng.standard_normal((3, 10, 7, 3))
+    g = rng.standard_normal((5, 10, 7, 3))
+    assert_layer_matches_direct_sum(layer, x, g)
+
+
+def test_layer_pass_memory_is_bounded():
+    # A 16 -> 16 ReLU layer at 32x32x8: forward + backward keep three
+    # output-sized arrays (the output, g_pre and grad_in).  The kernel's own
+    # buffers are band-sized, so the traced peak stays under 6 outputs; one
+    # buffer over the whole input (3.4 outputs) would break it.
+    rng = np.random.default_rng(15)
+    layer = init_conv_layer(16, 16, "relu", rng)
+    x = rng.standard_normal((16, 32, 32, 8))
+    g = rng.standard_normal((16, 32, 32, 8))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out, cache = conv3d_forward(x, layer)
+        conv3d_backward(g, cache, layer)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * out.nbytes, peak / out.nbytes
 
 
 # --------------------------------------------------------------- stacks
@@ -303,6 +355,27 @@ def test_stack_gradients_match_finite_differences():
         if abs(num) + abs(an) < 1e-8:
             continue
         assert abs(num - an) / max(abs(num), abs(an)) < 1e-5
+
+
+@pytest.mark.parametrize("depth", [1, 3])
+def test_stack_param_grads_match_stack_backward(monkeypatch, depth):
+    # the same parameter gradients, bit for bit, with one correlation fewer:
+    # the first layer's input gradient is never formed
+    rng = np.random.default_rng(16)
+    layers = make_encode_stack(4, depth, rng)
+    x = rng.standard_normal((2, 5, 4, 3))
+    c = rng.standard_normal((4, 5, 4, 3))
+    _, caches = stack_forward(x, layers)
+    _, want = stack_backward(c, caches, layers)
+    calls = []
+    correlate = dynmr.conv3d._correlate
+    monkeypatch.setattr(dynmr.conv3d, "_correlate",
+                        lambda *args: calls.append(1) or correlate(*args))
+    got = stack_param_grads(c, caches, layers)
+    assert len(calls) == depth - 1
+    assert len(got) == depth
+    for (gw, gb), (ww, wb) in zip(got, want):
+        assert gw.tobytes() == ww.tobytes() and gb.tobytes() == wb.tobytes()
 
 
 def test_init_bounds_and_determinism():

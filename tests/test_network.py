@@ -5,7 +5,7 @@ import pytest
 
 import dynmr.conv3d
 from dynmr.admm import AdmmConfig, reconstruct, x_update_cg
-from dynmr.conv3d import stack_forward
+from dynmr.conv3d import stack_backward, stack_forward
 from dynmr.encoding import Encoder, make_pseudo_radial_mask
 from dynmr.network import (
     NetCache,
@@ -286,6 +286,20 @@ def test_conv_layer_call_counts(monkeypatch):
     assert calls == {"conv3d_forward": 0, "conv3d_backward": n_layers}
 
 
+def test_forward_cache_holds_each_activation_once():
+    # a layer caches its output, which is the next layer's input: one array
+    _, enc, b, _ = small_problem(seed=4)
+    cfg = NetworkConfig(n_phases=2, nc=4, f_depth=3, fhat_depth=2)
+    params = init_network_params(cfg, seed=4)
+    _, cache = network_forward(b, enc, params, cfg)
+    for pc in cache.phases:
+        for caches in (pc.f_caches, pc.fhat_caches):
+            for prev, nxt in zip(caches, caches[1:]):
+                assert prev.out is nxt.x
+            assert not hasattr(caches[0], "pre")
+        assert pc.f_caches[-1].out is pc.attn_cache.u
+
+
 def test_backward_zero_upstream_gives_zero_grads():
     gt, enc, b, _ = small_problem(seed=10)
     cfg = NetworkConfig(n_phases=2, nc=4)
@@ -418,3 +432,32 @@ def test_penalty_grads_only_cover_conv_stacks():
     _, grads = inverse_penalty(cache, params)
     assert all((".f" in k) or (".fhat" in k) for k in grads)
     assert not any("attn" in k or "mu_raw" in k or "eta_raw" in k for k in grads)
+
+
+def test_penalty_grads_are_bit_identical_without_the_input_gradient(monkeypatch):
+    # reference: backprop the whole encode stack and drop its input gradient
+    gt, enc, b, _ = small_problem(seed=18)
+    cfg = NetworkConfig(n_phases=2, nc=4, f_depth=2, fhat_depth=2)
+    params = init_network_params(cfg, seed=18)
+    _, cache = network_forward(b, enc, params, cfg)
+    want = {}
+    for n, (pc, phase) in enumerate(zip(cache.phases, params.phases)):
+        pen_out, pen_caches = stack_forward(pc.attn_cache.u, phase.fhat_stack)
+        r = pen_out - pc.f_caches[0].x
+        g, fhat_grads = stack_backward(2.0 * r, pen_caches, phase.fhat_stack)
+        _, f_grads = stack_backward(g, pc.f_caches, phase.f_stack)
+        for kind, grads in (("f", f_grads), ("fhat", fhat_grads)):
+            for j, (gw, gb) in enumerate(grads):
+                want[f"phase{n:02d}.{kind}{j}.w"] = gw
+                want[f"phase{n:02d}.{kind}{j}.b"] = gb
+    calls = []
+    correlate = dynmr.conv3d._correlate
+    monkeypatch.setattr(dynmr.conv3d, "_correlate",
+                        lambda *args: calls.append(1) or correlate(*args))
+    _, grads = inverse_penalty(cache, params)
+    assert sorted(grads) == sorted(want)
+    for name, g in grads.items():
+        assert g.tobytes() == want[name].tobytes(), name
+    # per phase: the decode stack forward and backward (2 + 2), the encode
+    # stack's input gradients without its first layer's (1)
+    assert len(calls) == cfg.n_phases * (2 * cfg.fhat_depth + cfg.f_depth - 1)
