@@ -11,12 +11,11 @@ transform T is the unitary temporal DFT.  One iteration:
 The x step solves the normal equations (A^H A + mu I) x = A^H b + mu y with
 y = z - l.  On a Cartesian grid A^H A is a projection P (the encoding DFT is
 unitary and the mask binary), so the solve has the closed form
-x = y + (A^H b - P y) / (1 + mu).  x_update_cg solves the same equations by
-conjugate gradients, as the independent reference for the closed form.
+x = y + (A^H b - P y) / (1 + mu).  The tests check it against a
+conjugate-gradient solve of the same equations.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +31,10 @@ class AdmmConfig:
     n_iters: int = 50
 
     def __post_init__(self):
-        if self.lam < 0 or self.mu <= 0 or self.eta <= 0:
-            raise ValueError("lam must be >= 0 and mu, eta > 0")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError("lam must be finite and >= 0")
+        if not (0 < self.mu < np.inf and 0 < self.eta < np.inf):
+            raise ValueError("mu and eta must be finite and > 0")
         if self.n_iters < 0:
             raise ValueError("n_iters must be >= 0")
 
@@ -43,11 +44,6 @@ class AdmmState:
     x: np.ndarray
     z: np.ndarray
     l: np.ndarray
-
-
-class CgInfo(NamedTuple):
-    n_iters: int
-    residual: float  # relative to ||rhs||
 
 
 def soft_threshold_complex(v, tau):
@@ -90,46 +86,6 @@ def x_update_closed_form(z, l, atb, encoder, mu):
     x /= 1.0 + mu
     x += y
     return x
-
-
-def x_update_cg(z, l, atb, encoder, mu):
-    """Solve (A^H A + mu I) x = atb + mu (z - l) by conjugate gradients.
-
-    Returns (x, CgInfo).  Stops at a residual of 1e-8 relative to the
-    right-hand side, or after 100 iterations.  The operator is Hermitian
-    positive definite with spectrum {mu, 1 + mu}, so a handful suffices.
-    """
-    if mu <= 0:
-        raise ValueError("mu must be > 0")
-    check_same_shape(z, l)
-    check_same_shape(z, atb)
-
-    def apply(v):
-        return encoder.normal(v) + mu * v
-
-    rhs = atb + mu * (z - l)
-    rhs_norm = fro_norm(rhs)
-    if rhs_norm == 0.0:
-        return np.zeros_like(rhs), CgInfo(0, 0.0)
-    x = np.zeros_like(rhs)
-    r = rhs.copy()
-    p = r.copy()
-    rs = np.vdot(r, r).real
-    n_done = 0
-    for _ in range(100):
-        if np.sqrt(rs) <= 1e-8 * rhs_norm:
-            break
-        ap = apply(p)
-        alpha = rs / np.vdot(p, ap).real
-        x = x + alpha * p
-        r = r - alpha * ap
-        rs_new = np.vdot(r, r).real
-        if not np.isfinite(rs_new):
-            raise NumericalError("non-finite residual in CG x-update")
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-        n_done += 1
-    return x, CgInfo(n_done, float(np.sqrt(rs) / rhs_norm))
 
 
 def l_update(state, eta):

@@ -10,6 +10,7 @@ gradients.  Exit codes: 0 success, 2 usage error, 3 data/format error,
 import argparse
 import math
 import sys
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -62,18 +63,23 @@ def _cmd_phantom(args):
     return 0
 
 
-def _cmd_mask(args, parser):
-    if args.pattern == "radial":
-        if args.spokes is None:
-            parser.error("--pattern radial requires --spokes")
-        mask = make_pseudo_radial_mask(args.shape, args.spokes, seed=args.seed)
-    else:
-        if args.accel is None:
-            parser.error("--pattern vds requires --accel")
-        mask = make_vds_mask(
-            args.shape, args.accel, center_lines=args.center_lines, seed=args.seed
+def _sampler(pattern, spokes, accel, center_lines):
+    """The (shape, seed) -> mask function of a sampling pattern."""
+    if pattern == "radial":
+        return lambda shape, seed: make_pseudo_radial_mask(shape, spokes, seed=seed)
+    if pattern == "vds":
+        return lambda shape, seed: make_vds_mask(
+            shape, accel, center_lines=center_lines, seed=seed
         )
-    save_dmrt(args.out, mask)
+    raise FormatError(f"unknown sampling pattern {pattern!r}")
+
+
+def _cmd_mask(args, parser):
+    needed = {"radial": "spokes", "vds": "accel"}[args.pattern]
+    if getattr(args, needed) is None:
+        parser.error(f"--pattern {args.pattern} requires --{needed}")
+    sampler = _sampler(args.pattern, args.spokes, args.accel, args.center_lines)
+    save_dmrt(args.out, sampler(args.shape, args.seed))
     return 0
 
 
@@ -100,36 +106,27 @@ def _cmd_recon_admm(args):
     return 0
 
 
-_INT_KEYS = {
-    "epochs",
-    "decay_steps",
-    "batch",
-    "seed",
-    "n_phases",
-    "nc",
-    "f_depth",
-    "fhat_depth",
-    "n_samples",
-    "ellipses",
-    "spokes",
-    "center_lines",
-}
-_FLOAT_KEYS = {"lr0", "decay", "zeta", "sigma", "motion", "accel"}
-_STR_KEYS = {"pattern"}
+@dataclass
+class DataConfig:
+    """The training set a train config describes: phantoms and their masks."""
 
-_TRAIN_DEFAULTS = {
-    "n_samples": 8,
-    "shape": (32, 32, 8),
-    "ellipses": 6,
-    "motion": 0.08,
-    "pattern": "radial",
-    "spokes": 8,
-    "accel": 4.0,
-    "center_lines": 4,
-}
+    n_samples: int = 8
+    shape: tuple = (32, 32, 8)
+    ellipses: int = 6
+    motion: float = 0.08
+    pattern: str = "radial"
+    spokes: int = 8
+    accel: float = 4.0
+    center_lines: int = 4
+
+
+_TRAIN_SECTIONS = (DataConfig, NetworkConfig, TrainConfig)
 
 
 def _parse_train_config(path):
+    """Read a key=value file into (DataConfig, NetworkConfig, TrainConfig)."""
+    declared = [f for cls in _TRAIN_SECTIONS for f in fields(cls)]
+    parsers = {f.name: _shape if f.type is tuple else f.type for f in declared}
     values = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -138,57 +135,29 @@ def _parse_train_config(path):
                 continue
             if "=" not in line:
                 raise FormatError(f"{path}:{lineno}: expected key=value")
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            raw = raw.strip()
-            if key in _INT_KEYS:
-                values[key] = int(raw)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(raw)
-            elif key in _STR_KEYS:
-                values[key] = raw
-            elif key == "shape":
-                try:
-                    values[key] = _shape(raw)
-                except argparse.ArgumentTypeError as exc:
-                    raise FormatError(f"{path}:{lineno}: {exc}") from exc
-            else:
+            key, _, raw = (part.strip() for part in line.partition("="))
+            if key not in parsers:
                 raise FormatError(f"{path}:{lineno}: unknown key {key!r}")
-    return values
+            try:
+                values[key] = parsers[key](raw)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise FormatError(f"{path}:{lineno}: {exc}") from exc
+    return [
+        cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values})
+        for cls in _TRAIN_SECTIONS
+    ]
 
 
 def _cmd_train(args):
-    try:
-        values = _parse_train_config(args.config)
-    except ValueError as exc:
-        raise FormatError(f"{args.config}: {exc}") from exc
-    data_opts = dict(_TRAIN_DEFAULTS)
-    for key in list(values):
-        if key in data_opts:
-            data_opts[key] = values.pop(key)
-    net_keys = {"n_phases", "nc", "f_depth", "fhat_depth"}
-    net_cfg = NetworkConfig(**{k: v for k, v in values.items() if k in net_keys})
-    train_cfg = TrainConfig(**{k: v for k, v in values.items() if k not in net_keys})
-
+    data, net_cfg, train_cfg = _parse_train_config(args.config)
+    sampler = _sampler(data.pattern, data.spokes, data.accel, data.center_lines)
     dataset = make_phantom_dataset(
-        data_opts["n_samples"],
-        data_opts["shape"],
-        n_ellipses=data_opts["ellipses"],
-        motion=data_opts["motion"],
+        data.n_samples,
+        data.shape,
+        n_ellipses=data.ellipses,
+        motion=data.motion,
         seed=train_cfg.seed,
     )
-    if data_opts["pattern"] == "radial":
-        spokes = data_opts["spokes"]
-        sampler = lambda shape, seed: make_pseudo_radial_mask(shape, spokes, seed=seed)
-    elif data_opts["pattern"] == "vds":
-        accel = data_opts["accel"]
-        center = data_opts["center_lines"]
-        sampler = lambda shape, seed: make_vds_mask(
-            shape, accel, center_lines=center, seed=seed
-        )
-    else:
-        raise FormatError(f"unknown sampling pattern {data_opts['pattern']!r}")
-
     params, history = train_loop(
         dataset, sampler, net_cfg, train_cfg, ckpt_path=args.out_ckpt
     )
@@ -208,6 +177,8 @@ def _cmd_recon_net(args):
     encoder = Encoder(mask)
     b = encoder.forward(gt)
     x, _ = network_forward(b, encoder, params, cfg, want_cache=False)
+    if not np.isfinite(x).all():
+        raise NumericalError("non-finite reconstruction")
     save_dmrt(args.out, x)
     return 0
 

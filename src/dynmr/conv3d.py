@@ -231,52 +231,3 @@ def make_encode_stack(nc, depth, rng):
 def make_decode_stack(nc, depth, rng):
     """nc -> 2 feature stack (ReLU between layers, linear last)."""
     return [init_conv_layer(i, o, a, rng) for i, o, a in _plan(nc, 2, nc, depth)]
-
-
-def _center_tap(weights, out_ch, in_ch, value):
-    weights[out_ch, in_ch, 1, 1, 1] = value
-
-
-def identity_encode_stack(nc):
-    """Depth-2 encode stack computing the identity on channels 0 and 1.
-
-    Layer 1 splits each input channel into positive and negative ReLU halves,
-    layer 2 recombines them, so the composite is exact (relu(x) - relu(-x) = x)
-    for any input sign.  Needs nc >= 4 for the four half channels.
-    """
-    if nc < 4:
-        raise ValueError("identity stacks need nc >= 4")
-    w1 = np.zeros((nc, 2, KERNEL, KERNEL, KERNEL))
-    _center_tap(w1, 0, 0, 1.0)
-    _center_tap(w1, 1, 1, 1.0)
-    _center_tap(w1, 2, 0, -1.0)
-    _center_tap(w1, 3, 1, -1.0)
-    w2 = np.zeros((nc, nc, KERNEL, KERNEL, KERNEL))
-    _center_tap(w2, 0, 0, 1.0)
-    _center_tap(w2, 0, 2, -1.0)
-    _center_tap(w2, 1, 1, 1.0)
-    _center_tap(w2, 1, 3, -1.0)
-    return [
-        Conv3dLayer(weights=w1, bias=np.zeros(nc), activation="relu"),
-        Conv3dLayer(weights=w2, bias=np.zeros(nc), activation="linear"),
-    ]
-
-
-def identity_decode_stack(nc):
-    """Depth-2 decode stack inverting identity_encode_stack exactly."""
-    if nc < 4:
-        raise ValueError("identity stacks need nc >= 4")
-    w1 = np.zeros((nc, nc, KERNEL, KERNEL, KERNEL))
-    _center_tap(w1, 0, 0, 1.0)
-    _center_tap(w1, 1, 1, 1.0)
-    _center_tap(w1, 2, 0, -1.0)
-    _center_tap(w1, 3, 1, -1.0)
-    w2 = np.zeros((2, nc, KERNEL, KERNEL, KERNEL))
-    _center_tap(w2, 0, 0, 1.0)
-    _center_tap(w2, 0, 2, -1.0)
-    _center_tap(w2, 1, 1, 1.0)
-    _center_tap(w2, 1, 3, -1.0)
-    return [
-        Conv3dLayer(weights=w1, bias=np.zeros(nc), activation="relu"),
-        Conv3dLayer(weights=w2, bias=np.zeros(2), activation="linear"),
-    ]

@@ -46,10 +46,6 @@ class Encoder:
         # fft2_frames cancel around it: only the mask needs uncentring.
         self._normal_filter = np.fft.ifftshift(self.mask, axes=_AXES).astype(np.float64)
 
-    @property
-    def shape(self):
-        return self.mask.shape
-
     def forward(self, x):
         """Sample k-space: mask * FFT(x).  Unsampled entries are exactly zero."""
         check_same_shape(x, self.mask)
@@ -135,23 +131,18 @@ def make_vds_mask(shape, acceleration, center_lines=4, seed=0):
     return mask
 
 
-def add_noise(b, sigma, seed=0, mask=None):
+def add_noise(b, sigma, mask, seed=0):
     """Add i.i.d. complex Gaussian noise (std sigma per real component).
 
-    Noise lands only on sampled locations.  Pass the sampling mask when
-    available; otherwise support is inferred from the nonzero entries of b
-    (exact for outputs of a masked forward operator).
+    Noise lands only on the sampled locations of mask.
     """
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
+    check_same_shape(b, mask)
     out = np.array(b, copy=True)
     if sigma == 0:
         return out
-    if mask is not None:
-        check_same_shape(b, mask)
-        support = mask != 0
-    else:
-        support = b != 0
+    support = mask != 0
     n = int(support.sum())
     rng = np.random.default_rng(seed)
     noise = sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))

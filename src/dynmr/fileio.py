@@ -178,7 +178,7 @@ def load_checkpoint(path):
 
     Parameter shells are rebuilt from the config block, then every stored
     tensor is matched by name and shape.  Unknown names, duplicates, missing
-    tensors, or shape drift all raise FormatError.
+    tensors, shape drift or non-finite values all raise FormatError.
     """
     with open(path, "rb") as fh:
         r = _Reader(fh.read(), str(path))
@@ -233,8 +233,11 @@ def load_checkpoint(path):
             raise FormatError(
                 f"{r.label}: tensor {name} has shape {dims}, expected {target.shape}"
             )
-        payload = r.take(math.prod(dims) * 8)
-        target[...] = np.frombuffer(payload, dtype="<f8").reshape(dims)
+        values = np.frombuffer(r.take(math.prod(dims) * 8), dtype="<f8")
+        # the shells skip the layers' own finiteness check
+        if not np.isfinite(values).all():
+            raise FormatError(f"{r.label}: tensor {name} has non-finite values")
+        target[...] = values.reshape(dims)
     step = struct.unpack("<Q", r.take(8))[0]
     seed = struct.unpack("<q", r.take(8))[0]
     r.done()

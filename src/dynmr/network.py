@@ -29,8 +29,6 @@ import numpy as np
 from .admm import x_update_closed_form
 from .attention import AttnParams, attn_backward, attn_forward, init_attn_params
 from .conv3d import (
-    identity_decode_stack,
-    identity_encode_stack,
     make_decode_stack,
     make_encode_stack,
     stack_backward,
@@ -39,6 +37,9 @@ from .conv3d import (
 )
 from .mathutil import sigmoid, softplus, softplus_inv
 from .volume import from_channels, real_inner, to_channels
+
+MU0 = 0.5
+ETA0 = 1.0
 
 
 @dataclass
@@ -83,7 +84,7 @@ def _raw(value):
     return np.asarray(softplus_inv(float(value)), dtype=np.float64)
 
 
-def init_network_params(cfg, seed=0, mu0=0.5, eta0=1.0):
+def init_network_params(cfg, seed=0):
     """Seeded fresh parameters; every phase gets its own draws."""
     rng = np.random.default_rng(seed)
     phases = []
@@ -93,33 +94,11 @@ def init_network_params(cfg, seed=0, mu0=0.5, eta0=1.0):
                 f_stack=make_encode_stack(cfg.nc, cfg.f_depth, rng),
                 fhat_stack=make_decode_stack(cfg.nc, cfg.fhat_depth, rng),
                 attn=init_attn_params(cfg.nc, rng),
-                mu_raw=_raw(mu0),
-                eta_raw=_raw(eta0),
+                mu_raw=_raw(MU0),
+                eta_raw=_raw(ETA0),
             )
         )
     return NetworkParams(phases=phases)
-
-
-def neutral_phase_params(nc, mu, eta):
-    """A phase whose denoising block is the exact identity.
-
-    Identity conv stacks plus a gate biased hard negative, so the learned
-    threshold is exactly zero and Z = X + L.  With these parameters one phase
-    reduces to one classical iteration, which pins down the unrolled wiring.
-    """
-    attn = AttnParams(
-        w1=np.zeros((nc, nc)),
-        b1=np.zeros(nc),
-        w2=np.zeros((nc, nc)),
-        b2=np.full(nc, -1.0e4),
-    )
-    return PhaseParams(
-        f_stack=identity_encode_stack(nc),
-        fhat_stack=identity_decode_stack(nc),
-        attn=attn,
-        mu_raw=_raw(mu),
-        eta_raw=_raw(eta),
-    )
 
 
 def named_tensors(params):
@@ -153,7 +132,7 @@ class PhaseCache:
 
 @dataclass
 class NetCache:
-    b: np.ndarray
+    atb: np.ndarray  # A^H b, the zero-filled start
     encoder: object
     phases: list = field(default_factory=list)
 
@@ -190,7 +169,7 @@ def network_forward(b, encoder, params, cfg, want_cache=True):
     atb = encoder.adjoint(b)
     x = atb
     l = np.zeros_like(x)
-    cache = NetCache(b=b, encoder=encoder) if want_cache else None
+    cache = NetCache(atb=atb, encoder=encoder) if want_cache else None
     for phase in params.phases:
         z, pc = z_block(x, l, phase)
         x = x_block(z, l, atb, encoder, mu_of(phase))
@@ -226,8 +205,6 @@ def network_backward(grad_x, cache, params):
     if len(cache.phases) != len(params.phases):
         raise ValueError("cache does not match the parameter phase count")
     grads = zero_grads(params)
-    encoder = cache.encoder
-    atb = encoder.adjoint(cache.b)
     gx = np.asarray(grad_x)
     gl = np.zeros_like(gx)
     for n in range(len(params.phases) - 1, -1, -1):
@@ -241,10 +218,11 @@ def network_backward(grad_x, cache, params):
             phase.eta_raw
         )
         g = gx + eta * gl
-        pg = encoder.normal(g)
+        pg = cache.encoder.normal(g)
         gy = g - pg / (1.0 + mu)
         grads[f"{tag}.mu_raw"] += (
-            (real_inner(pg, pc.z - pc.l_prev) - real_inner(g, atb)) / (1.0 + mu) ** 2
+            (real_inner(pg, pc.z - pc.l_prev) - real_inner(g, cache.atb))
+            / (1.0 + mu) ** 2
         ) * sigmoid(phase.mu_raw)
 
         gz = gy - eta * gl

@@ -42,16 +42,16 @@ class TrainConfig:
     sigma: float = 0.0  # measurement noise std, 0 = noiseless
 
     def __post_init__(self):
-        if self.lr0 <= 0:
-            raise ValueError("lr0 must be positive")
+        if not 0 < self.lr0 < math.inf:
+            raise ValueError("lr0 must be finite and positive")
         if not 0 < self.decay <= 1:
             raise ValueError("decay must be in (0, 1]")
         if self.decay_steps is not None and self.decay_steps < 1:
             raise ValueError("decay_steps must be >= 1")
         if self.epochs < 1 or self.batch < 1:
             raise ValueError("epochs and batch must be >= 1")
-        if self.zeta < 0 or self.sigma < 0:
-            raise ValueError("zeta and sigma must be >= 0")
+        if not (0 <= self.zeta < math.inf and 0 <= self.sigma < math.inf):
+            raise ValueError("zeta and sigma must be finite and >= 0")
 
 
 def mse_loss(x_hat, x_gt):

@@ -31,12 +31,6 @@ def from_channels(c):
     return c[0] + 1j * c[1]
 
 
-def inner(u, v):
-    """Inner product, conjugate-linear in the first argument."""
-    check_same_shape(u, v)
-    return np.vdot(u, v)
-
-
 def fro_norm(v):
     return float(np.linalg.norm(np.ravel(v)))
 

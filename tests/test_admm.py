@@ -13,7 +13,6 @@ from dynmr.admm import (
     reconstruct,
     soft_threshold_complex,
     temporal_fft,
-    x_update_cg,
     x_update_closed_form,
     z_update,
 )
@@ -22,6 +21,7 @@ from dynmr.errors import NumericalError
 from dynmr.metrics import psnr
 from dynmr.phantom import PhantomSpec, generate_phantom
 from dynmr.volume import fro_norm
+from oracles import x_update_cg
 
 
 def rand_volume(rng, shape=(8, 8, 4)):
@@ -367,4 +367,8 @@ def test_config_validation():
         AdmmConfig(eta=-0.5)
     with pytest.raises(ValueError):
         AdmmConfig(n_iters=-1)
+    for key in ("lam", "mu", "eta"):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                AdmmConfig(**{key: bad})
     AdmmConfig(n_iters=0)

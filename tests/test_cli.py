@@ -4,9 +4,12 @@ import sys
 import numpy as np
 import pytest
 
+from dynmr import cli
 from dynmr.encoding import make_pseudo_radial_mask
-from dynmr.fileio import load_checkpoint, load_dmrt, save_dmrt
+from dynmr.fileio import load_checkpoint, load_dmrt, save_checkpoint, save_dmrt
+from dynmr.network import NetworkConfig, init_network_params
 from dynmr.phantom import PhantomSpec, generate_phantom
+from dynmr.training import TrainConfig
 
 
 def run_cli(*args):
@@ -217,6 +220,10 @@ def test_recon_admm_rejects_bad_options(tmp_path):
     r = run_cli(*argv, "--iters", "-5", *out)
     assert r.returncode == 3
     assert "n_iters" in r.stderr
+    for bad in ("--lambda=nan", "--mu=inf", "--eta=-inf"):
+        r = run_cli(*argv, bad, *out)
+        assert r.returncode == 3, bad
+        assert "finite" in r.stderr
     assert run_cli(*argv, "--x-update", "cg", *out).returncode == 2
 
 
@@ -275,6 +282,29 @@ def test_train_then_reconstruct(tmp_path):
     assert np.all(np.isfinite(x.real))
 
 
+def test_train_config_sets_all_twenty_keys(tmp_path):
+    # each key is a field of one section and parses with the field's type
+    text = {
+        "n_samples": "3", "shape": "12x10x2", "ellipses": "2", "motion": "0.1",
+        "pattern": "vds", "spokes": "5", "accel": "2.5", "center_lines": "2",
+        "n_phases": "2", "nc": "4", "f_depth": "1", "fhat_depth": "3",
+        "lr0": "0.002", "decay": "0.9", "decay_steps": "7", "epochs": "2",
+        "batch": "2", "seed": "11", "zeta": "0.01", "sigma": "0.02",
+    }
+    cfg_p = tmp_path / "all.cfg"
+    cfg_p.write_text("".join(f"{k} = {v}\n" for k, v in text.items()))
+    data, net, train = cli._parse_train_config(cfg_p)
+    assert data == cli.DataConfig(
+        n_samples=3, shape=(12, 10, 2), ellipses=2, motion=0.1,
+        pattern="vds", spokes=5, accel=2.5, center_lines=2,
+    )
+    assert net == NetworkConfig(n_phases=2, nc=4, f_depth=1, fhat_depth=3)
+    assert train == TrainConfig(
+        lr0=0.002, decay=0.9, decay_steps=7, epochs=2, batch=2, seed=11,
+        zeta=0.01, sigma=0.02,
+    )
+
+
 def test_train_rejects_unknown_key(tmp_path):
     cfg_p = tmp_path / "bad.cfg"
     cfg_p.write_text("learning_rate = 0.1\n")
@@ -293,6 +323,16 @@ def test_train_rejects_dc_mode_key(tmp_path):
     assert "Traceback" not in r.stderr
 
 
+def test_train_rejects_non_finite_sigma(tmp_path):
+    # nan > 0 is false, so a NaN sigma would otherwise train without noise
+    cfg_p = tmp_path / "nan.cfg"
+    write_tiny_config(cfg_p, sigma="nan")
+    r = run_cli("train", "--config", str(cfg_p), "--out-ckpt", str(tmp_path / "c"))
+    assert r.returncode == 3
+    assert "finite" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_train_rejects_malformed_line(tmp_path):
     cfg_p = tmp_path / "bad.cfg"
     cfg_p.write_text("epochs\n")
@@ -308,6 +348,23 @@ def test_recon_net_missing_checkpoint_is_data_error(tmp_path):
         "--data", str(gt_p), "--mask", str(gt_p), "--out", str(tmp_path / "x"),
     )
     assert r.returncode == 3
+
+
+def test_recon_net_non_finite_volume_is_numerical_error(tmp_path):
+    gt_p, mask_p = write_radial_inputs(tmp_path)
+    gt = load_dmrt(gt_p)
+    gt[3, 5, 1] = np.nan
+    save_dmrt(gt_p, gt)
+    ckpt_p = tmp_path / "net.dusc"
+    cfg = NetworkConfig(n_phases=1, nc=4)
+    save_checkpoint(ckpt_p, init_network_params(cfg), cfg)
+    r = run_cli(
+        "recon-net", "--ckpt", str(ckpt_p), "--data", str(gt_p),
+        "--mask", str(mask_p), "--out", str(tmp_path / "x.dmrt"),
+    )
+    assert r.returncode == 4
+    assert "non-finite" in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 # ------------------------------------------------------------ eval/gradcheck

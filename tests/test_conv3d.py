@@ -9,8 +9,6 @@ from dynmr.conv3d import (
     _band_rows,
     conv3d_backward,
     conv3d_forward,
-    identity_decode_stack,
-    identity_encode_stack,
     init_conv_layer,
     make_decode_stack,
     make_encode_stack,
@@ -18,6 +16,7 @@ from dynmr.conv3d import (
     stack_forward,
     stack_param_grads,
 )
+from oracles import identity_decode_stack, identity_encode_stack
 
 STEP = 1e-6
 

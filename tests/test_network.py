@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import dynmr.conv3d
-from dynmr.admm import AdmmConfig, reconstruct, x_update_cg
+from dynmr.admm import AdmmConfig, reconstruct
 from dynmr.conv3d import stack_backward, stack_forward
 from dynmr.encoding import Encoder, make_pseudo_radial_mask
 from dynmr.network import (
@@ -19,13 +19,13 @@ from dynmr.network import (
     named_tensors,
     network_backward,
     network_forward,
-    neutral_phase_params,
     x_block,
     z_block,
     zero_grads,
 )
 from dynmr.phantom import PhantomSpec, generate_phantom
 from dynmr.volume import fro_norm, real_inner, to_channels
+from oracles import neutral_phase_params, x_update_cg
 
 STEP = 1e-6
 
@@ -259,7 +259,7 @@ def test_backward_rejects_cg_mode_and_bad_cache():
     # the closed form is the only data-consistency step; there is no CG mode
     with pytest.raises(TypeError):
         NetworkConfig(n_phases=1, nc=4, dc_mode="cg")
-    short = NetCache(b=b, encoder=enc, phases=[])
+    short = NetCache(atb=enc.adjoint(b), encoder=enc, phases=[])
     with pytest.raises(ValueError):
         network_backward(np.zeros_like(gt), short, params)
 

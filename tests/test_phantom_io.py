@@ -267,6 +267,18 @@ def test_checkpoint_unknown_tensor_name(tmp_path):
         load_checkpoint(p)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_checkpoint_non_finite_tensor(tmp_path, bad):
+    # saving writes any value; loading rejects it, naming the tensor
+    cfg = NetworkConfig(n_phases=1, nc=4)
+    params = init_network_params(cfg, seed=0)
+    params.phases[0].f_stack[1].weights[2, 1, 0, 1, 2] = bad
+    p = tmp_path / "nan.dusc"
+    save_checkpoint(p, params, cfg)
+    with pytest.raises(FormatError, match=r"phase00\.f1\.w has non-finite"):
+        load_checkpoint(p)
+
+
 def test_checkpoint_tensor_count_mismatch(tmp_path):
     cfg = NetworkConfig(n_phases=1, nc=4)
     p = tmp_path / "count.dusc"

@@ -168,6 +168,10 @@ def test_train_config_validation():
         TrainConfig(zeta=-0.1)
     with pytest.raises(ValueError):
         TrainConfig(sigma=-1.0)
+    for key in ("lr0", "decay", "zeta", "sigma"):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                TrainConfig(**{key: bad})
 
 
 # -------------------------------------------------------------- training

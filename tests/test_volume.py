@@ -3,9 +3,7 @@ import pytest
 
 from dynmr.volume import (
     check_same_shape,
-    fro_norm,
     from_channels,
-    inner,
     real_inner,
     to_channels,
 )
@@ -49,33 +47,13 @@ def test_round_trip_bit_exact():
     assert np.array_equal(to_channels(from_channels(c)), c)
 
 
-def test_inner_is_norm_squared():
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        v = rand_volume(rng)
-        lhs = inner(v, v)
-        rhs = fro_norm(v) ** 2
-        assert abs(lhs.imag) < 1e-12
-        assert abs(lhs.real - rhs) < 1e-12 * rhs
-
-
-def test_inner_conjugate_linear_in_first_argument():
-    rng = np.random.default_rng(2)
-    u, v = rand_volume(rng), rand_volume(rng)
-    alpha = 0.7 - 1.3j
-    got = inner(alpha * u, v)
-    want = np.conj(alpha) * inner(u, v)
-    assert abs(got - want) < 1e-12 * abs(want)
-
-
 def test_shape_mismatch_raises():
     a = np.zeros((2, 2, 2), dtype=complex)
     b = np.zeros((2, 2, 3), dtype=complex)
     with pytest.raises(ValueError):
         check_same_shape(a, b)
-    for op in (inner, real_inner):
-        with pytest.raises(ValueError):
-            op(a, b)
+    with pytest.raises(ValueError):
+        real_inner(a, b)
 
 
 def test_real_inner_is_the_gradient_pairing():
