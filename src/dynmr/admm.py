@@ -46,52 +46,75 @@ class AdmmState:
     l: np.ndarray
 
 
-def soft_threshold_complex(v, tau):
-    """Magnitude shrinkage u * max(1 - tau/|u|, 0); zero stays zero."""
+def soft_threshold_complex(v, tau, out=None, work=None):
+    """Magnitude shrinkage u * max(1 - tau/|u|, 0); zero stays zero.
+
+    The result goes to out, which may be v, when given.  work, two real
+    arrays of v's shape, holds |v| and the shrunk magnitude.
+    """
     if tau < 0:
         raise ValueError("tau must be >= 0")
-    mag = np.abs(v)
-    shrunk = np.maximum(mag - tau, 0.0)
-    return v * (shrunk / np.where(mag > 0, mag, 1.0))
+    mag, shrunk = (np.empty(v.shape), np.empty(v.shape)) if work is None else work
+    np.abs(v, out=mag)
+    np.subtract(mag, tau, out=shrunk)
+    np.maximum(shrunk, 0.0, out=shrunk)
+    np.divide(shrunk, mag, out=shrunk, where=mag > 0)
+    return np.multiply(v, shrunk, out=out)
 
 
-def temporal_fft(v, direction="forward"):
-    """Unitary 1-D DFT along the temporal axis of a (h, w, t) volume."""
+def temporal_fft(v, direction="forward", out=None):
+    """Unitary 1-D DFT along the temporal axis of a (h, w, t) volume.
+
+    The result goes to out, which may be v, when given.
+    """
     if direction == "forward":
-        return np.fft.fft(v, axis=2, norm="ortho")
+        return np.fft.fft(v, axis=2, norm="ortho", out=out)
     if direction == "inverse":
-        return np.fft.ifft(v, axis=2, norm="ortho")
+        return np.fft.ifft(v, axis=2, norm="ortho", out=out)
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def z_update(state, cfg):
-    """Shrinkage step: T^H(ST(T(x + l), lam/mu))."""
-    coeffs = temporal_fft(state.x + state.l, "forward")
-    shrunk = soft_threshold_complex(coeffs, cfg.lam / cfg.mu)
-    return temporal_fft(shrunk, "inverse")
+def z_update(state, cfg, out=None, work=None):
+    """Shrinkage step: T^H(ST(T(x + l), lam/mu)), computed in out when given.
+
+    work is soft_threshold_complex's pair of real arrays.
+    """
+    z = np.add(state.x, state.l, out=out)
+    temporal_fft(z, "forward", out=z)
+    soft_threshold_complex(z, cfg.lam / cfg.mu, out=z, work=work)
+    return temporal_fft(z, "inverse", out=z)
 
 
-def x_update_closed_form(z, l, atb, encoder, mu):
-    """Exact minimizer of the data-consistency subproblem; atb = A^H b."""
+def x_update_closed_form(z, l, atb, encoder, mu, out=None, work=None):
+    """Exact minimizer of the data-consistency subproblem; atb = A^H b.
+
+    The result goes to out when given; work, a complex array of z's shape,
+    holds y = z - l.
+    """
     if mu <= 0:
         raise ValueError("mu must be > 0")
     check_same_shape(z, l)
     check_same_shape(z, atb)
-    y = z - l
+    y = np.subtract(z, l, out=work)
     # x = y + (atb - P y)/(1 + mu), in the P y buffer: fresh temporaries here
     # make the heap shrink and regrow every iteration, page-faulting the
     # other steps.
-    x = encoder.normal(y)
+    x = encoder.normal(y, out=out)
     np.subtract(atb, x, out=x)
     x /= 1.0 + mu
     x += y
     return x
 
 
-def l_update(state, eta):
-    """Scaled multiplier step l - eta*(z - x)."""
+def l_update(state, eta, out=None, work=None):
+    """Scaled multiplier step l - eta*(z - x), into out when given.
+
+    work, a complex array of l's shape, holds eta*(z - x); out may be l.
+    """
     check_same_shape(state.z, state.x)
-    return state.l - eta * (state.z - state.x)
+    step = np.subtract(state.z, state.x, out=work)
+    step *= eta
+    return np.subtract(state.l, step, out=out)
 
 
 def objective(x, b, encoder, cfg):
@@ -106,16 +129,21 @@ def iterate(b, encoder, cfg):
     """Run n_iters alternating steps from the zero-filled start, lazily.
 
     Yields the solver's state after each z/x/l step.  It is the same
-    AdmmState object every time, updated in place, so copy what must outlive
-    the next step.  Raises NumericalError, naming the iteration, as soon as
-    the x iterate is non-finite.
+    AdmmState object every time, and every step writes into arrays allocated
+    once at the start, so the next step overwrites x, z and l: copy what must
+    outlive it.  Raises NumericalError, naming the iteration, as soon as the
+    x iterate is non-finite.
     """
     atb = encoder.adjoint(b)
-    state = AdmmState(x=atb, z=atb.copy(), l=np.zeros_like(atb))
+    state = AdmmState(x=atb.copy(), z=np.empty_like(atb), l=np.zeros_like(atb))
+    work = np.empty_like(atb)
+    mags = (np.empty(atb.shape), np.empty(atb.shape))
     for it in range(1, cfg.n_iters + 1):
-        state.z = z_update(state, cfg)
-        state.x = x_update_closed_form(state.z, state.l, atb, encoder, cfg.mu)
-        state.l = l_update(state, cfg.eta)
+        state.z = z_update(state, cfg, state.z, mags)
+        state.x = x_update_closed_form(
+            state.z, state.l, atb, encoder, cfg.mu, state.x, work
+        )
+        state.l = l_update(state, cfg.eta, state.l, work)
         # x is built from z and the previous l, so a finite x vouches for both.
         if not np.isfinite(state.x).all():
             raise NumericalError(f"non-finite iterate at iteration {it}")

@@ -52,7 +52,6 @@ class AttnCache:
     u: np.ndarray
     a: np.ndarray
     pre1: np.ndarray
-    pre2: np.ndarray
     s: np.ndarray
     tau: np.ndarray
     active: np.ndarray  # |u| > tau, the shrink-active voxels
@@ -69,24 +68,34 @@ def init_attn_params(nc, rng):
     )
 
 
-def attn_forward(u, params):
-    """Apply the operator; returns (output, cache for the backward pass)."""
+def attn_forward(u, params, work=None):
+    """Apply the operator; returns (output, cache for the backward pass).
+
+    With work, a float64 array of u's shape apart from u, the output
+    overwrites u, work holds |u| and the cache is None: plain inference
+    allocates nothing the size of u.
+    """
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 4 or u.shape[0] != params.nc:
         raise ValueError(
             f"input shape {u.shape} does not match nc={params.nc} channel tensor"
         )
-    mag = np.abs(u)
+    mag = np.abs(u, out=work)
     a = np.mean(mag, axis=(1, 2, 3))
     pre1 = params.w1 @ a + params.b1
     hidden = relu(pre1)
-    pre2 = params.w2 @ hidden + params.b2
-    s = sigmoid(pre2)
+    s = sigmoid(params.w2 @ hidden + params.b2)
     tau = s * a
     tau_b = tau[:, None, None, None]
-    active = mag > tau_b
-    out = np.sign(u) * np.maximum(mag - tau_b, 0.0)
-    return out, AttnCache(u=u, a=a, pre1=pre1, pre2=pre2, s=s, tau=tau, active=active)
+    cache = None
+    if work is None:
+        cache = AttnCache(u=u, a=a, pre1=pre1, s=s, tau=tau, active=mag > tau_b)
+    # sign(u) * max(|u| - tau, 0), built in mag and the output
+    mag -= tau_b
+    np.maximum(mag, 0.0, out=mag)
+    out = np.sign(u, out=None if work is None else u)
+    out *= mag
+    return out, cache
 
 
 def attn_backward(grad_out, cache, params):

@@ -99,15 +99,20 @@ def _tap_bands(x, rows):
         yield r0, r1, taps
 
 
-def _correlate(x, weights):
-    """Zero-padded cross-correlation of (C_in, h, w, t) x with (C_out, C_in, 3, 3, 3)."""
+def _correlate(x, weights, out=None):
+    """Zero-padded cross-correlation of (C_in, h, w, t) x with (C_out, C_in, 3, 3, 3).
+
+    The result goes to out, a (C_out, h, w, t) float64 array, when given; out
+    must not overlap x, whose bands are read after earlier bands are written.
+    """
     c_in, h, w, t = x.shape
     c_out = weights.shape[0]
     plane = (w + 2) * t
     rows = _band_rows(c_in, c_out, h, w, t)
     # kernel row a: rows b*C_out + o, columns k*C_in + i
     w_rows = list(weights.transpose(2, 3, 0, 4, 1).reshape(KERNEL, KERNEL * c_out, -1))
-    out = np.empty((c_out, h, w, t))
+    if out is None:
+        out = np.empty((c_out, h, w, t))
     prod = np.empty((KERNEL * c_out, rows * plane + 2 * t))
     acc = np.empty((c_out, rows * plane))
     for r0, r1, taps in _tap_bands(x, rows):
@@ -157,14 +162,21 @@ def _param_grads(g_pre, x):
     return g_weights.transpose(2, 4, 0, 1, 3), g_pre.sum(axis=(1, 2, 3))
 
 
-def conv3d_forward(x, layer):
-    """Apply one layer; returns (output, cache)."""
+def conv3d_forward(x, layer, out=None):
+    """Apply one layer; returns (output, cache).
+
+    The output is written into out when given, a float64 array of the output
+    shape that does not overlap x.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 4 or x.shape[0] != layer.in_channels:
         raise ValueError(
             f"input shape {x.shape} does not match {layer.in_channels} in-channels"
         )
-    out = _correlate(x, layer.weights)
+    want = (layer.out_channels, *x.shape[1:])
+    if out is not None and (out.shape != want or np.may_share_memory(x, out)):
+        raise ValueError(f"out must be a {want} array apart from the input")
+    out = _correlate(x, layer.weights, out)
     out += layer.bias[:, None, None, None]
     if layer.activation == "relu":
         np.maximum(out, 0.0, out=out)

@@ -56,11 +56,19 @@ class Encoder:
         check_same_shape(b, self.mask)
         return fft2_frames(np.where(self.mask == 1, b, 0.0 + 0.0j), "inverse")
 
-    def normal(self, v):
-        """Normal operator A^H A: the projection onto sampled k-space."""
+    def normal(self, v, out=None):
+        """Normal operator A^H A: the projection onto sampled k-space.
+
+        The result is computed in out when given, a complex128 array of v's
+        shape that may be v itself.
+        """
         check_same_shape(v, self.mask)
-        k = np.fft.fft2(v, axes=_AXES, norm="ortho")
-        return np.fft.ifft2(self._normal_filter * k, axes=_AXES, norm="ortho")
+        # fft2 and ifft2 both run axis 1, then axis 0; ifft2 ignores its out
+        # argument, so the inverse's two passes are written out.
+        k = np.fft.fft2(v, axes=_AXES, norm="ortho", out=out)
+        k *= self._normal_filter
+        np.fft.ifft(k, axis=1, norm="ortho", out=k)
+        return np.fft.ifft(k, axis=0, norm="ortho", out=k)
 
 
 def make_pseudo_radial_mask(shape, n_spokes, seed=0):
@@ -106,8 +114,8 @@ def make_vds_mask(shape, acceleration, center_lines=4, seed=0):
     Frames draw independently from the seeded generator.
     """
     h, w, t = shape
-    if acceleration < 1:
-        raise ValueError("acceleration must be >= 1")
+    if not acceleration >= 1:  # NaN fails this too
+        raise ValueError(f"acceleration must be >= 1, got {acceleration}")
     if center_lines >= w:
         raise ValueError("center_lines must be smaller than w")
     target = math.ceil(w / acceleration)

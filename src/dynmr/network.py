@@ -29,6 +29,7 @@ import numpy as np
 from .admm import x_update_closed_form
 from .attention import AttnParams, attn_backward, attn_forward, init_attn_params
 from .conv3d import (
+    conv3d_forward,
     make_decode_stack,
     make_encode_stack,
     stack_backward,
@@ -137,9 +138,19 @@ class NetCache:
     phases: list = field(default_factory=list)
 
 
-def z_block(x, l, phase):
-    """Denoising block; returns (z, cache with every intermediate)."""
+def z_block(x, l, phase, bufs=None):
+    """Denoising block; returns (z, cache with every intermediate).
+
+    With bufs, two float64 arrays of at least every layer's output shape, the
+    block keeps no intermediate and returns (z, None): each conv layer writes
+    into the buffer that does not hold its input, and attention works in
+    place with the other buffer holding |u|.
+    """
     c_in = to_channels(x + l)
+    if bufs is not None:
+        u = _stream(c_in, phase.f_stack, bufs)
+        attn_forward(u, phase.attn, work=_spare(u, bufs)[:len(u)])
+        return from_channels(_stream(u, phase.fhat_stack, bufs)), None
     f_out, f_caches = stack_forward(c_in, phase.f_stack)
     attn_out, attn_cache = attn_forward(f_out, phase.attn)
     fhat_out, fhat_caches = stack_forward(attn_out, phase.fhat_stack)
@@ -154,6 +165,18 @@ def z_block(x, l, phase):
     )
 
 
+def _spare(x, bufs):
+    """The one of the two buffers that does not hold x."""
+    return bufs[1] if np.may_share_memory(x, bufs[0]) else bufs[0]
+
+
+def _stream(x, layers, bufs):
+    """Run a conv stack through two buffers; returns the last layer's output."""
+    for layer in layers:
+        x, _ = conv3d_forward(x, layer, out=_spare(x, bufs)[:layer.out_channels])
+    return x
+
+
 def x_block(z, l, atb, encoder, mu):
     """Data-consistency step; the classical closed-form x step, atb = A^H b."""
     return x_update_closed_form(z, l, atb, encoder, mu)
@@ -162,16 +185,25 @@ def x_block(z, l, atb, encoder, mu):
 def network_forward(b, encoder, params, cfg, want_cache=True):
     """Run all phases from the zero-filled adjoint.
 
-    Returns (reconstruction, cache); cache is None when want_cache is False,
-    which spares the per-phase intermediates during plain inference.  The
-    phases come from params; cfg is not read.
+    Returns (reconstruction, cache).  When want_cache is False, for plain
+    inference, the cache is None and every phase's activations stream through
+    two buffers allocated here, so memory does not grow with depth or phases.
+    The phases come from params; cfg is not read.
     """
     atb = encoder.adjoint(b)
     x = atb
     l = np.zeros_like(x)
     cache = NetCache(atb=atb, encoder=encoder) if want_cache else None
+    bufs = None
+    if not want_cache:
+        width = max(
+            layer.out_channels
+            for phase in params.phases
+            for layer in phase.f_stack + phase.fhat_stack
+        )
+        bufs = [np.empty((width, *x.shape)) for _ in range(2)]
     for phase in params.phases:
-        z, pc = z_block(x, l, phase)
+        z, pc = z_block(x, l, phase, bufs)
         x = x_block(z, l, atb, encoder, mu_of(phase))
         l = l - eta_of(phase) * (z - x)
         if want_cache:

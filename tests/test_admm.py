@@ -1,3 +1,4 @@
+import tracemalloc
 import types
 
 import numpy as np
@@ -144,7 +145,7 @@ def test_x_update_all_zero_mask_returns_y():
     rng = np.random.default_rng(6)
     z, l = rand_volume(rng), rand_volume(rng)
     atb = np.zeros_like(z)
-    fake = types.SimpleNamespace(normal=np.zeros_like)
+    fake = types.SimpleNamespace(normal=lambda v, out=None: np.zeros_like(v))
     x = x_update_closed_form(z, l, atb, fake, mu=0.7)
     assert np.max(np.abs(x - (z - l))) < 1e-12
 
@@ -334,6 +335,51 @@ def test_reconstruct_never_evaluates_the_objective(monkeypatch):
     enc = Encoder(make_pseudo_radial_mask((16, 16, 4), 6, seed=0))
     x = reconstruct(enc.forward(gt), enc, AdmmConfig(n_iters=5))
     assert np.all(np.isfinite(x))
+
+
+def test_iterate_is_bit_identical_to_the_formulas():
+    # each step as the module docstring writes it, on fresh arrays
+    gt = generate_phantom(PhantomSpec(shape=(17, 12, 6), seed=2))
+    enc = Encoder(make_pseudo_radial_mask((17, 12, 6), 5, seed=1))
+    b = enc.forward(gt)
+    cfg = AdmmConfig(lam=0.02, mu=0.7, eta=0.9, n_iters=6)
+    atb = enc.adjoint(b)
+    x, l = atb, np.zeros_like(atb)
+    seen = set()
+    for state in iterate(b, enc, cfg):
+        coeffs = np.fft.fft(x + l, axis=2, norm="ortho")
+        mag = np.abs(coeffs)
+        shrunk = np.maximum(mag - cfg.lam / cfg.mu, 0.0)
+        coeffs = coeffs * (shrunk / np.where(mag > 0, mag, 1.0))
+        z = np.fft.ifft(coeffs, axis=2, norm="ortho")
+        y = z - l
+        k = np.fft.fft2(y, axes=(0, 1), norm="ortho")
+        py = np.fft.ifft2(enc._normal_filter * k, axes=(0, 1), norm="ortho")
+        x = y + (atb - py) / (1.0 + cfg.mu)
+        l = l - cfg.eta * (z - x)
+        for got, want in ((state.z, z), (state.x, x), (state.l, l)):
+            assert got.tobytes() == want.tobytes()
+        seen.add((id(state.x), id(state.z), id(state.l)))
+    assert len(seen) == 1  # the same three arrays every iteration
+
+
+def test_reconstruct_peak_is_a_few_volumes():
+    # iterate holds x, z, l, A^H b, one complex and two real scratch arrays
+    # (six volumes) and writes every step into them; numpy's fixed-size
+    # casting buffers and boolean masks add under 0.2 volume at this size.
+    shape = (64, 64, 16)
+    gt = generate_phantom(PhantomSpec(shape=shape, seed=3))
+    enc = Encoder(make_pseudo_radial_mask(shape, 16, seed=3))
+    b = enc.forward(gt)
+    volume = np.prod(shape) * 16
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        reconstruct(b, enc, AdmmConfig(n_iters=3))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5 * volume, peak / volume
 
 
 def test_iterate_names_the_first_non_finite_iteration(monkeypatch):

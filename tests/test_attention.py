@@ -127,10 +127,16 @@ def test_forward_is_bit_identical_to_the_formula():
 
     out, cache = attn_forward(u, params)
     assert out.tobytes() == want.tobytes()
-    for name, value in (("u", u), ("a", a), ("pre1", pre1), ("pre2", pre2),
+    for name, value in (("u", u), ("a", a), ("pre1", pre1),
                         ("s", s), ("tau", tau), ("active", active)):
         got = getattr(cache, name)
         assert got.dtype == value.dtype and got.tobytes() == value.tobytes(), name
+
+    # with a work array the output overwrites the input, with the same bytes
+    buf = u.copy()
+    out, cache = attn_forward(buf, params, work=np.empty_like(u))
+    assert out is buf and cache is None
+    assert out.tobytes() == want.tobytes()
 
 
 def test_init_is_seeded_and_bounded():

@@ -87,6 +87,17 @@ def test_mask_vds_requires_accel(tmp_path):
     assert r.returncode == 2
 
 
+def test_mask_vds_rejects_nan_accel(tmp_path):
+    # nan < 1 is false, so a NaN acceleration used to reach math.ceil
+    r = run_cli(
+        "mask", "--pattern", "vds", "--accel", "nan", "--shape", "8x16x2",
+        "--out", str(tmp_path / "m.dmrt"),
+    )
+    assert r.returncode == 3
+    assert "acceleration" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 # ------------------------------------------------------------ recon-admm
 
 
@@ -330,6 +341,15 @@ def test_train_rejects_non_finite_sigma(tmp_path):
     r = run_cli("train", "--config", str(cfg_p), "--out-ckpt", str(tmp_path / "c"))
     assert r.returncode == 3
     assert "finite" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_train_rejects_nan_accel(tmp_path):
+    cfg_p = tmp_path / "nan.cfg"
+    write_tiny_config(cfg_p, pattern="vds", accel="nan")
+    r = run_cli("train", "--config", str(cfg_p), "--out-ckpt", str(tmp_path / "c"))
+    assert r.returncode == 3
+    assert "acceleration" in r.stderr
     assert "Traceback" not in r.stderr
 
 

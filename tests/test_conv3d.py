@@ -94,6 +94,10 @@ def test_forward_validation():
     layer = center_tap_layer()
     with pytest.raises(ValueError):
         conv3d_forward(np.zeros((2, 4, 4, 2)), layer)
+    x = np.zeros((1, 4, 4, 2))
+    for out in (x, x[:, :, ::-1], np.zeros((1, 4, 4, 3))):  # overlaps x, wrong shape
+        with pytest.raises(ValueError, match="out must be"):
+            conv3d_forward(x, layer, out=out)
     with pytest.raises(ValueError):
         Conv3dLayer(weights=np.zeros((1, 1, 3, 3)), bias=np.zeros(1))
     with pytest.raises(ValueError):
@@ -227,6 +231,10 @@ def assert_layer_matches_direct_sum(layer, x, g):
     want_in, want_w, want_b = direct_backward(g_pre, x, layer.weights)
     assert cache.out is out
     assert rel_err(out, want_out) <= 1e-12
+    # written into a given array (NaN-filled, so every voxel must be set)
+    buf = np.full_like(out, np.nan)
+    into, _ = conv3d_forward(x, layer, out=buf)
+    assert into is buf and into.tobytes() == out.tobytes()
     assert rel_err(grad_in, want_in) <= 1e-12
     assert rel_err(gw, want_w) <= 1e-12
     assert rel_err(gb, want_b) <= 1e-12

@@ -116,6 +116,23 @@ def test_normal_is_adjoint_of_forward_and_self_adjoint(shape):
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
 
+@pytest.mark.parametrize("shape", [(8, 8, 4), (33, 21, 5)])
+def test_normal_into_out_is_bit_identical(shape):
+    # the same bytes as fft2, the mask filter and ifft2 on fresh arrays,
+    # written into out; out may be the input itself
+    rng = np.random.default_rng(42)
+    enc = Encoder(rand_mask(rng, shape))
+    v = rand_volume(rng, shape)
+    k = np.fft.fft2(v, axes=(0, 1), norm="ortho")
+    want = np.fft.ifft2(enc._normal_filter * k, axes=(0, 1), norm="ortho")
+    assert enc.normal(v).tobytes() == want.tobytes()
+    buf = np.full_like(v, np.nan)
+    assert enc.normal(v, out=buf) is buf
+    assert buf.tobytes() == want.tobytes()
+    assert enc.normal(v, out=v) is v
+    assert v.tobytes() == want.tobytes()
+
+
 def test_forward_adjoint_forward_is_projection():
     # A A^H is the projector onto the sampled set, so applying the forward
     # model to a zero-filled reconstruction returns the data unchanged
@@ -225,6 +242,8 @@ def test_vds_deterministic_and_frames_differ():
 def test_vds_validation_errors():
     with pytest.raises(ValueError):
         make_vds_mask((8, 16, 2), 0.5)
+    with pytest.raises(ValueError, match="acceleration must be >= 1, got nan"):
+        make_vds_mask((8, 16, 2), float("nan"))
     with pytest.raises(ValueError):
         make_vds_mask((8, 16, 2), 2.0, center_lines=16)
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import tracemalloc
 import types
 
 import numpy as np
@@ -143,7 +144,7 @@ def test_x_block_all_zero_mask_returns_y():
     rng = np.random.default_rng(3)
     z = rand_volume(rng, (6, 6, 2))
     l = rand_volume(rng, (6, 6, 2))
-    fake = types.SimpleNamespace(normal=np.zeros_like)
+    fake = types.SimpleNamespace(normal=lambda v, out=None: np.zeros_like(v))
     x = x_block(z, l, np.zeros_like(z), fake, mu=0.3)
     assert np.max(np.abs(x - (z - l))) < 1e-12
 
@@ -178,14 +179,48 @@ def test_single_phase_forward_matches_manual_composition():
 
 
 def test_forward_without_cache_matches():
-    gt, enc, b, _ = small_problem(seed=6)
-    cfg = NetworkConfig(n_phases=2, nc=4)
-    params = init_network_params(cfg, seed=6)
-    x_a, cache = network_forward(b, enc, params, cfg)
-    x_b, none = network_forward(b, enc, params, cfg, want_cache=False)
-    assert none is None
-    assert np.array_equal(x_a, x_b)
-    assert len(cache.phases) == 2
+    # streaming through two reused buffers gives the cached path's bytes
+    for shape, nc, f_depth, fhat_depth, n_phases in [
+        ((8, 8, 3), 4, 2, 2, 2),
+        ((41, 23, 8), 16, 2, 2, 2),  # spans several conv bands
+        ((9, 7, 3), 1, 1, 1, 3),  # the decode output is wider than nc
+        ((10, 6, 4), 5, 3, 1, 2),
+        ((6, 5, 2), 2, 1, 3, 2),
+    ]:
+        _, enc, b, _ = small_problem(seed=6, shape=shape)
+        cfg = NetworkConfig(
+            n_phases=n_phases, nc=nc, f_depth=f_depth, fhat_depth=fhat_depth
+        )
+        params = init_network_params(cfg, seed=6)
+        x_a, cache = network_forward(b, enc, params, cfg)
+        x_b, none = network_forward(b, enc, params, cfg, want_cache=False)
+        assert none is None
+        assert x_a.tobytes() == x_b.tobytes(), (shape, nc, f_depth, fhat_depth)
+        assert len(cache.phases) == n_phases
+
+
+@pytest.mark.parametrize("depth", [2, 4])
+def test_inference_peak_is_a_few_activations(depth):
+    # Without a cache every conv layer writes into one of two reused
+    # activation-sized buffers and attention shrinks in place, so the peak
+    # does not grow with depth.  Besides the two buffers it holds conv3d's
+    # band working set, sized to BAND_BYTES (about 2 MB whatever the volume),
+    # and a few complex volumes of 1/8 activation each.  An activation here
+    # (1.9 MB) is about one band working set; at 41x23x8 it is half of one,
+    # and the peak reads 4.7 activations there.
+    shape, nc = (41, 23, 16), 16
+    _, enc, b, _ = small_problem(seed=8, shape=shape)
+    cfg = NetworkConfig(n_phases=2, nc=nc, f_depth=depth, fhat_depth=depth)
+    params = init_network_params(cfg, seed=8)
+    activation = nc * np.prod(shape) * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        network_forward(b, enc, params, cfg, want_cache=False)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * activation, peak / activation
 
 
 def test_neutral_network_matches_classical_lambda_zero():
