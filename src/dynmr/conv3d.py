@@ -114,6 +114,7 @@ def _correlate(x, weights, out=None):
     if out is None:
         out = np.empty((c_out, h, w, t))
     prod = np.empty((KERNEL * c_out, rows * plane + 2 * t))
+    # Summing into out's strided rows instead is bit-identical but 1.1-1.8x slower.
     acc = np.empty((c_out, rows * plane))
     for r0, r1, taps in _tap_bands(x, rows):
         n = (r1 - r0) * plane

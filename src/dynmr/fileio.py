@@ -33,7 +33,7 @@ import numpy as np
 
 from .conv3d import KERNEL
 from .errors import FormatError
-from .network import NetworkConfig, init_network_params, named_tensors
+from .network import NetworkConfig, check_params, init_network_params, named_tensors
 
 DMRT_MAGIC = b"DMRT"
 DUSC_MAGIC = b"DUSC"
@@ -142,6 +142,8 @@ def load_dmrt(path):
 
 
 def save_checkpoint(path, params, cfg, step=0, seed=0):
+    """Write params under cfg's header; ValueError, and no write, if they differ."""
+    check_params(params, cfg)
     out = bytearray()
     out += DUSC_MAGIC
     out += struct.pack("<I", 1)

@@ -15,14 +15,15 @@ with L = 0.
 The data-consistency block is the classical solver's closed-form x step,
 x = y + (A^H b - P y)/(1 + mu) with y = Z - L and P = A^H A the encoder's
 normal operator, so the network and the classical solver share one DC
-operator.  The backward pass is written out by hand (reverse sweep over
-phases, exact chain rule through that closed form) and is validated against
-finite differences in the test suite.  Gradients flow as a flat dict keyed by
-the names from named_tensors, one entry per learnable array, so the optimizer
-never needs to know the phase structure.
+operator.  The backward pass is written out by hand (one reverse sweep over
+phases, exact chain rule through that closed form, plus the optional ISTA-Net
+inversion penalty of each phase) and is validated against finite differences.
+Gradients flow as a flat dict keyed by the names from named_tensors, one entry
+per learnable array, so the optimizer never needs to know the phase structure.
 """
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
@@ -102,16 +103,21 @@ def init_network_params(cfg, seed=0):
     return NetworkParams(phases=phases)
 
 
+def _stack_entries(tag, f, fhat):
+    """Yield (name, array) for the per-layer (w, b) pairs of a phase's stacks."""
+    for kind, stack in (("f", f), ("fhat", fhat)):
+        for j, (w, b) in enumerate(stack):
+            yield f"{tag}.{kind}{j}.w", w
+            yield f"{tag}.{kind}{j}.b", b
+
+
 def named_tensors(params):
     """Yield (name, array) for every learnable tensor, in a fixed order."""
     for p, phase in enumerate(params.phases):
         tag = f"phase{p:02d}"
-        for j, layer in enumerate(phase.f_stack):
-            yield f"{tag}.f{j}.w", layer.weights
-            yield f"{tag}.f{j}.b", layer.bias
-        for j, layer in enumerate(phase.fhat_stack):
-            yield f"{tag}.fhat{j}.w", layer.weights
-            yield f"{tag}.fhat{j}.b", layer.bias
+        f = [(layer.weights, layer.bias) for layer in phase.f_stack]
+        fhat = [(layer.weights, layer.bias) for layer in phase.fhat_stack]
+        yield from _stack_entries(tag, f, fhat)
         yield f"{tag}.attn.w1", phase.attn.w1
         yield f"{tag}.attn.b1", phase.attn.b1
         yield f"{tag}.attn.w2", phase.attn.w2
@@ -120,9 +126,17 @@ def named_tensors(params):
         yield f"{tag}.eta_raw", phase.eta_raw
 
 
+def check_params(params, cfg):
+    """Raise ValueError unless params has exactly cfg's tensor names and shapes."""
+    have = [(name, arr.shape) for name, arr in named_tensors(params)]
+    want = [(name, arr.shape) for name, arr in named_tensors(init_network_params(cfg))]
+    if have != want:
+        got, expected = next(p for p in zip_longest(have, want) if p[0] != p[1])
+        raise ValueError(f"params do not match {cfg}: {got} where it has {expected}")
+
+
 @dataclass
 class PhaseCache:
-    x_prev: np.ndarray
     l_prev: np.ndarray
     f_caches: list
     attn_cache: object
@@ -156,7 +170,6 @@ def z_block(x, l, phase, bufs=None):
     fhat_out, fhat_caches = stack_forward(attn_out, phase.fhat_stack)
     z = from_channels(fhat_out)
     return z, PhaseCache(
-        x_prev=x,
         l_prev=l,
         f_caches=f_caches,
         attn_cache=attn_cache,
@@ -225,7 +238,7 @@ def _z_block_backward(gz, pc, phase):
     return from_channels(g), f_grads, attn_grads, fhat_grads
 
 
-def network_backward(grad_x, cache, params):
+def network_backward(grad_x, cache, params, zeta=0.0):
     """Pull a loss gradient on the output volume back to every parameter.
 
     Reverse sweep over the phases.  The data-consistency block
@@ -233,10 +246,13 @@ def network_backward(grad_x, cache, params):
     Jacobian I - P/(1 + mu), so an incoming gradient g pulls back to
     g - P g/(1 + mu), and the mu-derivative of the loss is
     (<P g, y> - <g, A^H b>)/(1 + mu)^2.  P is the encoder's normal operator.
+    With zeta > 0 each phase's step adds zeta times its inverse_penalty gradient.
+    Returns (grads, penalty): the unweighted sum in phase order, 0.0 at zeta 0.
     """
     if len(cache.phases) != len(params.phases):
         raise ValueError("cache does not match the parameter phase count")
     grads = zero_grads(params)
+    penalties = []
     gx = np.asarray(grad_x)
     gl = np.zeros_like(gx)
     for n in range(len(params.phases) - 1, -1, -1):
@@ -259,45 +275,38 @@ def network_backward(grad_x, cache, params):
 
         gz = gy - eta * gl
         gv, f_grads, attn_grads, fhat_grads = _z_block_backward(gz, pc, phase)
-        for j, (gw, gb) in enumerate(f_grads):
-            grads[f"{tag}.f{j}.w"] += gw
-            grads[f"{tag}.f{j}.b"] += gb
-        for j, (gw, gb) in enumerate(fhat_grads):
-            grads[f"{tag}.fhat{j}.w"] += gw
-            grads[f"{tag}.fhat{j}.b"] += gb
+        for name, grad in _stack_entries(tag, f_grads, fhat_grads):
+            grads[name] += grad
         grads[f"{tag}.attn.w1"] += attn_grads.w1
         grads[f"{tag}.attn.b1"] += attn_grads.b1
         grads[f"{tag}.attn.w2"] += attn_grads.w2
         grads[f"{tag}.attn.b2"] += attn_grads.b2
+        if zeta > 0:
+            value, f_grads, fhat_grads = inverse_penalty(pc, phase)
+            penalties.append(value)
+            for name, grad in _stack_entries(tag, f_grads, fhat_grads):
+                grads[name] += zeta * grad
 
         gx = gv
         gl = gl - gy + gv
-    return grads
+    penalty = 0.0
+    for value in reversed(penalties):
+        penalty += value
+    return grads, penalty
 
 
-def inverse_penalty(cache, params):
-    """Soft inversion penalty sum_p ||decode(encode(v_p)) - v_p||^2.
+def inverse_penalty(pc, phase):
+    """Soft inversion penalty ||decode(encode(v)) - v||^2 of one phase.
 
-    v_p is the denoising-block input of phase p, taken from the forward cache
-    and treated as a constant: the returned gradients cover only the conv
-    stacks of each phase and do not flow into earlier phases.  The decode
-    stack is re-run here without the attention step in between.
+    v is the phase's denoising-block input, taken from its cache pc and
+    treated as a constant: the gradients cover only the phase's conv stacks
+    and do not flow into earlier phases.  The decode stack is re-run here
+    without the attention step in between.  Returns (value, f_grads,
+    fhat_grads), the stack gradients as per-layer (w, b) pairs.
     """
-    total = 0.0
-    grads = {}
-    for n, (pc, phase) in enumerate(zip(cache.phases, params.phases)):
-        tag = f"phase{n:02d}"
-        c_in = pc.f_caches[0].x
-        f_out = pc.attn_cache.u
-        pen_out, pen_caches = stack_forward(f_out, phase.fhat_stack)
-        r = pen_out - c_in
-        total += float(np.sum(r * r))
-        g, fhat_grads = stack_backward(2.0 * r, pen_caches, phase.fhat_stack)
-        f_grads = stack_param_grads(g, pc.f_caches, phase.f_stack)
-        for j, (gw, gb) in enumerate(f_grads):
-            grads[f"{tag}.f{j}.w"] = gw
-            grads[f"{tag}.f{j}.b"] = gb
-        for j, (gw, gb) in enumerate(fhat_grads):
-            grads[f"{tag}.fhat{j}.w"] = gw
-            grads[f"{tag}.fhat{j}.b"] = gb
-    return total, grads
+    c_in = pc.f_caches[0].x
+    pen_out, pen_caches = stack_forward(pc.attn_cache.u, phase.fhat_stack)
+    r = pen_out - c_in
+    g, fhat_grads = stack_backward(2.0 * r, pen_caches, phase.fhat_stack)
+    f_grads = stack_param_grads(g, pc.f_caches, phase.f_stack)
+    return float(np.sum(r * r)), f_grads, fhat_grads

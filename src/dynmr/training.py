@@ -2,10 +2,10 @@
 
 Each step simulates an acquisition from one ground-truth volume (mask, FFT,
 optional noise), runs the unrolled network, and takes one Adam step on the
-mean-squared error, optionally plus a weighted soft-inversion penalty on the
-conv stacks.  Masks are regenerated per (seed, epoch, sample) so the network
-never sees the same sampling twice unless the sampler ignores the seed.
-Everything is deterministic under a fixed seed.
+mean-squared error, optionally plus a weighted conv-stack inversion penalty
+that the same reverse sweep differentiates.  Masks are regenerated per (seed,
+epoch, sample) so the network never sees the same sampling twice unless the
+sampler ignores the seed.  Everything is deterministic under a fixed seed.
 """
 
 import math
@@ -17,8 +17,8 @@ from .encoding import Encoder, add_noise
 from .errors import NumericalError
 from .fileio import save_checkpoint
 from .network import (
+    check_params,
     init_network_params,
-    inverse_penalty,
     named_tensors,
     network_backward,
     network_forward,
@@ -128,7 +128,7 @@ def train_loop(dataset, sampler, net_cfg, train_cfg, params=None, ckpt_path=None
     seed per (epoch, sample); one that ignores the seed gives a fixed
     operator.  With batch > 1, gradients are averaged over the batch
     before the Adam step.  A checkpoint is rewritten at ckpt_path after every
-    epoch when a path is given.
+    epoch when a path is given.  Given params must match net_cfg (ValueError).
     """
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
@@ -138,6 +138,8 @@ def train_loop(dataset, sampler, net_cfg, train_cfg, params=None, ckpt_path=None
         cfg = replace(cfg, decay_steps=steps_per_epoch)
     if params is None:
         params = init_network_params(net_cfg, seed=cfg.seed)
+    else:
+        check_params(params, net_cfg)
     tensors = dict(named_tensors(params))
     state = init_adam(tensors)
     history = []
@@ -162,13 +164,7 @@ def train_loop(dataset, sampler, net_cfg, train_cfg, params=None, ckpt_path=None
                     raise NumericalError(
                         f"non-finite loss at epoch {epoch}, sample {idx}"
                     )
-                sample_grads = network_backward(gloss, cache, params)
-                if cfg.zeta > 0:
-                    pen, pgrads = inverse_penalty(cache, params)
-                    for name, g in pgrads.items():
-                        sample_grads[name] += cfg.zeta * g
-                else:
-                    pen = 0.0
+                sample_grads, pen = network_backward(gloss, cache, params, cfg.zeta)
                 for name in grads:
                     grads[name] += sample_grads[name]
                 mse_sum += loss

@@ -4,6 +4,9 @@ x_update_cg solves the solver's data-consistency normal equations by
 conjugate gradients, as the reference for the closed form.  The identity conv
 stacks and neutral_phase_params build a phase whose denoising block is the
 exact identity, which pins the unrolled network to one classical iteration.
+inverse_penalty_two_pass is the inversion penalty as a second pass over a
+finished forward cache, the reference for the penalty folded into
+network_backward.  fd_at is the central difference the gradient tests share.
 """
 
 from typing import NamedTuple
@@ -11,10 +14,29 @@ from typing import NamedTuple
 import numpy as np
 
 from dynmr.attention import AttnParams
-from dynmr.conv3d import KERNEL, Conv3dLayer
+from dynmr.conv3d import (
+    KERNEL,
+    Conv3dLayer,
+    stack_backward,
+    stack_forward,
+    stack_param_grads,
+)
 from dynmr.errors import NumericalError
 from dynmr.network import PhaseParams, _raw
 from dynmr.volume import check_same_shape, fro_norm
+
+STEP = 1e-6
+
+
+def fd_at(fn, arr, idx, step=STEP):
+    """Central difference of fn() in arr[idx], restoring arr afterwards."""
+    orig = arr[idx]
+    arr[idx] = orig + step
+    hi = fn()
+    arr[idx] = orig - step
+    lo = fn()
+    arr[idx] = orig
+    return (hi - lo) / (2.0 * step)
 
 
 class CgInfo(NamedTuple):
@@ -131,3 +153,31 @@ def neutral_phase_params(nc, mu, eta):
         mu_raw=_raw(mu),
         eta_raw=_raw(eta),
     )
+
+
+def inverse_penalty_two_pass(cache, params):
+    """Soft inversion penalty sum_p ||decode(encode(v_p)) - v_p||^2.
+
+    v_p is the denoising-block input of phase p, taken from the forward cache
+    and treated as a constant: the returned gradients cover only the conv
+    stacks of each phase and do not flow into earlier phases.  The decode
+    stack is re-run here without the attention step in between.
+    """
+    total = 0.0
+    grads = {}
+    for n, (pc, phase) in enumerate(zip(cache.phases, params.phases)):
+        tag = f"phase{n:02d}"
+        c_in = pc.f_caches[0].x
+        f_out = pc.attn_cache.u
+        pen_out, pen_caches = stack_forward(f_out, phase.fhat_stack)
+        r = pen_out - c_in
+        total += float(np.sum(r * r))
+        g, fhat_grads = stack_backward(2.0 * r, pen_caches, phase.fhat_stack)
+        f_grads = stack_param_grads(g, pc.f_caches, phase.f_stack)
+        for j, (gw, gb) in enumerate(f_grads):
+            grads[f"{tag}.f{j}.w"] = gw
+            grads[f"{tag}.f{j}.b"] = gb
+        for j, (gw, gb) in enumerate(fhat_grads):
+            grads[f"{tag}.fhat{j}.w"] = gw
+            grads[f"{tag}.fhat{j}.b"] = gb
+    return total, grads

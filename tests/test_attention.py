@@ -3,8 +3,7 @@ import pytest
 
 from dynmr.attention import AttnParams, attn_backward, attn_forward, init_attn_params
 from dynmr.mathutil import relu, sigmoid
-
-STEP = 1e-6
+from oracles import fd_at
 
 
 def zero_params(nc):
@@ -21,16 +20,6 @@ def loss_and_grads(u, params, c):
     out, cache = attn_forward(u, params)
     grad_in, grad_p = attn_backward(c, cache, params)
     return float(np.sum(c * out)), grad_in, grad_p
-
-
-def fd_at(fn, arr, idx, step=STEP):
-    orig = arr[idx]
-    arr[idx] = orig + step
-    hi = fn()
-    arr[idx] = orig - step
-    lo = fn()
-    arr[idx] = orig
-    return (hi - lo) / (2.0 * step)
 
 
 # ------------------------------------------------------------- forward

@@ -16,25 +16,13 @@ from dynmr.conv3d import (
     stack_forward,
     stack_param_grads,
 )
-from oracles import identity_decode_stack, identity_encode_stack
-
-STEP = 1e-6
+from oracles import fd_at, identity_decode_stack, identity_encode_stack
 
 
 def center_tap_layer(value=1.0, bias=0.0, activation="linear"):
     w = np.zeros((1, 1, 3, 3, 3))
     w[0, 0, 1, 1, 1] = value
     return Conv3dLayer(weights=w, bias=np.array([bias]), activation=activation)
-
-
-def fd_at(fn, arr, idx, step=STEP):
-    orig = arr[idx]
-    arr[idx] = orig + step
-    hi = fn()
-    arr[idx] = orig - step
-    lo = fn()
-    arr[idx] = orig
-    return (hi - lo) / (2.0 * step)
 
 
 # ------------------------------------------------------------- forward

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import dynmr.conv3d
+import dynmr.network
 from dynmr.admm import AdmmConfig, reconstruct
 from dynmr.conv3d import stack_backward, stack_forward
 from dynmr.encoding import Encoder, make_pseudo_radial_mask
@@ -25,10 +26,8 @@ from dynmr.network import (
     zero_grads,
 )
 from dynmr.phantom import PhantomSpec, generate_phantom
-from dynmr.volume import fro_norm, real_inner, to_channels
-from oracles import neutral_phase_params, x_update_cg
-
-STEP = 1e-6
+from dynmr.volume import from_channels, fro_norm, real_inner, to_channels
+from oracles import fd_at, inverse_penalty_two_pass, neutral_phase_params, x_update_cg
 
 
 def rand_volume(rng, shape):
@@ -41,16 +40,6 @@ def small_problem(seed=0, shape=(8, 8, 3), n_spokes=4):
     mask = make_pseudo_radial_mask(shape, n_spokes, seed=seed)
     enc = Encoder(mask)
     return gt, enc, enc.forward(gt), rng
-
-
-def fd_at(fn, arr, idx, step=STEP):
-    orig = arr[idx]
-    arr[idx] = orig + step
-    hi = fn()
-    arr[idx] = orig - step
-    lo = fn()
-    arr[idx] = orig
-    return (hi - lo) / (2.0 * step)
 
 
 def inverse_penalty_from_inputs(v_list, params):
@@ -83,7 +72,8 @@ def test_z_block_neutral_is_exact_identity():
     z, cache = z_block(x, l, phase)
     assert np.array_equal(z, x + l)
     assert cache.z is z
-    assert cache.x_prev is x and cache.l_prev is l
+    assert cache.l_prev is l
+    assert np.array_equal(from_channels(cache.f_caches[0].x), x + l)
 
 
 def test_z_block_generic_shapes():
@@ -175,7 +165,7 @@ def test_single_phase_forward_matches_manual_composition():
     x1 = x_block(z, l0, x0, enc, mu_of(phase))
     assert np.array_equal(x_out, x1)
     assert np.array_equal(cache.phases[0].z, z)
-    assert np.array_equal(cache.phases[0].x_prev, x0)
+    assert np.array_equal(from_channels(cache.phases[0].f_caches[0].x), x0)
 
 
 def test_forward_without_cache_matches():
@@ -340,7 +330,8 @@ def test_backward_zero_upstream_gives_zero_grads():
     cfg = NetworkConfig(n_phases=2, nc=4)
     params = init_network_params(cfg, seed=10)
     _, cache = network_forward(b, enc, params, cfg)
-    grads = network_backward(np.zeros_like(gt), cache, params)
+    grads, penalty = network_backward(np.zeros_like(gt), cache, params)
+    assert penalty == 0.0
     for name, g in grads.items():
         assert not g.any(), name
 
@@ -352,7 +343,7 @@ def test_last_phase_eta_gradient_is_dead():
     cfg = NetworkConfig(n_phases=3, nc=4)
     params = init_network_params(cfg, seed=11)
     _, cache = network_forward(b, enc, params, cfg)
-    grads = network_backward(rand_volume(rng, gt.shape), cache, params)
+    grads, _ = network_backward(rand_volume(rng, gt.shape), cache, params)
     assert grads["phase02.eta_raw"] == 0.0
     assert grads["phase00.eta_raw"] != 0.0
     assert grads["phase01.eta_raw"] != 0.0
@@ -369,7 +360,7 @@ def test_network_gradient_spot_checks():
         return real_inner(c, x)
 
     _, cache = network_forward(b, enc, params, cfg)
-    grads = network_backward(c, cache, params)
+    grads, _ = network_backward(c, cache, params)
 
     probe = np.random.default_rng(99)
     for name, arr in named_tensors(params):
@@ -398,7 +389,7 @@ def test_mu_gradient_moves_the_loss():
         return 0.5 * fro_norm(d) ** 2
 
     x, cache = network_forward(b, enc, params, cfg)
-    grads = network_backward(x - gt, cache, params)
+    grads, _ = network_backward(x - gt, cache, params)
     g = float(grads["phase00.mu_raw"])
     assert g != 0.0
     before = loss()
@@ -410,12 +401,21 @@ def test_mu_gradient_moves_the_loss():
 # ------------------------------------------------------------- penalty
 
 
+def penalty_sweep(cache, params, zeta=1.0):
+    """network_backward with no loss gradient: only the penalty term is left."""
+    return network_backward(np.zeros_like(cache.atb), cache, params, zeta)
+
+
+def block_inputs(cache):
+    return [from_channels(pc.f_caches[0].x) for pc in cache.phases]
+
+
 def test_penalty_zero_for_neutral_stacks():
     gt, enc, b, _ = small_problem(seed=14)
     params = NetworkParams(phases=[neutral_phase_params(4, 0.5, 1.0)])
     cfg = NetworkConfig(n_phases=1, nc=4)
     _, cache = network_forward(b, enc, params, cfg)
-    total, grads = inverse_penalty(cache, params)
+    grads, total = penalty_sweep(cache, params)
     assert total == 0.0
     for g in grads.values():
         assert not g.any()
@@ -426,10 +426,9 @@ def test_penalty_value_matches_direct_recomputation():
     cfg = NetworkConfig(n_phases=3, nc=4)
     params = init_network_params(cfg, seed=15)
     _, cache = network_forward(b, enc, params, cfg)
-    total, _ = inverse_penalty(cache, params)
+    _, total = penalty_sweep(cache, params)
     assert total > 0.0
-    v_list = [pc.x_prev + pc.l_prev for pc in cache.phases]
-    want = inverse_penalty_from_inputs(v_list, params)
+    want = inverse_penalty_from_inputs(block_inputs(cache), params)
     assert abs(total - want) < 1e-10 * max(1.0, want)
 
 
@@ -440,23 +439,20 @@ def test_penalty_gradients_match_finite_differences():
     cfg = NetworkConfig(n_phases=2, nc=4)
     params = init_network_params(cfg, seed=16)
     _, cache = network_forward(b, enc, params, cfg)
-    _, grads = inverse_penalty(cache, params)
-    v_list = [pc.x_prev + pc.l_prev for pc in cache.phases]
+    grads, _ = penalty_sweep(cache, params)
+    v_list = block_inputs(cache)
 
     def loss():
         return inverse_penalty_from_inputs(v_list, params)
 
     probe = np.random.default_rng(7)
-    for name, an_arr in grads.items():
-        p = int(name[5:7])
-        stack = (params.phases[p].f_stack if ".f" in name and ".fhat" not in name
-                 else params.phases[p].fhat_stack)
-        j = int(name.split(".")[1].replace("fhat", "").replace("f", ""))
-        arr = stack[j].weights if name.endswith(".w") else stack[j].bias
+    for name, arr in named_tensors(params):
+        if ".f" not in name:
+            continue
         for flat in probe.choice(arr.size, size=min(4, arr.size), replace=False):
             idx = np.unravel_index(flat, arr.shape)
             num = fd_at(loss, arr, idx)
-            assert_close_grad(num, an_arr[idx], f"penalty {name}[{idx}]")
+            assert_close_grad(num, grads[name][idx], f"penalty {name}[{idx}]")
 
 
 def test_penalty_grads_only_cover_conv_stacks():
@@ -464,35 +460,87 @@ def test_penalty_grads_only_cover_conv_stacks():
     cfg = NetworkConfig(n_phases=1, nc=4)
     params = init_network_params(cfg, seed=17)
     _, cache = network_forward(b, enc, params, cfg)
-    _, grads = inverse_penalty(cache, params)
-    assert all((".f" in k) or (".fhat" in k) for k in grads)
-    assert not any("attn" in k or "mu_raw" in k or "eta_raw" in k for k in grads)
+    grads, _ = penalty_sweep(cache, params)
+    assert any(g.any() for name, g in grads.items() if ".f" in name)
+    for name, g in grads.items():
+        assert ".f" in name or not g.any(), name
+
+
+@pytest.mark.parametrize("zeta", [0.01, 0.5])
+@pytest.mark.parametrize("depths", [(2, 2), (1, 3), (3, 1)])
+def test_penalty_in_the_sweep_is_bit_identical_to_a_second_pass(zeta, depths):
+    # the sweep adds zeta * the two-pass reference to the loss gradients
+    # name by name, and sums the penalty in phase order
+    gt, enc, b, rng = small_problem(seed=18)
+    cfg = NetworkConfig(n_phases=3, nc=4, f_depth=depths[0], fhat_depth=depths[1])
+    params = init_network_params(cfg, seed=18)
+    _, cache = network_forward(b, enc, params, cfg)
+    c = rand_volume(rng, gt.shape)
+    plain, zero = network_backward(c, cache, params)
+    grads, total = network_backward(c, cache, params, zeta)
+    want_total, pen_grads = inverse_penalty_two_pass(cache, params)
+    assert zero == 0.0
+    assert total == want_total
+    for name, g in plain.items():
+        want = g + zeta * pen_grads[name] if name in pen_grads else g
+        assert grads[name].tobytes() == want.tobytes(), name
+
+
+def test_penalty_is_summed_in_phase_order(monkeypatch):
+    # the sweep runs backwards; 1 + 1e16 - 1e16 is 0 left to right, 1 reversed
+    gt, enc, b, _ = small_problem(seed=20)
+    cfg = NetworkConfig(n_phases=3, nc=4)
+    params = init_network_params(cfg, seed=20)
+    _, cache = network_forward(b, enc, params, cfg)
+    values = dict(zip(map(id, cache.phases), (1.0, 1e16, -1e16)))
+    penalty = dynmr.network.inverse_penalty
+    monkeypatch.setattr(dynmr.network, "inverse_penalty",
+                        lambda pc, phase: (values[id(pc)], *penalty(pc, phase)[1:]))
+    _, total = network_backward(np.zeros_like(gt), cache, params, 0.1)
+    assert total == 0.0
+
+
+def test_zero_zeta_never_runs_the_penalty(monkeypatch):
+    gt, enc, b, rng = small_problem(seed=19)
+    cfg = NetworkConfig(n_phases=2, nc=4)
+    params = init_network_params(cfg, seed=19)
+    _, cache = network_forward(b, enc, params, cfg)
+
+    def fail(*args):
+        raise AssertionError("inverse_penalty called at zeta=0")
+
+    monkeypatch.setattr(dynmr.network, "inverse_penalty", fail)
+    _, total = network_backward(rand_volume(rng, gt.shape), cache, params, 0.0)
+    assert total == 0.0
 
 
 def test_penalty_grads_are_bit_identical_without_the_input_gradient(monkeypatch):
     # reference: backprop the whole encode stack and drop its input gradient
-    gt, enc, b, _ = small_problem(seed=18)
+    gt, enc, b, rng = small_problem(seed=18)
     cfg = NetworkConfig(n_phases=2, nc=4, f_depth=2, fhat_depth=2)
     params = init_network_params(cfg, seed=18)
     _, cache = network_forward(b, enc, params, cfg)
-    want = {}
-    for n, (pc, phase) in enumerate(zip(cache.phases, params.phases)):
+    for pc, phase in zip(cache.phases, params.phases):
         pen_out, pen_caches = stack_forward(pc.attn_cache.u, phase.fhat_stack)
         r = pen_out - pc.f_caches[0].x
-        g, fhat_grads = stack_backward(2.0 * r, pen_caches, phase.fhat_stack)
-        _, f_grads = stack_backward(g, pc.f_caches, phase.f_stack)
-        for kind, grads in (("f", f_grads), ("fhat", fhat_grads)):
-            for j, (gw, gb) in enumerate(grads):
-                want[f"phase{n:02d}.{kind}{j}.w"] = gw
-                want[f"phase{n:02d}.{kind}{j}.b"] = gb
+        g, want_fhat = stack_backward(2.0 * r, pen_caches, phase.fhat_stack)
+        _, want_f = stack_backward(g, pc.f_caches, phase.f_stack)
+        _, f_grads, fhat_grads = inverse_penalty(pc, phase)
+        for got, want in ((f_grads, want_f), (fhat_grads, want_fhat)):
+            assert len(got) == len(want)
+            for (gw, gb), (ww, wb) in zip(got, want):
+                assert gw.tobytes() == ww.tobytes()
+                assert gb.tobytes() == wb.tobytes()
     calls = []
     correlate = dynmr.conv3d._correlate
     monkeypatch.setattr(dynmr.conv3d, "_correlate",
                         lambda *args: calls.append(1) or correlate(*args))
-    _, grads = inverse_penalty(cache, params)
-    assert sorted(grads) == sorted(want)
-    for name, g in grads.items():
-        assert g.tobytes() == want[name].tobytes(), name
+    c = rand_volume(rng, gt.shape)
+    network_backward(c, cache, params)
+    plain = len(calls)
+    calls.clear()
+    network_backward(c, cache, params, 0.1)
     # per phase: the decode stack forward and backward (2 + 2), the encode
     # stack's input gradients without its first layer's (1)
-    assert len(calls) == cfg.n_phases * (2 * cfg.fhat_depth + cfg.f_depth - 1)
+    n_penalty = cfg.n_phases * (2 * cfg.fhat_depth + cfg.f_depth - 1)
+    assert len(calls) == plain + n_penalty

@@ -3,7 +3,8 @@ import pytest
 
 from dynmr.encoding import make_pseudo_radial_mask
 from dynmr.errors import NumericalError
-from dynmr.network import NetworkConfig, named_tensors
+from dynmr.fileio import load_checkpoint, save_checkpoint
+from dynmr.network import NetworkConfig, init_network_params, named_tensors
 from dynmr.phantom import make_phantom_dataset
 from dynmr.training import (
     AdamState,
@@ -262,3 +263,32 @@ def test_train_loop_resumes_from_given_params():
     params2, _ = train_loop(dataset, sampler, net_cfg, cfg, params=params)
     assert params2 is params
     assert not np.array_equal(params.phases[0].f_stack[0].weights, w_before)
+
+
+def test_params_that_do_not_match_the_config_are_rejected_before_any_write(tmp_path):
+    # the checkpoint header comes from the config and its tensors from the
+    # params: a mismatch would replace the last good file with one that
+    # load_checkpoint rejects
+    dataset, sampler, _ = tiny_setup()
+    params = init_network_params(NetworkConfig(n_phases=3, nc=4), seed=1)
+    before = {name: arr.copy() for name, arr in named_tensors(params)}
+    ckpt = tmp_path / "model.dusc"
+    good = NetworkConfig(n_phases=2, nc=4)
+    save_checkpoint(ckpt, init_network_params(good), good)
+    good_bytes = ckpt.read_bytes()
+    for cfg in (
+        NetworkConfig(n_phases=2, nc=4),  # fewer phases
+        NetworkConfig(n_phases=4, nc=4),  # more phases
+        NetworkConfig(n_phases=3, nc=8),  # same names, other shapes
+        NetworkConfig(n_phases=3, nc=4, fhat_depth=3),  # an extra layer
+    ):
+        with pytest.raises(ValueError, match="do not match"):
+            train_loop(dataset, sampler, cfg, TrainConfig(), params=params,
+                       ckpt_path=ckpt)
+        with pytest.raises(ValueError, match="do not match"):
+            save_checkpoint(ckpt, params, cfg)
+    assert ckpt.read_bytes() == good_bytes
+    assert sorted(tmp_path.iterdir()) == [ckpt]
+    load_checkpoint(ckpt)
+    for name, arr in named_tensors(params):
+        assert np.array_equal(arr, before[name]), name
