@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 KERNEL = 3
-# A band's working set, its (3 C_out) kernel-row product and (3 C_in) tap
-# rows, sized to stay in a core's L2 cache.  Fewer, larger bands also mean
-# fewer numpy calls per pass.
+# A band's working set, its (3 C_out) kernel-row product and (3 C_in) tap rows.
+# It bounds a pass's transient memory; speed was flat from 0.75 to 24 MB bands
+# (wide layer, 2-vCPU x86 VM), and fewer bands mean fewer numpy calls per pass.
 BAND_BYTES = 3 << 19  # 1.5 MB
 
 

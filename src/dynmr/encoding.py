@@ -116,8 +116,8 @@ def make_vds_mask(shape, acceleration, center_lines=4, seed=0):
     h, w, t = shape
     if not acceleration >= 1:  # NaN fails this too
         raise ValueError(f"acceleration must be >= 1, got {acceleration}")
-    if center_lines >= w:
-        raise ValueError("center_lines must be smaller than w")
+    if not 0 <= center_lines < w:
+        raise ValueError(f"center_lines must be in [0, w), got {center_lines}")
     target = math.ceil(w / acceleration)
     if target < center_lines:
         raise ValueError(

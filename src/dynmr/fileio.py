@@ -16,10 +16,11 @@ DUSC (network checkpoints)
 
 The dc byte keeps the v1 layout: 0 is the closed-form data-consistency step,
 the only one the network has, and any other value is rejected.
-Tensor names are the ones named_tensors yields; layer activations are not
-stored because they are positional (last layer of a stack linear, the rest
-ReLU).  Loads validate magic, version, and exact payload lengths and raise
-FormatError on anything malformed.  Round trips are bit-exact.
+Tensors are stored in named_tensors order under its names; any other order is
+rejected.  Layer activations are not stored because they are positional (last
+layer of a stack linear, the rest ReLU).  Loads validate magic, version, and
+exact payload lengths and raise FormatError on anything malformed.  Round trips
+are bit-exact.
 Saves fsync a temporary file and rename it over the target, so a crash
 mid-write leaves either the old file or the new one.
 """
@@ -178,9 +179,9 @@ def _param_floats(cfg):
 def load_checkpoint(path):
     """Read a checkpoint; returns (params, cfg, step, seed).
 
-    Parameter shells are rebuilt from the config block, then every stored
-    tensor is matched by name and shape.  Unknown names, duplicates, missing
-    tensors, shape drift or non-finite values all raise FormatError.
+    Parameter shells are rebuilt from the config block, then the tensors are
+    read in named_tensors order.  A wrong count, a name out of place, shape
+    drift or non-finite values all raise FormatError.
     """
     with open(path, "rb") as fh:
         r = _Reader(fh.read(), str(path))
@@ -211,26 +212,21 @@ def load_checkpoint(path):
     if 8 * _param_floats(cfg) > len(r.data) - r.pos:
         raise FormatError(f"{r.label}: truncated: too short for its config block")
     params = init_network_params(cfg, seed=0)
-    expected = dict(named_tensors(params))
+    expected = list(named_tensors(params))
     n_tensors = r.u32()
     if n_tensors != len(expected):
         raise FormatError(
             f"{r.label}: {n_tensors} tensors, config implies {len(expected)}"
         )
-    seen = set()
-    for _ in range(n_tensors):
+    for want, target in expected:
         name_len = r.u32()
         try:
             name = r.take(name_len).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"{r.label}: undecodable tensor name") from exc
-        if name in seen:
-            raise FormatError(f"{r.label}: duplicate tensor {name}")
-        seen.add(name)
-        if name not in expected:
-            raise FormatError(f"{r.label}: unknown tensor {name}")
+        if name != want:
+            raise FormatError(f"{r.label}: tensor {name} where {want} belongs")
         dims = _read_dims(r)
-        target = expected[name]
         if dims != target.shape:
             raise FormatError(
                 f"{r.label}: tensor {name} has shape {dims}, expected {target.shape}"

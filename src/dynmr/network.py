@@ -103,27 +103,27 @@ def init_network_params(cfg, seed=0):
     return NetworkParams(phases=phases)
 
 
-def _stack_entries(tag, f, fhat):
-    """Yield (name, array) for the per-layer (w, b) pairs of a phase's stacks."""
+def _phase_tensors(p, f, fhat, attn, mu_raw, eta_raw):
+    """Yield (name, array) in order for phase p's parameters or their gradients."""
+    tag = f"phase{p:02d}"
     for kind, stack in (("f", f), ("fhat", fhat)):
         for j, (w, b) in enumerate(stack):
             yield f"{tag}.{kind}{j}.w", w
             yield f"{tag}.{kind}{j}.b", b
+    yield f"{tag}.attn.w1", attn.w1
+    yield f"{tag}.attn.b1", attn.b1
+    yield f"{tag}.attn.w2", attn.w2
+    yield f"{tag}.attn.b2", attn.b2
+    yield f"{tag}.mu_raw", mu_raw
+    yield f"{tag}.eta_raw", eta_raw
 
 
 def named_tensors(params):
     """Yield (name, array) for every learnable tensor, in a fixed order."""
     for p, phase in enumerate(params.phases):
-        tag = f"phase{p:02d}"
         f = [(layer.weights, layer.bias) for layer in phase.f_stack]
         fhat = [(layer.weights, layer.bias) for layer in phase.fhat_stack]
-        yield from _stack_entries(tag, f, fhat)
-        yield f"{tag}.attn.w1", phase.attn.w1
-        yield f"{tag}.attn.b1", phase.attn.b1
-        yield f"{tag}.attn.w2", phase.attn.w2
-        yield f"{tag}.attn.b2", phase.attn.b2
-        yield f"{tag}.mu_raw", phase.mu_raw
-        yield f"{tag}.eta_raw", phase.eta_raw
+        yield from _phase_tensors(p, f, fhat, phase.attn, phase.mu_raw, phase.eta_raw)
 
 
 def check_params(params, cfg):
@@ -225,10 +225,6 @@ def network_forward(b, encoder, params, cfg, want_cache=True):
     return x, cache
 
 
-def zero_grads(params):
-    return {name: np.zeros_like(arr) for name, arr in named_tensors(params)}
-
-
 def _z_block_backward(gz, pc, phase):
     """Chain rule through decode, attention, encode; returns (grad wrt x+l, grads)."""
     g = to_channels(gz)
@@ -251,41 +247,35 @@ def network_backward(grad_x, cache, params, zeta=0.0):
     """
     if len(cache.phases) != len(params.phases):
         raise ValueError("cache does not match the parameter phase count")
-    grads = zero_grads(params)
+    grads = dict.fromkeys(name for name, _ in named_tensors(params))
     penalties = []
     gx = np.asarray(grad_x)
     gl = np.zeros_like(gx)
     for n in range(len(params.phases) - 1, -1, -1):
         pc = cache.phases[n]
         phase = params.phases[n]
-        tag = f"phase{n:02d}"
         mu = mu_of(phase)
         eta = eta_of(phase)
 
-        grads[f"{tag}.eta_raw"] += real_inner(gl, pc.x - pc.z) * sigmoid(
-            phase.eta_raw
-        )
+        g_eta = np.asarray(real_inner(gl, pc.x - pc.z) * sigmoid(phase.eta_raw))
         g = gx + eta * gl
         pg = cache.encoder.normal(g)
         gy = g - pg / (1.0 + mu)
-        grads[f"{tag}.mu_raw"] += (
+        g_mu = np.asarray(
             (real_inner(pg, pc.z - pc.l_prev) - real_inner(g, cache.atb))
             / (1.0 + mu) ** 2
-        ) * sigmoid(phase.mu_raw)
+            * sigmoid(phase.mu_raw)
+        )
 
         gz = gy - eta * gl
         gv, f_grads, attn_grads, fhat_grads = _z_block_backward(gz, pc, phase)
-        for name, grad in _stack_entries(tag, f_grads, fhat_grads):
-            grads[name] += grad
-        grads[f"{tag}.attn.w1"] += attn_grads.w1
-        grads[f"{tag}.attn.b1"] += attn_grads.b1
-        grads[f"{tag}.attn.w2"] += attn_grads.w2
-        grads[f"{tag}.attn.b2"] += attn_grads.b2
         if zeta > 0:
-            value, f_grads, fhat_grads = inverse_penalty(pc, phase)
+            value, pen_f, pen_fhat = inverse_penalty(pc, phase)
             penalties.append(value)
-            for name, grad in _stack_entries(tag, f_grads, fhat_grads):
-                grads[name] += zeta * grad
+            for (gw, gb), (pw, pb) in zip(f_grads + fhat_grads, pen_f + pen_fhat):
+                gw += zeta * pw
+                gb += zeta * pb
+        grads.update(_phase_tensors(n, f_grads, fhat_grads, attn_grads, g_mu, g_eta))
 
         gx = gv
         gl = gl - gy + gv

@@ -22,7 +22,6 @@ from .network import (
     named_tensors,
     network_backward,
     network_forward,
-    zero_grads,
 )
 
 BETA1 = 0.9
@@ -50,6 +49,8 @@ class TrainConfig:
             raise ValueError("decay_steps must be >= 1")
         if self.epochs < 1 or self.batch < 1:
             raise ValueError("epochs and batch must be >= 1")
+        if not 0 <= self.seed < 2**63:  # the checkpoint stores it as an i64
+            raise ValueError("seed must be in [0, 2^63)")
         if not (0 <= self.zeta < math.inf and 0 <= self.sigma < math.inf):
             raise ValueError("zeta and sigma must be finite and >= 0")
 
@@ -83,14 +84,15 @@ def init_adam(tensors):
 
 
 def adam_step(tensors, grads, state, lr):
-    """One bias-corrected Adam update, in place on the parameter arrays."""
+    """One bias-corrected Adam update in place; a NumericalError changes nothing."""
+    for name in tensors:
+        if not np.all(np.isfinite(grads[name])):
+            raise NumericalError(f"non-finite gradient in {name}")
     state.t += 1
     c1 = 1.0 - BETA1**state.t
     c2 = 1.0 - BETA2**state.t
     for name, p in tensors.items():
         g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise NumericalError(f"non-finite gradient in {name}")
         m = state.m[name]
         v = state.v[name]
         m *= BETA1
@@ -147,7 +149,7 @@ def train_loop(dataset, sampler, net_cfg, train_cfg, params=None, ckpt_path=None
     for epoch in range(cfg.epochs):
         for start in range(0, len(dataset), cfg.batch):
             idxs = range(start, min(start + cfg.batch, len(dataset)))
-            grads = zero_grads(params)
+            grads = None
             mse_sum = 0.0
             pen_sum = 0.0
             for idx in idxs:
@@ -165,14 +167,17 @@ def train_loop(dataset, sampler, net_cfg, train_cfg, params=None, ckpt_path=None
                         f"non-finite loss at epoch {epoch}, sample {idx}"
                     )
                 sample_grads, pen = network_backward(gloss, cache, params, cfg.zeta)
-                for name in grads:
-                    grads[name] += sample_grads[name]
+                if grads is None:
+                    grads = sample_grads
+                else:
+                    for name, grad in grads.items():
+                        grad += sample_grads[name]
                 mse_sum += loss
                 pen_sum += pen
             nb = len(idxs)
             if nb > 1:
-                for name in grads:
-                    grads[name] /= nb
+                for grad in grads.values():
+                    grad /= nb
             lr = lr_schedule(step, cfg)
             adam_step(tensors, grads, state, lr)
             mse = mse_sum / nb

@@ -98,6 +98,18 @@ def test_mask_vds_rejects_nan_accel(tmp_path):
     assert "Traceback" not in r.stderr
 
 
+def test_mask_vds_rejects_negative_center_lines(tmp_path):
+    out = tmp_path / "m.dmrt"
+    r = run_cli(
+        "mask", "--pattern", "vds", "--accel", "4", "--center-lines", "-3",
+        "--shape", "8x8x2", "--out", str(out),
+    )
+    assert r.returncode == 3
+    assert "center_lines" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not out.exists()
+
+
 # ------------------------------------------------------------ recon-admm
 
 
@@ -351,6 +363,28 @@ def test_train_rejects_nan_accel(tmp_path):
     assert r.returncode == 3
     assert "acceleration" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+def test_train_rejects_negative_center_lines(tmp_path):
+    cfg_p = tmp_path / "vds.cfg"
+    write_tiny_config(cfg_p, pattern="vds", accel=4, center_lines=-3)
+    r = run_cli("train", "--config", str(cfg_p), "--out-ckpt", str(tmp_path / "c"))
+    assert r.returncode == 3
+    assert "center_lines" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_train_rejects_a_seed_the_checkpoint_cannot_hold(tmp_path):
+    # 2^63 does not fit the checkpoint's i64 seed: rejected before any training
+    cfg_p = tmp_path / "seed.cfg"
+    ckpt_p = tmp_path / "c.dusc"
+    write_tiny_config(cfg_p, n_samples=1, shape="8x8x2", seed=2**63)
+    r = run_cli("train", "--config", str(cfg_p), "--out-ckpt", str(ckpt_p))
+    assert r.returncode == 3
+    assert "seed" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert r.stdout == ""
+    assert not ckpt_p.exists()
 
 
 def test_train_rejects_malformed_line(tmp_path):

@@ -248,6 +248,12 @@ def test_vds_validation_errors():
         make_vds_mask((8, 16, 2), 2.0, center_lines=16)
     with pytest.raises(ValueError):
         make_vds_mask((8, 16, 2), 16.0, center_lines=4)
+    # a negative count would leave more lines on than the acceleration allows
+    with pytest.raises(ValueError, match="center_lines"):
+        make_vds_mask((8, 8, 2), 4.0, center_lines=-3)
+    # zero center lines is allowed: every line of a frame is drawn
+    mask = make_vds_mask((8, 8, 2), 4.0, center_lines=0, seed=1)
+    assert (mask[0].sum(axis=0) == 2).all()
 
 
 # -------------------------------------------------------------------- noise

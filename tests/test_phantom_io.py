@@ -267,6 +267,40 @@ def test_checkpoint_unknown_tensor_name(tmp_path):
         load_checkpoint(p)
 
 
+def _record_span(raw, name):
+    """Byte range of the checkpoint record (length, name, dims, payload) for name."""
+    start = raw.index(name) - 4
+    at = start + 4 + len(name)
+    (ndims,) = struct.unpack_from("<I", raw, at)
+    dims = struct.unpack_from(f"<{ndims}I", raw, at + 4)
+    return start, at + 4 + 4 * ndims + 8 * int(np.prod(dims))
+
+
+def test_checkpoint_records_out_of_order_are_rejected(tmp_path):
+    # b1 and b2 have the same shape, so only the order can tell them apart
+    cfg = NetworkConfig(n_phases=1, nc=4)
+    p = tmp_path / "swap.dusc"
+    save_checkpoint(p, modified_params(cfg), cfg)
+    raw = p.read_bytes()
+    s1, e1 = _record_span(raw, b"phase00.attn.b1")
+    s2, e2 = _record_span(raw, b"phase00.attn.b2")
+    assert e1 <= s2 and e1 - s1 == e2 - s2
+    p.write_bytes(raw[:s1] + raw[s2:e2] + raw[e1:s2] + raw[s1:e1] + raw[e2:])
+    with pytest.raises(FormatError, match=r"phase00\.attn\.b2 where phase00\.attn\.b1"):
+        load_checkpoint(p)
+
+
+def test_checkpoint_duplicate_tensor_name(tmp_path):
+    # the count stays right, but one tensor is missing and another is there twice
+    cfg = NetworkConfig(n_phases=1, nc=4)
+    p = tmp_path / "dup.dusc"
+    save_checkpoint(p, init_network_params(cfg, seed=0), cfg)
+    raw = p.read_bytes()
+    p.write_bytes(raw.replace(b"phase00.attn.b2", b"phase00.attn.b1"))
+    with pytest.raises(FormatError, match=r"phase00\.attn\.b1 where phase00\.attn\.b2"):
+        load_checkpoint(p)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_checkpoint_non_finite_tensor(tmp_path, bad):
     # saving writes any value; loading rejects it, naming the tensor

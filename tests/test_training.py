@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 
-from dynmr.encoding import make_pseudo_radial_mask
+from dynmr.encoding import Encoder, make_pseudo_radial_mask
 from dynmr.errors import NumericalError
 from dynmr.fileio import load_checkpoint, save_checkpoint
-from dynmr.network import NetworkConfig, init_network_params, named_tensors
+from dynmr.network import (
+    NetworkConfig,
+    init_network_params,
+    named_tensors,
+    network_backward,
+    network_forward,
+)
 from dynmr.phantom import make_phantom_dataset
 from dynmr.training import (
     AdamState,
@@ -132,6 +138,25 @@ def test_adam_rejects_non_finite_gradient():
         adam_step(tensors, grads, state, lr=0.1)
 
 
+def test_adam_non_finite_gradient_writes_nothing():
+    # the bad gradient comes after a good one, and the state is past step 0
+    tensors = {"a": np.ones(3), "b": np.ones(2)}
+    state = init_adam(tensors)
+    adam_step(tensors, {"a": np.full(3, 0.5), "b": np.full(2, -0.5)}, state, lr=0.01)
+    before = {
+        "params": {k: v.tobytes() for k, v in tensors.items()},
+        "m": {k: v.tobytes() for k, v in state.m.items()},
+        "v": {k: v.tobytes() for k, v in state.v.items()},
+    }
+    grads = {"a": np.full(3, 0.5), "b": np.array([1.0, np.nan])}
+    with pytest.raises(NumericalError, match="b"):
+        adam_step(tensors, grads, state, lr=0.01)
+    assert state.t == 1
+    assert {k: v.tobytes() for k, v in tensors.items()} == before["params"]
+    assert {k: v.tobytes() for k, v in state.m.items()} == before["m"]
+    assert {k: v.tobytes() for k, v in state.v.items()} == before["v"]
+
+
 # -------------------------------------------------------------- schedule
 
 
@@ -169,6 +194,11 @@ def test_train_config_validation():
         TrainConfig(zeta=-0.1)
     with pytest.raises(ValueError):
         TrainConfig(sigma=-1.0)
+    # the checkpoint stores the seed as an i64, and seed sequences take no negatives
+    for bad in (-1, 2**63, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            TrainConfig(seed=bad)
+    assert TrainConfig(seed=2**63 - 1).seed == 2**63 - 1
     for key in ("lr0", "decay", "zeta", "sigma"):
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError):
@@ -235,10 +265,27 @@ def test_train_loop_penalty_weight():
 
 
 def test_train_loop_batch_averaging():
-    dataset, sampler, net_cfg = tiny_setup()
-    cfg = TrainConfig(epochs=1, batch=2, seed=8)
-    _, history = train_loop(dataset, sampler, net_cfg, cfg)
+    # one step on a batch of two is one Adam step on the samples' mean gradient
+    dataset, _, net_cfg = tiny_setup()
+
+    def sampler(shape, seed):
+        return make_pseudo_radial_mask(shape, 6, seed=0)
+
+    cfg = TrainConfig(epochs=1, batch=2, seed=8, zeta=0.1)
+    trained, history = train_loop(dataset, sampler, net_cfg, cfg)
     assert len(history) == 1
+    params = init_network_params(net_cfg, seed=cfg.seed)
+    per_sample = []
+    for gt in dataset:
+        enc = Encoder(sampler(gt.shape, None))
+        x_hat, cache = network_forward(enc.forward(gt), enc, params, net_cfg)
+        _, gloss = mse_loss(x_hat, gt)
+        per_sample.append(network_backward(gloss, cache, params, cfg.zeta)[0])
+    mean = {name: (g + per_sample[1][name]) / 2 for name, g in per_sample[0].items()}
+    tensors = dict(named_tensors(params))
+    adam_step(tensors, mean, init_adam(tensors), lr=cfg.lr0)
+    for (name, want), (_, got) in zip(named_tensors(params), named_tensors(trained)):
+        assert np.array_equal(want, got), name
 
 
 def test_train_loop_with_noise_deterministic():
