@@ -6,7 +6,8 @@ stacks and neutral_phase_params build a phase whose denoising block is the
 exact identity, which pins the unrolled network to one classical iteration.
 inverse_penalty_two_pass is the inversion penalty as a second pass over a
 finished forward cache, the reference for the penalty folded into
-network_backward.  fd_at is the central difference the gradient tests share.
+network_backward.  The gradient tests take their central difference from
+dynmr.gradcheck.fd_at.
 """
 
 from typing import NamedTuple
@@ -24,20 +25,6 @@ from dynmr.conv3d import (
 from dynmr.errors import NumericalError
 from dynmr.network import PhaseParams, _raw
 from dynmr.volume import check_same_shape, fro_norm
-
-STEP = 1e-6
-
-
-def fd_at(fn, arr, idx, step=STEP):
-    """Central difference of fn() in arr[idx], restoring arr afterwards."""
-    orig = arr[idx]
-    arr[idx] = orig + step
-    hi = fn()
-    arr[idx] = orig - step
-    lo = fn()
-    arr[idx] = orig
-    return (hi - lo) / (2.0 * step)
-
 
 class CgInfo(NamedTuple):
     n_iters: int

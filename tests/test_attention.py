@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from dynmr.attention import AttnParams, attn_backward, attn_forward, init_attn_params
+from dynmr.gradcheck import fd_at
 from dynmr.mathutil import relu, sigmoid
-from oracles import fd_at
 
 
 def zero_params(nc):

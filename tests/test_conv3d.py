@@ -16,7 +16,8 @@ from dynmr.conv3d import (
     stack_forward,
     stack_param_grads,
 )
-from oracles import fd_at, identity_decode_stack, identity_encode_stack
+from dynmr.gradcheck import fd_at
+from oracles import identity_decode_stack, identity_encode_stack
 
 
 def center_tap_layer(value=1.0, bias=0.0, activation="linear"):

@@ -9,6 +9,7 @@ import dynmr.network
 from dynmr.admm import AdmmConfig, reconstruct
 from dynmr.conv3d import stack_backward, stack_forward
 from dynmr.encoding import Encoder, make_pseudo_radial_mask
+from dynmr.gradcheck import fd_at
 from dynmr.network import (
     NetCache,
     NetworkConfig,
@@ -26,7 +27,7 @@ from dynmr.network import (
 )
 from dynmr.phantom import PhantomSpec, generate_phantom
 from dynmr.volume import from_channels, fro_norm, real_inner, to_channels
-from oracles import fd_at, inverse_penalty_two_pass, neutral_phase_params, x_update_cg
+from oracles import inverse_penalty_two_pass, neutral_phase_params, x_update_cg
 
 
 def rand_volume(rng, shape):
