@@ -3,8 +3,9 @@
 Subcommands cover the whole workflow: synthesize phantoms and masks, run the
 classical solver or a trained network on retrospectively undersampled data,
 train from a config file, score reconstructions, and smoke-test the analytic
-gradients.  Exit codes: 0 success, 2 usage error, 3 data/format error,
-4 numerical failure.
+gradients.  Exit codes: 0 success, 2 usage error, 3 data/format error (a
+malformed or missing file, a rejected setting, or a volume too large to
+allocate), 4 numerical failure (a non-finite result).
 """
 
 import argparse
@@ -187,9 +188,12 @@ def _cmd_eval(args):
     recon = _load_volume(args.recon)
     gt = _load_volume(args.gt)
     p = psnr(recon, gt)
+    s = ssim(recon, gt)
+    if math.isnan(p) or math.isnan(s):
+        raise NumericalError("non-finite score")
     shown = PSNR_DISPLAY_CAP if math.isinf(p) else p
     print(f"psnr_db {shown:.6f}")
-    print(f"ssim {ssim(recon, gt):.6f}")
+    print(f"ssim {s:.6f}")
     return 0
 
 
@@ -273,8 +277,8 @@ def main(argv=None):
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (FormatError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (FormatError, OSError, ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
 
 

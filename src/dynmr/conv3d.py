@@ -11,7 +11,9 @@ transposed weights.  The weight gradient is the transposed product: per band
 and kernel row, one GEMM of the output gradient, stacked at the same three
 shifts, with the row's view of the buffer.
 
-A stack is a plain list of layers applied in order.  Factory helpers build
+A stack is a plain list of layers applied in order.  Its backward pulls the
+parameter gradients back from one output gradient, and the input gradient
+from the same one, from another, or not at all.  Factory helpers build
 the two stacks the reconstruction network needs: an encode stack 2 -> nc and
 a decode stack nc -> 2, ReLU between layers and a linear final layer.
 """
@@ -184,12 +186,28 @@ def conv3d_forward(x, layer, out=None):
     return out, Conv3dCache(x=x, out=out)
 
 
-def conv3d_backward(grad_out, cache, layer):
-    """Gradients of one layer; returns (grad_input, grad_weights, grad_bias)."""
-    g_pre = _grad_pre(grad_out, cache, layer)
-    # d/d input: correlate the output gradient with the flipped, transposed kernel
+def _input_grad(g_pre, layer):
+    """Correlate a pre-activation gradient with the flipped, transposed kernel."""
     w_adj = np.transpose(layer.weights[:, :, ::-1, ::-1, ::-1], (1, 0, 2, 3, 4))
-    grad_in = _correlate(g_pre, w_adj)
+    return _correlate(g_pre, w_adj)
+
+
+_GRAD_OUT = object()  # pull's default: the input gradient pulls back grad_out
+
+
+def conv3d_backward(grad_out, cache, layer, pull=_GRAD_OUT):
+    """Gradients of one layer; returns (grad_input, grad_weights, grad_bias).
+
+    The weight and bias gradients pull back grad_out.  grad_input pulls back
+    pull, an output gradient that is grad_out unless given, and is None when
+    pull is None.
+    """
+    if pull is _GRAD_OUT or pull is grad_out:
+        g_pre = _grad_pre(grad_out, cache, layer)
+        grad_in = _input_grad(g_pre, layer)
+    else:  # pull's pre-activation gradient is gone before grad_out's is formed
+        grad_in = None if pull is None else _input_grad(_grad_pre(pull, cache, layer), layer)
+        g_pre = _grad_pre(grad_out, cache, layer)
     return (grad_in, *_param_grads(g_pre, cache.x))
 
 
@@ -202,20 +220,30 @@ def stack_forward(x, layers):
     return x, caches
 
 
-def stack_backward(grad_out, caches, layers):
-    """Backprop a stack; returns (grad_input, [(grad_w, grad_b), ...])."""
+def stack_backward(grad_out, caches, layers, pull=_GRAD_OUT):
+    """Backprop a stack; returns (grad_input, [(grad_w, grad_b), ...]).
+
+    The parameter gradients pull back grad_out.  The input gradient pulls
+    back pull, as conv3d_backward has it: grad_out by default, another output
+    gradient, or None to form no input gradient.  A term that reaches only the
+    parameters thus rides on grad_out, and each layer runs one weight-gradient
+    pass; a separate pull costs one more correlation per layer below the top.
+    """
     grads = [None] * len(layers)
     g = grad_out
+    if pull is _GRAD_OUT:
+        pull = g
     for j in range(len(layers) - 1, -1, -1):
-        g, gw, gb = conv3d_backward(g, caches[j], layers[j])
+        cache, layer = caches[j], layers[j]
+        if j == 0 or pull is g:
+            g, gw, gb = conv3d_backward(g, cache, layer, pull)
+            pull = g
+        else:
+            if pull is not None:
+                pull = _input_grad(_grad_pre(pull, cache, layer), layer)
+            g, gw, gb = conv3d_backward(g, cache, layer)
         grads[j] = (gw, gb)
     return g, grads
-
-
-def stack_param_grads(grad_out, caches, layers):
-    """stack_backward's [(grad_w, grad_b), ...]; the input gradient is never formed."""
-    g, grads = stack_backward(grad_out, caches[1:], layers[1:])
-    return [_param_grads(_grad_pre(g, caches[0], layers[0]), caches[0].x)] + grads
 
 
 def init_conv_layer(in_ch, out_ch, activation, rng):

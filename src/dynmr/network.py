@@ -18,6 +18,8 @@ normal operator, so the network and the classical solver share one DC
 operator.  The backward pass is written out by hand (one reverse sweep over
 phases, exact chain rule through that closed form, plus the optional ISTA-Net
 inversion penalty of each phase) and is validated against finite differences.
+The penalty's gradient at the encode output joins the loss gradient there, so
+each phase runs one encode-stack backward for both.
 Gradients flow as a flat dict keyed by the names from named_tensors, one entry
 per learnable array, so the optimizer never needs to know the phase structure.
 """
@@ -35,7 +37,6 @@ from .conv3d import (
     make_encode_stack,
     stack_backward,
     stack_forward,
-    stack_param_grads,
 )
 from .mathutil import sigmoid, softplus, softplus_inv
 from .volume import from_channels, real_inner, to_channels
@@ -225,15 +226,6 @@ def network_forward(b, encoder, params, cfg, want_cache=True):
     return x, cache
 
 
-def _z_block_backward(gz, pc, phase):
-    """Chain rule through decode, attention, encode; returns (grad wrt x+l, grads)."""
-    g = to_channels(gz)
-    g, fhat_grads = stack_backward(g, pc.fhat_caches, phase.fhat_stack)
-    g, attn_grads = attn_backward(g, pc.attn_cache, phase.attn)
-    g, f_grads = stack_backward(g, pc.f_caches, phase.f_stack)
-    return from_channels(g), f_grads, attn_grads, fhat_grads
-
-
 def network_backward(grad_x, cache, params, zeta=0.0):
     """Pull a loss gradient on the output volume back to every parameter.
 
@@ -242,7 +234,13 @@ def network_backward(grad_x, cache, params, zeta=0.0):
     Jacobian I - P/(1 + mu), so an incoming gradient g pulls back to
     g - P g/(1 + mu), and the mu-derivative of the loss is
     (<P g, y> - <g, A^H b>)/(1 + mu)^2.  P is the encoder's normal operator.
-    With zeta > 0 each phase's step adds zeta times its inverse_penalty gradient.
+    The denoising block pulls back through the decode stack and attention to
+    g_u, the gradient at the encode output u.  With zeta > 0 each phase adds
+    zeta times its inverse_penalty gradients: on the decode stack directly,
+    and on the encode stack through one backward pass whose parameter
+    gradients pull back g_u + zeta * g_pen_u while its input gradient pulls
+    back g_u alone, since the penalty holds its input constant.  Phase 0
+    forms no input gradient; nothing reads it.
     Returns (grads, penalty): the unweighted sum in phase order, 0.0 at zeta 0.
     """
     if len(cache.phases) != len(params.phases):
@@ -268,17 +266,24 @@ def network_backward(grad_x, cache, params, zeta=0.0):
         )
 
         gz = gy - eta * gl
-        gv, f_grads, attn_grads, fhat_grads = _z_block_backward(gz, pc, phase)
+        g, fhat_grads = stack_backward(to_channels(gz), pc.fhat_caches, phase.fhat_stack)
+        g_u, attn_grads = attn_backward(g, pc.attn_cache, phase.attn)
+        g = g_u
         if zeta > 0:
-            value, pen_f, pen_fhat = inverse_penalty(pc, phase)
+            value, g, pen_fhat = inverse_penalty(pc, phase)
             penalties.append(value)
-            for (gw, gb), (pw, pb) in zip(f_grads + fhat_grads, pen_f + pen_fhat):
+            g *= zeta
+            g += g_u  # g_u + zeta * g_pen_u, in the penalty's buffer
+            for (gw, gb), (pw, pb) in zip(fhat_grads, pen_fhat):
                 gw += zeta * pw
                 gb += zeta * pb
+        gx, f_grads = stack_backward(g, pc.f_caches, phase.f_stack, g_u if n else None)
+        del g, g_u  # nc-channel activations the next phase does not read
         grads.update(_phase_tensors(n, f_grads, fhat_grads, attn_grads, g_mu, g_eta))
 
-        gx = gv
-        gl = gl - gy + gv
+        if n:
+            gx = from_channels(gx)
+            gl = gl - gy + gx
     penalty = 0.0
     for value in reversed(penalties):
         penalty += value
@@ -289,14 +294,15 @@ def inverse_penalty(pc, phase):
     """Soft inversion penalty ||decode(encode(v)) - v||^2 of one phase.
 
     v is the phase's denoising-block input, taken from its cache pc and
-    treated as a constant: the gradients cover only the phase's conv stacks
-    and do not flow into earlier phases.  The decode stack is re-run here
-    without the attention step in between.  Returns (value, f_grads,
-    fhat_grads), the stack gradients as per-layer (w, b) pairs.
+    treated as a constant, so no gradient flows into earlier phases.  The
+    decode stack is re-run here on the encode output u without the attention
+    step in between.  Returns (value, g_pen_u, fhat_grads): the penalty's
+    gradient at u, which network_backward adds to the loss gradient before
+    the encode stack's one backward pass, and the decode stack's gradients as
+    per-layer (w, b) pairs.
     """
     c_in = pc.f_caches[0].x
     pen_out, pen_caches = stack_forward(pc.attn_cache.u, phase.fhat_stack)
     r = pen_out - c_in
-    g, fhat_grads = stack_backward(2.0 * r, pen_caches, phase.fhat_stack)
-    f_grads = stack_param_grads(g, pc.f_caches, phase.f_stack)
-    return float(np.sum(r * r)), f_grads, fhat_grads
+    g_pen_u, fhat_grads = stack_backward(2.0 * r, pen_caches, phase.fhat_stack)
+    return float(np.sum(r * r)), g_pen_u, fhat_grads

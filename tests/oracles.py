@@ -5,8 +5,9 @@ conjugate gradients, as the reference for the closed form.  The identity conv
 stacks and neutral_phase_params build a phase whose denoising block is the
 exact identity, which pins the unrolled network to one classical iteration.
 inverse_penalty_two_pass is the inversion penalty as a second pass over a
-finished forward cache, the reference for the penalty folded into
-network_backward.  The gradient tests take their central difference from
+finished forward cache, with its own backward through both conv stacks: the
+reference for the penalty that network_backward folds into its one encode
+stack backward per phase.  The gradient tests take their central difference from
 dynmr.gradcheck.fd_at.
 """
 
@@ -15,13 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from dynmr.attention import AttnParams
-from dynmr.conv3d import (
-    KERNEL,
-    Conv3dLayer,
-    stack_backward,
-    stack_forward,
-    stack_param_grads,
-)
+from dynmr.conv3d import KERNEL, Conv3dLayer, stack_backward, stack_forward
 from dynmr.errors import NumericalError
 from dynmr.network import PhaseParams, _raw
 from dynmr.volume import check_same_shape, fro_norm
@@ -148,7 +143,8 @@ def inverse_penalty_two_pass(cache, params):
     v_p is the denoising-block input of phase p, taken from the forward cache
     and treated as a constant: the returned gradients cover only the conv
     stacks of each phase and do not flow into earlier phases.  The decode
-    stack is re-run here without the attention step in between.
+    stack is re-run here without the attention step in between, and the
+    encode stack's input gradient is formed and dropped.
     """
     total = 0.0
     grads = {}
@@ -160,7 +156,7 @@ def inverse_penalty_two_pass(cache, params):
         r = pen_out - c_in
         total += float(np.sum(r * r))
         g, fhat_grads = stack_backward(2.0 * r, pen_caches, phase.fhat_stack)
-        f_grads = stack_param_grads(g, pc.f_caches, phase.f_stack)
+        _, f_grads = stack_backward(g, pc.f_caches, phase.f_stack)
         for j, (gw, gb) in enumerate(f_grads):
             grads[f"{tag}.f{j}.w"] = gw
             grads[f"{tag}.f{j}.b"] = gb

@@ -14,7 +14,6 @@ from dynmr.conv3d import (
     make_encode_stack,
     stack_backward,
     stack_forward,
-    stack_param_grads,
 )
 from dynmr.gradcheck import fd_at
 from oracles import identity_decode_stack, identity_encode_stack
@@ -354,24 +353,37 @@ def test_stack_gradients_match_finite_differences():
 
 
 @pytest.mark.parametrize("depth", [1, 3])
-def test_stack_param_grads_match_stack_backward(monkeypatch, depth):
-    # the same parameter gradients, bit for bit, with one correlation fewer:
-    # the first layer's input gradient is never formed
+def test_stack_backward_pull_changes_only_the_input_gradient(monkeypatch, depth):
+    # the parameter gradients always pull back grad_out, bit for bit; the
+    # input gradient pulls back pull: grad_out itself, another gradient at one
+    # more correlation per layer below the top, or none at one fewer
     rng = np.random.default_rng(16)
     layers = make_encode_stack(4, depth, rng)
     x = rng.standard_normal((2, 5, 4, 3))
     c = rng.standard_normal((4, 5, 4, 3))
+    d = rng.standard_normal((4, 5, 4, 3))
     _, caches = stack_forward(x, layers)
-    _, want = stack_backward(c, caches, layers)
+    want_in, want = stack_backward(c, caches, layers)
+    other_in, _ = stack_backward(d, caches, layers)
     calls = []
     correlate = dynmr.conv3d._correlate
     monkeypatch.setattr(dynmr.conv3d, "_correlate",
                         lambda *args: calls.append(1) or correlate(*args))
-    got = stack_param_grads(c, caches, layers)
-    assert len(calls) == depth - 1
-    assert len(got) == depth
-    for (gw, gb), (ww, wb) in zip(got, want):
-        assert gw.tobytes() == ww.tobytes() and gb.tobytes() == wb.tobytes()
+    for pull, n_calls, grad_in in (
+        (c, depth, want_in),
+        (d, 2 * depth - 1, other_in),
+        (None, depth - 1, None),
+    ):
+        calls.clear()
+        got_in, got = stack_backward(c, caches, layers, pull)
+        assert len(calls) == n_calls
+        if grad_in is None:
+            assert got_in is None
+        else:
+            assert got_in.tobytes() == grad_in.tobytes()
+        assert len(got) == depth
+        for (gw, gb), (ww, wb) in zip(got, want):
+            assert gw.tobytes() == ww.tobytes() and gb.tobytes() == wb.tobytes()
 
 
 def test_init_bounds_and_determinism():

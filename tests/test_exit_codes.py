@@ -1,0 +1,117 @@
+"""Every command-line failure exits with a documented code and no traceback.
+
+One table over every subcommand's failure paths: a usage error exits 2; a
+malformed, missing or unwritable file, a rejected setting or a volume too
+large to allocate exits 3; a non-finite result exits 4.  Each row runs
+`python -m dynmr` in a child process whose address space is capped, so an
+oversized request fails at once on any machine instead of paging in.
+"""
+
+import os
+import resource
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from dynmr.encoding import make_pseudo_radial_mask
+from dynmr.fileio import save_checkpoint, save_dmrt
+from dynmr.network import NetworkConfig, init_network_params
+from dynmr.phantom import PhantomSpec, generate_phantom
+
+ADDRESS_SPACE = 4 << 30  # bytes; far below the 7.28 TiB of the oversized phantom
+TRAIN = ["n_samples = 1", "shape = 8x8x2", "spokes = 3", "n_phases = 1", "nc = 2"]
+
+OUT = "{dir}/out.dmrt"
+RECON_ADMM = ["recon-admm", "--data", "{gt}", "--mask", "{mask}", "--out", OUT]
+RECON_NET = ["recon-net", "--ckpt", "{ckpt}", "--data", "{gt}", "--mask", "{mask}",
+             "--out", OUT]
+
+TABLE = [
+    ("no-subcommand", [], 2),
+    ("unknown-subcommand", ["frobnicate"], 2),
+    ("phantom-bad-shape", ["phantom", "--shape", "8x8", "--out", OUT], 2),
+    ("phantom-no-out", ["phantom", "--shape", "8x8x2"], 2),
+    ("phantom-zero-ellipses",
+     ["phantom", "--shape", "8x8x2", "--ellipses", "0", "--out", OUT], 3),
+    ("phantom-unwritable", ["phantom", "--shape", "8x8x2", "--out", "{dir}/no/p.dmrt"], 3),
+    ("phantom-oversized", ["phantom", "--shape", "100000x100000x100", "--out", OUT], 3),
+    ("mask-radial-no-spokes", ["mask", "--pattern", "radial", "--shape", "8x8x2",
+                               "--out", OUT], 2),
+    ("mask-unknown-pattern", ["mask", "--pattern", "spiral", "--shape", "8x8x2",
+                              "--out", OUT], 2),
+    ("mask-vds-nan-accel", ["mask", "--pattern", "vds", "--accel", "nan",
+                            "--shape", "8x8x2", "--out", OUT], 3),
+    ("recon-admm-unknown-option", [*RECON_ADMM, "--x-update", "cg"], 2),
+    ("recon-admm-missing-file", [*RECON_ADMM[:2], "{dir}/missing.dmrt", *RECON_ADMM[3:]], 3),
+    ("recon-admm-shape-mismatch", [*RECON_ADMM[:4], "{mask_other}", *RECON_ADMM[5:]], 3),
+    ("recon-admm-not-a-mask", [*RECON_ADMM[:4], "{gt}", *RECON_ADMM[5:]], 3),
+    ("recon-admm-nan-lambda", [*RECON_ADMM, "--lambda=nan"], 3),
+    ("recon-admm-non-finite", [*RECON_ADMM[:2], "{gt_nan}", *RECON_ADMM[3:]], 4),
+    ("train-no-out-ckpt", ["train", "--config", "{cfg_ok}"], 2),
+    ("train-missing-config", ["train", "--config", "{dir}/missing.cfg",
+                              "--out-ckpt", "{dir}/c.dusc"], 3),
+    ("train-unknown-key", ["train", "--config", "{cfg_unknown}",
+                           "--out-ckpt", "{dir}/c.dusc"], 3),
+    ("train-malformed-line", ["train", "--config", "{cfg_malformed}",
+                              "--out-ckpt", "{dir}/c.dusc"], 3),
+    ("train-diverges", ["train", "--config", "{cfg_diverges}",
+                        "--out-ckpt", "{dir}/c.dusc"], 4),
+    ("recon-net-missing-ckpt", [*RECON_NET[:2], "{dir}/missing.dusc", *RECON_NET[3:]], 3),
+    ("recon-net-truncated-ckpt", [*RECON_NET[:2], "{ckpt_cut}", *RECON_NET[3:]], 3),
+    ("recon-net-non-finite", [*RECON_NET[:4], "{gt_nan}", *RECON_NET[5:]], 4),
+    ("eval-missing-file", ["eval", "--recon", "{dir}/missing.dmrt", "--gt", "{gt}"], 3),
+    ("eval-shape-mismatch", ["eval", "--recon", "{gt_other}", "--gt", "{gt}"], 3),
+    ("eval-non-finite", ["eval", "--recon", "{gt_nan}", "--gt", "{gt}"], 4),
+    ("gradcheck-bad-seed", ["gradcheck", "--seed", "x"], 2),
+    ("gradcheck-negative-seed", ["gradcheck", "--seed", "-1"], 3),
+]
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("exit")
+    gt = generate_phantom(PhantomSpec(shape=(16, 16, 4), seed=1))
+    gt_nan = gt.copy()
+    gt_nan[3, 5, 1] = np.nan
+    cfg = NetworkConfig(n_phases=1, nc=4)
+    paths = {name: d / name for name in ("gt", "gt_nan", "gt_other", "mask", "mask_other")}
+    save_dmrt(paths["gt"], gt)
+    save_dmrt(paths["gt_nan"], gt_nan)
+    save_dmrt(paths["gt_other"], gt[:, :, :3])
+    save_dmrt(paths["mask"], make_pseudo_radial_mask(gt.shape, 6, seed=0))
+    save_dmrt(paths["mask_other"], np.ones((16, 16, 5), dtype=np.uint8))
+    paths["ckpt"] = d / "net.dusc"
+    save_checkpoint(paths["ckpt"], init_network_params(cfg), cfg)
+    paths["ckpt_cut"] = d / "cut.dusc"
+    paths["ckpt_cut"].write_bytes(paths["ckpt"].read_bytes()[:-9])
+    for name, extra in (
+        ("cfg_ok", []),
+        ("cfg_unknown", ["dc_mode = cg"]),
+        ("cfg_malformed", ["epochs 3"]),
+        ("cfg_diverges", ["sigma = 1e300"]),  # noise overflows the loss
+    ):
+        paths[name] = d / f"{name}.cfg"
+        paths[name].write_text("\n".join(TRAIN + extra) + "\n")
+    return {"dir": str(d), **{k: str(v) for k, v in paths.items()}}
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+
+
+@pytest.mark.parametrize("argv, code", [row[1:] for row in TABLE],
+                         ids=[row[0] for row in TABLE])
+def test_failure_exit_code(files, argv, code):
+    r = subprocess.run(
+        [sys.executable, "-m", "dynmr", *(a.format(**files) for a in argv)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+        preexec_fn=_cap_address_space,
+    )
+    assert r.returncode == code, r.stderr
+    assert "Traceback" not in r.stderr
+    if code != 2:
+        assert "error:" in r.stderr

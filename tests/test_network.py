@@ -7,6 +7,7 @@ import pytest
 import dynmr.conv3d
 import dynmr.network
 from dynmr.admm import AdmmConfig, reconstruct
+from dynmr.attention import attn_backward
 from dynmr.conv3d import stack_backward, stack_forward
 from dynmr.encoding import Encoder, make_pseudo_radial_mask
 from dynmr.gradcheck import fd_at
@@ -14,7 +15,6 @@ from dynmr.network import (
     NetCache,
     NetworkConfig,
     NetworkParams,
-    _z_block_backward,
     eta_of,
     init_network_params,
     inverse_penalty,
@@ -102,8 +102,12 @@ def test_z_block_backward_matches_finite_differences():
         z, _ = z_block(x, l, phase)
         return real_inner(c, z)
 
+    # the block's share of network_backward at zeta 0: decode, attention, encode
     _, cache = z_block(x, l, phase)
-    gv, f_grads, attn_grads, fhat_grads = _z_block_backward(c, cache, phase)
+    g, _ = stack_backward(to_channels(c), cache.fhat_caches, phase.fhat_stack)
+    g, attn_grads = attn_backward(g, cache.attn_cache, phase.attn)
+    g, f_grads = stack_backward(g, cache.f_caches, phase.f_stack)
+    gv = from_channels(g)
 
     # input gradient, checked separately on real and imaginary parts
     for idx in np.ndindex(x.shape):
@@ -469,24 +473,62 @@ def test_penalty_grads_only_cover_conv_stacks():
         assert ".f" in name or not g.any(), name
 
 
+def record_penalty_sweep(monkeypatch):
+    """Record g_u (attention's input gradient) and a copy of g_pen_u per phase.
+
+    network_backward sums zeta * g_pen_u into the penalty's own buffer, so
+    the record copies it on the way out of inverse_penalty.
+    """
+    g_u, g_pen_u = {}, {}
+    attn = dynmr.network.attn_backward
+    penalty = dynmr.network.inverse_penalty
+
+    def attn_rec(g, attn_cache, p):
+        g_in, grads = attn(g, attn_cache, p)
+        g_u[id(attn_cache)] = g_in
+        return g_in, grads
+
+    def penalty_rec(pc, phase):
+        value, g_pen, fhat_grads = penalty(pc, phase)
+        g_pen_u[id(pc)] = g_pen.copy()
+        return value, g_pen, fhat_grads
+
+    monkeypatch.setattr(dynmr.network, "attn_backward", attn_rec)
+    monkeypatch.setattr(dynmr.network, "inverse_penalty", penalty_rec)
+    return g_u, g_pen_u
+
+
 @pytest.mark.parametrize("zeta", [0.01, 0.5])
 @pytest.mark.parametrize("depths", [(2, 2), (1, 3), (3, 1)])
-def test_penalty_in_the_sweep_is_bit_identical_to_a_second_pass(zeta, depths):
-    # the sweep adds zeta * the two-pass reference to the loss gradients
-    # name by name, and sums the penalty in phase order
+def test_penalty_in_the_sweep_is_bit_identical_to_a_second_pass(monkeypatch, zeta, depths):
+    # the sweep adds zeta * the two-pass reference to the loss gradients of
+    # the decode stack name by name, and sums the penalty in phase order; the
+    # encode stack's gradients are one backward of g_u + zeta * g_pen_u
     gt, enc, b, rng = small_problem(seed=18)
     cfg = NetworkConfig(n_phases=3, nc=4, f_depth=depths[0], fhat_depth=depths[1])
     params = init_network_params(cfg, seed=18)
     _, cache = network_forward(b, enc, params, cfg)
     c = rand_volume(rng, gt.shape)
     plain, zero = network_backward(c, cache, params)
+    g_u, g_pen_u = record_penalty_sweep(monkeypatch)
     grads, total = network_backward(c, cache, params, zeta)
     want_total, pen_grads = inverse_penalty_two_pass(cache, params)
     assert zero == 0.0
     assert total == want_total
     for name, g in plain.items():
-        want = g + zeta * pen_grads[name] if name in pen_grads else g
-        assert grads[name].tobytes() == want.tobytes(), name
+        if ".f" not in name or ".fhat" in name:
+            want = g + zeta * pen_grads[name] if name in pen_grads else g
+            assert grads[name].tobytes() == want.tobytes(), name
+    for n, (pc, phase) in enumerate(zip(cache.phases, params.phases)):
+        g_sum = g_u[id(pc.attn_cache)] + zeta * g_pen_u[id(pc)]
+        _, want_f = stack_backward(g_sum, pc.f_caches, phase.f_stack)
+        for j, (ww, wb) in enumerate(want_f):
+            for key, want in ((f"phase{n:02d}.f{j}.w", ww), (f"phase{n:02d}.f{j}.b", wb)):
+                assert grads[key].tobytes() == want.tobytes(), key
+                # the two passes' sum, up to the rounding of one addition order
+                two_pass = plain[key] + zeta * pen_grads[key]
+                err = np.max(np.abs(grads[key] - two_pass))
+                assert err <= 1e-13 * np.max(np.abs(two_pass)), key
 
 
 def test_penalty_is_summed_in_phase_order(monkeypatch):
@@ -517,8 +559,9 @@ def test_zero_zeta_never_runs_the_penalty(monkeypatch):
     assert total == 0.0
 
 
-def test_penalty_grads_are_bit_identical_without_the_input_gradient(monkeypatch):
-    # reference: backprop the whole encode stack and drop its input gradient
+def test_penalty_grads_are_bit_identical_without_the_input_gradient():
+    # reference: backprop the decode stack from 2r by hand; the penalty's
+    # result is its input gradient g_pen_u, and no encode-stack pass runs
     gt, enc, b, rng = small_problem(seed=18)
     cfg = NetworkConfig(n_phases=2, nc=4, f_depth=2, fhat_depth=2)
     params = init_network_params(cfg, seed=18)
@@ -526,24 +569,42 @@ def test_penalty_grads_are_bit_identical_without_the_input_gradient(monkeypatch)
     for pc, phase in zip(cache.phases, params.phases):
         pen_out, pen_caches = stack_forward(pc.attn_cache.u, phase.fhat_stack)
         r = pen_out - pc.f_caches[0].x
-        g, want_fhat = stack_backward(2.0 * r, pen_caches, phase.fhat_stack)
-        _, want_f = stack_backward(g, pc.f_caches, phase.f_stack)
-        _, f_grads, fhat_grads = inverse_penalty(pc, phase)
-        for got, want in ((f_grads, want_f), (fhat_grads, want_fhat)):
-            assert len(got) == len(want)
-            for (gw, gb), (ww, wb) in zip(got, want):
-                assert gw.tobytes() == ww.tobytes()
-                assert gb.tobytes() == wb.tobytes()
-    calls = []
-    correlate = dynmr.conv3d._correlate
-    monkeypatch.setattr(dynmr.conv3d, "_correlate",
-                        lambda *args: calls.append(1) or correlate(*args))
-    c = rand_volume(rng, gt.shape)
-    network_backward(c, cache, params)
-    plain = len(calls)
-    calls.clear()
-    network_backward(c, cache, params, 0.1)
-    # per phase: the decode stack forward and backward (2 + 2), the encode
-    # stack's input gradients without its first layer's (1)
-    n_penalty = cfg.n_phases * (2 * cfg.fhat_depth + cfg.f_depth - 1)
-    assert len(calls) == plain + n_penalty
+        want_g, want_fhat = stack_backward(2.0 * r, pen_caches, phase.fhat_stack)
+        value, g_pen_u, fhat_grads = inverse_penalty(pc, phase)
+        assert value == float(np.sum(r * r))
+        assert g_pen_u.tobytes() == want_g.tobytes()
+        assert len(fhat_grads) == len(want_fhat)
+        for (gw, gb), (ww, wb) in zip(fhat_grads, want_fhat):
+            assert gw.tobytes() == ww.tobytes()
+            assert gb.tobytes() == wb.tobytes()
+
+
+@pytest.mark.parametrize("zeta", [0.0, 0.1])
+@pytest.mark.parametrize("depths", [(2, 2), (1, 3), (3, 1)])
+def test_backward_conv_pass_counts(monkeypatch, zeta, depths):
+    # per phase: a weight-gradient pass per encode layer and one per decode
+    # layer for the loss and again for the penalty; correlations for every
+    # input gradient, the penalty's decode forward, and at zeta > 0 the
+    # encode stack's second stream below its top layer; phase 0 forms no
+    # input gradient
+    cfg = NetworkConfig(n_phases=3, nc=4, f_depth=depths[0], fhat_depth=depths[1])
+    params = init_network_params(cfg, seed=21)
+    gt, enc, b, rng = small_problem(seed=21)
+    _, cache = network_forward(b, enc, params, cfg)
+    calls = {"_correlate": 0, "_param_grads": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(dynmr.conv3d, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(dynmr.conv3d, name, counted)
+    network_backward(rand_volume(rng, gt.shape), cache, params, zeta)
+    n, f, fhat = cfg.n_phases, cfg.f_depth, cfg.fhat_depth
+    if zeta == 0.0:
+        want = {"_correlate": n * (f + fhat) - 1, "_param_grads": n * (f + fhat)}
+    else:
+        want = {
+            "_correlate": n * 3 * fhat + (n - 1) * (2 * f - 1) + f - 1,
+            "_param_grads": n * (f + 2 * fhat),
+        }
+    assert calls == want
