@@ -117,6 +117,20 @@ def l_update(state, eta, out=None, work=None):
     return np.subtract(state.l, step, out=out)
 
 
+def xl_step(state, atb, encoder, mu, eta, work, where):
+    """x and l steps from state.z, into state's arrays; work is a scratch volume.
+
+    Raises NumericalError naming where if mu is not > 0 or x is non-finite.
+    """
+    if not mu > 0:
+        raise NumericalError(f"mu = {mu} is not > 0 at {where}")
+    state.x = x_update_closed_form(state.z, state.l, atb, encoder, mu, state.x, work)
+    state.l = l_update(state, eta, state.l, work)
+    # x is built from z and the previous l, so a finite x vouches for both.
+    if not np.isfinite(state.x).all():
+        raise NumericalError(f"non-finite iterate at {where}")
+
+
 def objective(x, b, encoder, cfg):
     """Objective value split into (total, fidelity, l1 term)."""
     residual = encoder.forward(x) - b
@@ -131,8 +145,7 @@ def iterate(b, encoder, cfg):
     Yields the solver's state after each z/x/l step.  It is the same
     AdmmState object every time, and every step writes into arrays allocated
     once at the start, so the next step overwrites x, z and l: copy what must
-    outlive it.  Raises NumericalError, naming the iteration, as soon as the
-    x iterate is non-finite.
+    outlive it.  A non-finite x raises NumericalError naming the iteration.
     """
     atb = encoder.adjoint(b)
     state = AdmmState(x=atb.copy(), z=np.empty_like(atb), l=np.zeros_like(atb))
@@ -140,13 +153,7 @@ def iterate(b, encoder, cfg):
     mags = (np.empty(atb.shape), np.empty(atb.shape))
     for it in range(1, cfg.n_iters + 1):
         state.z = z_update(state, cfg, state.z, mags)
-        state.x = x_update_closed_form(
-            state.z, state.l, atb, encoder, cfg.mu, state.x, work
-        )
-        state.l = l_update(state, cfg.eta, state.l, work)
-        # x is built from z and the previous l, so a finite x vouches for both.
-        if not np.isfinite(state.x).all():
-            raise NumericalError(f"non-finite iterate at iteration {it}")
+        xl_step(state, atb, encoder, cfg.mu, cfg.eta, work, f"iteration {it}")
         yield state
 
 

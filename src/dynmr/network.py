@@ -12,10 +12,10 @@ channel-attention soft threshold, and mu, eta are learned per phase through a
 softplus so they stay positive.  The initial state is the zero-filled adjoint
 with L = 0.
 
-The data-consistency block is the classical solver's closed-form x step,
-x = y + (A^H b - P y)/(1 + mu) with y = Z - L and P = A^H A the encoder's
-normal operator, so the network and the classical solver share one DC
-operator.  The backward pass is written out by hand (one reverse sweep over
+The data-consistency and multiplier blocks are the classical solver's x and l
+steps, one admm.xl_step per phase: x = y + (A^H b - P y)/(1 + mu), y = Z - L,
+P = A^H A.  It raises NumericalError naming the phase when mu is 0 or X is
+non-finite.  The backward pass is written out by hand (one reverse sweep over
 phases, exact chain rule through that closed form, plus the optional ISTA-Net
 inversion penalty of each phase) and is validated against finite differences.
 The penalty's gradient at the encode output joins the loss gradient there, so
@@ -29,7 +29,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .admm import x_update_closed_form
+from .admm import AdmmState, x_update_closed_form, xl_step
 from .attention import AttnParams, attn_backward, attn_forward, init_attn_params
 from .conv3d import (
     conv3d_forward,
@@ -192,21 +192,23 @@ def _stream(x, layers, bufs):
 
 
 def x_block(z, l, atb, encoder, mu):
-    """Data-consistency step; the classical closed-form x step, atb = A^H b."""
+    """The closed-form x step alone, atb = A^H b; kept for the bench's span table."""
     return x_update_closed_form(z, l, atb, encoder, mu)
 
 
 def network_forward(b, encoder, params, cfg, want_cache=True):
     """Run all phases from the zero-filled adjoint.
 
-    Returns (reconstruction, cache).  When want_cache is False, for plain
-    inference, the cache is None and every phase's activations stream through
-    two buffers allocated here, so memory does not grow with depth or phases.
-    The phases come from params; cfg is not read.
+    Returns (reconstruction, cache).  Each phase runs z_block and then
+    admm.xl_step, whose NumericalError names the phase ("phase 1" for
+    phase01.*).  When want_cache is False, for plain inference, the cache is
+    None and every phase's activations stream through two buffers allocated
+    here, so memory does not grow with depth or phases.  The phases come from
+    params; cfg is not read, and is accepted only because the bench passes it.
     """
     atb = encoder.adjoint(b)
-    x = atb
-    l = np.zeros_like(x)
+    state = AdmmState(x=atb.copy(), z=None, l=np.zeros_like(atb))
+    work = np.empty_like(atb)
     cache = NetCache(atb=atb, encoder=encoder) if want_cache else None
     bufs = None
     if not want_cache:
@@ -215,15 +217,16 @@ def network_forward(b, encoder, params, cfg, want_cache=True):
             for phase in params.phases
             for layer in phase.f_stack + phase.fhat_stack
         )
-        bufs = [np.empty((width, *x.shape)) for _ in range(2)]
-    for phase in params.phases:
-        z, pc = z_block(x, l, phase, bufs)
-        x = x_block(z, l, atb, encoder, mu_of(phase))
-        l = l - eta_of(phase) * (z - x)
+        bufs = [np.empty((width, *atb.shape)) for _ in range(2)]
+    for n, phase in enumerate(params.phases):
+        state.z = None  # inference then holds one z at a time
+        l_prev = state.l.copy() if want_cache else state.l  # xl_step overwrites l
+        state.z, pc = z_block(state.x, l_prev, phase, bufs)
+        xl_step(state, atb, encoder, mu_of(phase), eta_of(phase), work, f"phase {n}")
         if want_cache:
-            pc.x = x
+            pc.x = state.x.copy()
             cache.phases.append(pc)
-    return x, cache
+    return state.x, cache
 
 
 def network_backward(grad_x, cache, params, zeta=0.0):

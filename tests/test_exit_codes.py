@@ -2,9 +2,10 @@
 
 One table over every subcommand's failure paths: a usage error exits 2; a
 malformed, missing or unwritable file, a rejected setting or a volume too
-large to allocate exits 3; a non-finite result exits 4.  Each row runs
-`python -m dynmr` in a child process whose address space is capped, so an
-oversized request fails at once on any machine instead of paging in.
+large to allocate exits 3; a non-finite result or a collapsed mu exits 4.
+Each row runs `python -m dynmr` in a child process whose address space is
+capped, so an oversized request fails at once on any machine instead of
+paging in.
 """
 
 import os
@@ -58,6 +59,8 @@ TABLE = [
                               "--out-ckpt", "{dir}/c.dusc"], 3),
     ("train-diverges", ["train", "--config", "{cfg_diverges}",
                         "--out-ckpt", "{dir}/c.dusc"], 4),
+    ("train-mu-collapses", ["train", "--config", "{cfg_mu_collapses}",
+                            "--out-ckpt", "{dir}/c.dusc"], 4),
     ("recon-net-missing-ckpt", [*RECON_NET[:2], "{dir}/missing.dusc", *RECON_NET[3:]], 3),
     ("recon-net-truncated-ckpt", [*RECON_NET[:2], "{ckpt_cut}", *RECON_NET[3:]], 3),
     ("recon-net-non-finite", [*RECON_NET[:4], "{gt_nan}", *RECON_NET[5:]], 4),
@@ -91,6 +94,7 @@ def files(tmp_path_factory):
         ("cfg_unknown", ["dc_mode = cg"]),
         ("cfg_malformed", ["epochs 3"]),
         ("cfg_diverges", ["sigma = 1e300"]),  # noise overflows the loss
+        ("cfg_mu_collapses", ["epochs = 3", "lr0 = 1e10"]),  # softplus(mu_raw) -> 0
     ):
         paths[name] = d / f"{name}.cfg"
         paths[name].write_text("\n".join(TRAIN + extra) + "\n")

@@ -4,12 +4,14 @@ import types
 import numpy as np
 import pytest
 
+import dynmr.admm
 import dynmr.conv3d
 import dynmr.network
-from dynmr.admm import AdmmConfig, reconstruct
+from dynmr.admm import AdmmConfig, AdmmState, l_update, reconstruct, x_update_closed_form
 from dynmr.attention import attn_backward
 from dynmr.conv3d import stack_backward, stack_forward
 from dynmr.encoding import Encoder, make_pseudo_radial_mask
+from dynmr.errors import NumericalError
 from dynmr.gradcheck import fd_at
 from dynmr.network import (
     NetCache,
@@ -156,20 +158,62 @@ def test_x_block_cg_agrees_with_closed_form():
 # ------------------------------------------------------------- forward
 
 
-def test_single_phase_forward_matches_manual_composition():
+def test_forward_matches_manual_composition():
+    # The forward writes x and l into fixed arrays, so the cache must hold
+    # copies: an x or l it kept by reference would alias the next phase's.
     gt, enc, b, _ = small_problem(seed=5)
-    cfg = NetworkConfig(n_phases=1, nc=4)
+    cfg = NetworkConfig(n_phases=3, nc=4)
     params = init_network_params(cfg, seed=5)
-    phase = params.phases[0]
     x_out, cache = network_forward(b, enc, params, cfg)
 
-    x0 = enc.adjoint(b)
-    l0 = np.zeros_like(x0)
-    z, _ = z_block(x0, l0, phase)
-    x1 = x_block(z, l0, x0, enc, mu_of(phase))
-    assert np.array_equal(x_out, x1)
-    assert np.array_equal(cache.phases[0].z, z)
-    assert np.array_equal(from_channels(cache.phases[0].f_caches[0].x), x0)
+    atb = enc.adjoint(b)
+    x, l = atb, np.zeros_like(atb)
+    held = [x_out]
+    for phase, pc in zip(params.phases, cache.phases, strict=True):
+        assert np.array_equal(from_channels(pc.f_caches[0].x), x + l)
+        z, _ = z_block(x, l, phase)
+        l_prev = l
+        x = x_update_closed_form(z, l, atb, enc, mu_of(phase))
+        l = l_update(AdmmState(x=x, z=z, l=l), eta_of(phase))
+        for got, want in ((pc.x, x), (pc.z, z), (pc.l_prev, l_prev)):
+            assert np.array_equal(got, want)
+        held += [pc.x, pc.z, pc.l_prev]
+    assert np.array_equal(x_out, x)
+    for i, a in enumerate(held):
+        for other in held[i + 1:]:
+            assert not np.shares_memory(a, other)
+
+
+def test_collapsed_mu_names_the_phase():
+    # softplus(-800) underflows to exactly 0, which the DC step cannot take
+    _, enc, b, _ = small_problem(seed=9)
+    cfg = NetworkConfig(n_phases=3, nc=4)
+    params = init_network_params(cfg, seed=9)
+    params.phases[1].mu_raw = np.asarray(-800.0)
+    assert mu_of(params.phases[1]) == 0.0
+    for want_cache in (True, False):
+        with pytest.raises(NumericalError, match="not > 0 at phase 1$"):
+            network_forward(b, enc, params, cfg, want_cache)
+
+
+def test_non_finite_x_names_the_phase(monkeypatch):
+    _, enc, b, _ = small_problem(seed=9)
+    cfg = NetworkConfig(n_phases=3, nc=4)
+    params = init_network_params(cfg, seed=9)
+    calls = []
+    exact = dynmr.admm.x_update_closed_form
+
+    def poisoned_second_step(*args):
+        calls.append(1)
+        x = exact(*args)
+        if len(calls) == 2:
+            x[0, 0, 0] = np.nan
+        return x
+
+    monkeypatch.setattr(dynmr.admm, "x_update_closed_form", poisoned_second_step)
+    with pytest.raises(NumericalError, match="non-finite iterate at phase 1$"):
+        network_forward(b, enc, params, cfg)
+    assert len(calls) == 2
 
 
 def test_forward_without_cache_matches():
