@@ -128,7 +128,7 @@ def _parse_train_config(path):
     """Read a key=value file into (DataConfig, NetworkConfig, TrainConfig)."""
     declared = [f for cls in _TRAIN_SECTIONS for f in fields(cls)]
     parsers = {f.name: _shape if f.type is tuple else f.type for f in declared}
-    values = {}
+    values, seen = {}, {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -139,6 +139,9 @@ def _parse_train_config(path):
             key, _, raw = (part.strip() for part in line.partition("="))
             if key not in parsers:
                 raise FormatError(f"{path}:{lineno}: unknown key {key!r}")
+            n = seen.setdefault(key, lineno)
+            if n != lineno:
+                raise FormatError(f"{path}:{lineno}: key {key!r} already set on line {n}")
             try:
                 values[key] = parsers[key](raw)
             except (ValueError, argparse.ArgumentTypeError) as exc:

@@ -11,9 +11,9 @@ transposed weights.  The weight gradient is the transposed product: per band
 and kernel row, one GEMM of the output gradient, stacked at the same three
 shifts, with the row's view of the buffer.
 
-A stack is a plain list of layers applied in order.  Its backward pulls the
-parameter gradients back from one output gradient, and the input gradient
-from the same one, from another, or not at all.  Factory helpers build
+A stack is a plain list of layers applied in order.  Its backward forms the
+parameter gradients and, unless told not to, the input gradient;
+stack_input_grad forms the input gradient alone.  Factory helpers build
 the two stacks the reconstruction network needs: an encode stack 2 -> nc and
 a decode stack nc -> 2, ReLU between layers and a linear final layer.
 """
@@ -192,22 +192,13 @@ def _input_grad(g_pre, layer):
     return _correlate(g_pre, w_adj)
 
 
-_GRAD_OUT = object()  # pull's default: the input gradient pulls back grad_out
-
-
-def conv3d_backward(grad_out, cache, layer, pull=_GRAD_OUT):
+def conv3d_backward(grad_out, cache, layer, want_input=True):
     """Gradients of one layer; returns (grad_input, grad_weights, grad_bias).
 
-    The weight and bias gradients pull back grad_out.  grad_input pulls back
-    pull, an output gradient that is grad_out unless given, and is None when
-    pull is None.
+    grad_input is None when want_input is False.
     """
-    if pull is _GRAD_OUT or pull is grad_out:
-        g_pre = _grad_pre(grad_out, cache, layer)
-        grad_in = _input_grad(g_pre, layer)
-    else:  # pull's pre-activation gradient is gone before grad_out's is formed
-        grad_in = None if pull is None else _input_grad(_grad_pre(pull, cache, layer), layer)
-        g_pre = _grad_pre(grad_out, cache, layer)
+    g_pre = _grad_pre(grad_out, cache, layer)
+    grad_in = _input_grad(g_pre, layer) if want_input else None
     return (grad_in, *_param_grads(g_pre, cache.x))
 
 
@@ -220,30 +211,22 @@ def stack_forward(x, layers):
     return x, caches
 
 
-def stack_backward(grad_out, caches, layers, pull=_GRAD_OUT):
-    """Backprop a stack; returns (grad_input, [(grad_w, grad_b), ...]).
-
-    The parameter gradients pull back grad_out.  The input gradient pulls
-    back pull, as conv3d_backward has it: grad_out by default, another output
-    gradient, or None to form no input gradient.  A term that reaches only the
-    parameters thus rides on grad_out, and each layer runs one weight-gradient
-    pass; a separate pull costs one more correlation per layer below the top.
-    """
+def stack_backward(grad_out, caches, layers, want_input=True):
+    """Backprop a stack; returns (grad_input or None, [(grad_w, grad_b), ...])."""
     grads = [None] * len(layers)
     g = grad_out
-    if pull is _GRAD_OUT:
-        pull = g
     for j in range(len(layers) - 1, -1, -1):
-        cache, layer = caches[j], layers[j]
-        if j == 0 or pull is g:
-            g, gw, gb = conv3d_backward(g, cache, layer, pull)
-            pull = g
-        else:
-            if pull is not None:
-                pull = _input_grad(_grad_pre(pull, cache, layer), layer)
-            g, gw, gb = conv3d_backward(g, cache, layer)
+        g, gw, gb = conv3d_backward(g, caches[j], layers[j], want_input or j > 0)
         grads[j] = (gw, gb)
     return g, grads
+
+
+def stack_input_grad(grad_out, caches, layers):
+    """The input gradient alone of a stack's backward, one correlation per layer."""
+    g = grad_out
+    for j in range(len(layers) - 1, -1, -1):
+        g = _input_grad(_grad_pre(g, caches[j], layers[j]), layers[j])
+    return g
 
 
 def init_conv_layer(in_ch, out_ch, activation, rng):

@@ -18,8 +18,8 @@ P = A^H A.  It raises NumericalError naming the phase when mu is 0 or X is
 non-finite.  The backward pass is written out by hand (one reverse sweep over
 phases, exact chain rule through that closed form, plus the optional ISTA-Net
 inversion penalty of each phase) and is validated against finite differences.
-The penalty's gradient at the encode output joins the loss gradient there, so
-each phase runs one encode-stack backward for both.
+The penalty's gradient at the encode output joins the loss gradient in one
+encode-stack backward; conv3d.stack_input_grad is the loss-only input stream.
 Gradients flow as a flat dict keyed by the names from named_tensors, one entry
 per learnable array, so the optimizer never needs to know the phase structure.
 """
@@ -37,6 +37,7 @@ from .conv3d import (
     make_encode_stack,
     stack_backward,
     stack_forward,
+    stack_input_grad,
 )
 from .mathutil import sigmoid, softplus, softplus_inv
 from .volume import from_channels, real_inner, to_channels
@@ -240,10 +241,10 @@ def network_backward(grad_x, cache, params, zeta=0.0):
     The denoising block pulls back through the decode stack and attention to
     g_u, the gradient at the encode output u.  With zeta > 0 each phase adds
     zeta times its inverse_penalty gradients: on the decode stack directly,
-    and on the encode stack through one backward pass whose parameter
-    gradients pull back g_u + zeta * g_pen_u while its input gradient pulls
-    back g_u alone, since the penalty holds its input constant.  Phase 0
-    forms no input gradient; nothing reads it.
+    and on the encode stack through one stack_backward of g_u + zeta * g_pen_u.
+    The penalty holds its input constant, so the input gradient pulls back g_u
+    alone, through stack_input_grad (the loss-only stream) at zeta > 0.  Phase
+    0 forms no input gradient; nothing reads it.
     Returns (grads, penalty): the unweighted sum in phase order, 0.0 at zeta 0.
     """
     if len(cache.phases) != len(params.phases):
@@ -280,7 +281,9 @@ def network_backward(grad_x, cache, params, zeta=0.0):
             for (gw, gb), (pw, pb) in zip(fhat_grads, pen_fhat):
                 gw += zeta * pw
                 gb += zeta * pb
-        gx, f_grads = stack_backward(g, pc.f_caches, phase.f_stack, g_u if n else None)
+        gx, f_grads = stack_backward(g, pc.f_caches, phase.f_stack, n > 0 and not zeta > 0)
+        if n and zeta > 0:  # the penalty holds its input constant: g_u alone
+            gx = stack_input_grad(g_u, pc.f_caches, phase.f_stack)
         del g, g_u  # nc-channel activations the next phase does not read
         grads.update(_phase_tensors(n, f_grads, fhat_grads, attn_grads, g_mu, g_eta))
 

@@ -14,6 +14,7 @@ from dynmr.conv3d import (
     make_encode_stack,
     stack_backward,
     stack_forward,
+    stack_input_grad,
 )
 from dynmr.gradcheck import fd_at
 from oracles import identity_decode_stack, identity_encode_stack
@@ -353,37 +354,33 @@ def test_stack_gradients_match_finite_differences():
 
 
 @pytest.mark.parametrize("depth", [1, 3])
-def test_stack_backward_pull_changes_only_the_input_gradient(monkeypatch, depth):
-    # the parameter gradients always pull back grad_out, bit for bit; the
-    # input gradient pulls back pull: grad_out itself, another gradient at one
-    # more correlation per layer below the top, or none at one fewer
+def test_stack_backward_without_input_and_stack_input_grad(monkeypatch, depth):
+    # want_input=False drops the bottom layer's correlation and nothing else;
+    # stack_input_grad is the input gradient alone, with no weight gradient
     rng = np.random.default_rng(16)
     layers = make_encode_stack(4, depth, rng)
     x = rng.standard_normal((2, 5, 4, 3))
     c = rng.standard_normal((4, 5, 4, 3))
-    d = rng.standard_normal((4, 5, 4, 3))
     _, caches = stack_forward(x, layers)
     want_in, want = stack_backward(c, caches, layers)
-    other_in, _ = stack_backward(d, caches, layers)
-    calls = []
-    correlate = dynmr.conv3d._correlate
-    monkeypatch.setattr(dynmr.conv3d, "_correlate",
-                        lambda *args: calls.append(1) or correlate(*args))
-    for pull, n_calls, grad_in in (
-        (c, depth, want_in),
-        (d, 2 * depth - 1, other_in),
-        (None, depth - 1, None),
-    ):
-        calls.clear()
-        got_in, got = stack_backward(c, caches, layers, pull)
-        assert len(calls) == n_calls
-        if grad_in is None:
-            assert got_in is None
-        else:
-            assert got_in.tobytes() == grad_in.tobytes()
-        assert len(got) == depth
-        for (gw, gb), (ww, wb) in zip(got, want):
-            assert gw.tobytes() == ww.tobytes() and gb.tobytes() == wb.tobytes()
+    calls = {"_correlate": 0, "_param_grads": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(dynmr.conv3d, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(dynmr.conv3d, name, counted)
+
+    got_in, got = stack_backward(c, caches, layers, want_input=False)
+    assert got_in is None
+    assert calls == {"_correlate": depth - 1, "_param_grads": depth}
+    assert len(got) == depth
+    for (gw, gb), (ww, wb) in zip(got, want):
+        assert gw.tobytes() == ww.tobytes() and gb.tobytes() == wb.tobytes()
+
+    calls.update(_correlate=0, _param_grads=0)
+    assert stack_input_grad(c, caches, layers).tobytes() == want_in.tobytes()
+    assert calls == {"_correlate": depth, "_param_grads": 0}
 
 
 def test_init_bounds_and_determinism():

@@ -57,6 +57,8 @@ TABLE = [
                            "--out-ckpt", "{dir}/c.dusc"], 3),
     ("train-malformed-line", ["train", "--config", "{cfg_malformed}",
                               "--out-ckpt", "{dir}/c.dusc"], 3),
+    ("train-duplicate-key", ["train", "--config", "{cfg_duplicate}",
+                             "--out-ckpt", "{dir}/c.dusc"], 3),
     ("train-diverges", ["train", "--config", "{cfg_diverges}",
                         "--out-ckpt", "{dir}/c.dusc"], 4),
     ("train-mu-collapses", ["train", "--config", "{cfg_mu_collapses}",
@@ -93,6 +95,7 @@ def files(tmp_path_factory):
         ("cfg_ok", []),
         ("cfg_unknown", ["dc_mode = cg"]),
         ("cfg_malformed", ["epochs 3"]),
+        ("cfg_duplicate", ["epochs = 1", "epochs = 2"]),
         ("cfg_diverges", ["sigma = 1e300"]),  # noise overflows the loss
         ("cfg_mu_collapses", ["epochs = 3", "lr0 = 1e10"]),  # softplus(mu_raw) -> 0
     ):

@@ -340,26 +340,38 @@ def test_backward_rejects_cg_mode_and_bad_cache():
         network_backward(np.zeros_like(gt), short, params)
 
 
-def test_conv_layer_call_counts(monkeypatch):
+@pytest.mark.parametrize("zeta", [0.0, 0.1])
+def test_conv_layer_call_counts(monkeypatch, zeta):
     # one conv3d_forward per layer in the forward, one conv3d_backward per
-    # layer and no forward recomputation in the backward
-    calls = {"conv3d_forward": 0, "conv3d_backward": 0}
+    # layer and no forward recomputation in the backward; at zeta > 0 the
+    # penalty adds its decode forward and backward per phase, and every phase
+    # but phase 0 pulls the encode input gradient back with stack_input_grad
+    calls = {"conv3d_forward": 0, "conv3d_backward": 0, "stack_input_grad": 0}
     for name in calls:
-        def counted(*args, _fn=getattr(dynmr.conv3d, name), _name=name, **kwargs):
+        owner = dynmr.network if name == "stack_input_grad" else dynmr.conv3d
+
+        def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(dynmr.conv3d, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     cfg = NetworkConfig(n_phases=3, nc=4, f_depth=2, fhat_depth=3)
     params = init_network_params(cfg, seed=1)
     _, enc, b, rng = small_problem(seed=3)
-    n_layers = cfg.n_phases * (cfg.f_depth + cfg.fhat_depth)
+    n, f, fhat = cfg.n_phases, cfg.f_depth, cfg.fhat_depth
 
     out, cache = network_forward(b, enc, params, cfg)
-    assert calls == {"conv3d_forward": n_layers, "conv3d_backward": 0}
+    assert calls == {"conv3d_forward": n * (f + fhat), "conv3d_backward": 0,
+                     "stack_input_grad": 0}
     calls["conv3d_forward"] = 0
-    network_backward(rand_volume(rng, out.shape), cache, params)
-    assert calls == {"conv3d_forward": 0, "conv3d_backward": n_layers}
+    network_backward(rand_volume(rng, out.shape), cache, params, zeta)
+    if zeta == 0.0:
+        want = {"conv3d_forward": 0, "conv3d_backward": n * (f + fhat),
+                "stack_input_grad": 0}
+    else:
+        want = {"conv3d_forward": n * fhat, "conv3d_backward": n * (f + 2 * fhat),
+                "stack_input_grad": n - 1}
+    assert calls == want
 
 
 def test_forward_cache_holds_each_activation_once():
