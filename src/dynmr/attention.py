@@ -53,7 +53,6 @@ class AttnCache:
     a: np.ndarray
     pre1: np.ndarray
     s: np.ndarray
-    tau: np.ndarray
     active: np.ndarray  # |u| > tau, the shrink-active voxels
 
 
@@ -85,11 +84,10 @@ def attn_forward(u, params, work=None):
     pre1 = params.w1 @ a + params.b1
     hidden = relu(pre1)
     s = sigmoid(params.w2 @ hidden + params.b2)
-    tau = s * a
-    tau_b = tau[:, None, None, None]
+    tau_b = (s * a)[:, None, None, None]
     cache = None
     if work is None:
-        cache = AttnCache(u=u, a=a, pre1=pre1, s=s, tau=tau, active=mag > tau_b)
+        cache = AttnCache(u=u, a=a, pre1=pre1, s=s, active=mag > tau_b)
     # sign(u) * max(|u| - tau, 0), built in mag and the output
     mag -= tau_b
     np.maximum(mag, 0.0, out=mag)

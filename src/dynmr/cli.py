@@ -84,11 +84,15 @@ def _cmd_mask(args, parser):
     return 0
 
 
-def _cmd_recon_admm(args):
+def _acquire(args):
+    """Retrospective undersampling of --data by --mask; returns (encoder, b)."""
     gt = _load_volume(args.data)
-    mask = _load_mask(args.mask)
-    encoder = Encoder(mask)
-    b = encoder.forward(gt)
+    encoder = Encoder(_load_mask(args.mask))
+    return encoder, encoder.forward(gt)
+
+
+def _cmd_recon_admm(args):
+    encoder, b = _acquire(args)
     cfg = AdmmConfig(lam=args.lam, mu=args.mu, eta=args.eta, n_iters=args.iters)
     if args.diag is None:
         x = reconstruct(b, encoder, cfg)
@@ -176,10 +180,7 @@ def _cmd_train(args):
 
 def _cmd_recon_net(args):
     params, cfg, _, _ = load_checkpoint(args.ckpt)
-    gt = _load_volume(args.data)
-    mask = _load_mask(args.mask)
-    encoder = Encoder(mask)
-    b = encoder.forward(gt)
+    encoder, b = _acquire(args)
     x, _ = network_forward(b, encoder, params, cfg, want_cache=False)
     save_dmrt(args.out, x)
     return 0
@@ -189,8 +190,9 @@ def _cmd_eval(args):
     recon = _load_volume(args.recon)
     gt = _load_volume(args.gt)
     p = psnr(recon, gt)
-    s = ssim(recon, gt)
-    if math.isnan(p) or math.isnan(s):
+    # +inf is an exact match; a NaN or -inf psnr skips ssim, which would warn
+    s = ssim(recon, gt) if p > -math.inf else math.nan
+    if not math.isfinite(s):
         raise NumericalError("non-finite score")
     shown = PSNR_DISPLAY_CAP if math.isinf(p) else p
     print(f"psnr_db {shown:.6f}")

@@ -11,8 +11,9 @@ transposed weights.  The weight gradient is the transposed product: per band
 and kernel row, one GEMM of the output gradient, stacked at the same three
 shifts, with the row's view of the buffer.
 
-A stack is a plain list of layers applied in order.  Its backward forms the
-parameter gradients and, unless told not to, the input gradient;
+A stack is a plain list of layers applied in order.  Its forward keeps each
+layer's cache or, given two buffers, streams through them.  Its backward
+forms the parameter gradients and, unless told not to, the input gradient;
 stack_input_grad forms the input gradient alone.  Factory helpers build
 the two stacks the reconstruction network needs: an encode stack 2 -> nc and
 a decode stack nc -> 2, ReLU between layers and a linear final layer.
@@ -202,13 +203,23 @@ def conv3d_backward(grad_out, cache, layer, want_input=True):
     return (grad_in, *_param_grads(g_pre, cache.x))
 
 
-def stack_forward(x, layers):
-    """Run a list of layers; returns (output, list of caches)."""
+def spare(x, bufs):
+    """The one of the two buffers bufs that does not hold x."""
+    return bufs[1] if np.may_share_memory(x, bufs[0]) else bufs[0]
+
+
+def stack_forward(x, layers, bufs=None):
+    """Run a list of layers; returns (output, list of caches).
+
+    With bufs, two float64 arrays of at least every layer's output shape, each
+    layer writes into the one that does not hold its input; caches is None.
+    """
     caches = []
     for layer in layers:
-        x, cache = conv3d_forward(x, layer)
+        out = None if bufs is None else spare(x, bufs)[:layer.out_channels]
+        x, cache = conv3d_forward(x, layer, out)
         caches.append(cache)
-    return x, caches
+    return x, caches if bufs is None else None
 
 
 def stack_backward(grad_out, caches, layers, want_input=True):

@@ -19,16 +19,18 @@ SSIM_K2 = 0.03
 
 
 def psnr(x_hat, x_gt):
-    """20*log10(peak / rmse) in dB; +inf when the volumes are identical."""
+    """20*log10(peak / rmse) in dB; +inf when identical, -inf on overflow."""
     if x_hat.shape != x_gt.shape:
         raise ValueError(f"shape mismatch: {x_hat.shape} vs {x_gt.shape}")
     peak = float(np.max(np.abs(x_gt)))
     if peak == 0:
         raise ValueError("ground truth is identically zero")
-    mse = float(np.mean(np.abs(x_hat - x_gt) ** 2))
+    with np.errstate(over="ignore"):
+        mse = float(np.mean(np.abs(x_hat - x_gt) ** 2))
     if mse == 0:
         return math.inf
-    return 20.0 * math.log10(peak / math.sqrt(mse))
+    ratio = peak / math.sqrt(mse)
+    return 20.0 * math.log10(ratio) if ratio else -math.inf
 
 
 def _window_means(img):

@@ -10,7 +10,9 @@ step is replaced by a learned map:
 encode/decode are 3x3x3 conv stacks (2 <-> nc channels), attn is the
 channel-attention soft threshold, and mu, eta are learned per phase through a
 softplus so they stay positive.  The initial state is the zero-filled adjoint
-with L = 0.
+with L = 0.  z_block is the one denoising-block forward: for training it keeps
+every intermediate, and for inference its conv stacks stream through two
+buffers by conv3d.stack_forward(bufs) and attention shrinks in place.
 
 The data-consistency and multiplier blocks are the classical solver's x and l
 steps, one admm.xl_step per phase: x = y + (A^H b - P y)/(1 + mu), y = Z - L,
@@ -32,9 +34,9 @@ import numpy as np
 from .admm import AdmmState, x_update_closed_form, xl_step
 from .attention import AttnParams, attn_backward, attn_forward, init_attn_params
 from .conv3d import (
-    conv3d_forward,
     make_decode_stack,
     make_encode_stack,
+    spare,
     stack_backward,
     stack_forward,
     stack_input_grad,
@@ -158,38 +160,19 @@ def z_block(x, l, phase, bufs=None):
     """Denoising block; returns (z, cache with every intermediate).
 
     With bufs, two float64 arrays of at least every layer's output shape, the
-    block keeps no intermediate and returns (z, None): each conv layer writes
-    into the buffer that does not hold its input, and attention works in
-    place with the other buffer holding |u|.
+    block keeps no intermediate and returns (z, None): the conv stacks stream
+    through the two buffers, and attention shrinks u in place with |u| in the
+    other buffer.
     """
     c_in = to_channels(x + l)
-    if bufs is not None:
-        u = _stream(c_in, phase.f_stack, bufs)
-        attn_forward(u, phase.attn, work=_spare(u, bufs)[:len(u)])
-        return from_channels(_stream(u, phase.fhat_stack, bufs)), None
-    f_out, f_caches = stack_forward(c_in, phase.f_stack)
-    attn_out, attn_cache = attn_forward(f_out, phase.attn)
-    fhat_out, fhat_caches = stack_forward(attn_out, phase.fhat_stack)
+    u, f_caches = stack_forward(c_in, phase.f_stack, bufs)
+    work = None if bufs is None else spare(u, bufs)[:len(u)]
+    attn_out, attn_cache = attn_forward(u, phase.attn, work)
+    fhat_out, fhat_caches = stack_forward(attn_out, phase.fhat_stack, bufs)
     z = from_channels(fhat_out)
-    return z, PhaseCache(
-        l_prev=l,
-        f_caches=f_caches,
-        attn_cache=attn_cache,
-        fhat_caches=fhat_caches,
-        z=z,
-    )
-
-
-def _spare(x, bufs):
-    """The one of the two buffers that does not hold x."""
-    return bufs[1] if np.may_share_memory(x, bufs[0]) else bufs[0]
-
-
-def _stream(x, layers, bufs):
-    """Run a conv stack through two buffers; returns the last layer's output."""
-    for layer in layers:
-        x, _ = conv3d_forward(x, layer, out=_spare(x, bufs)[:layer.out_channels])
-    return x
+    if bufs is not None:
+        return z, None
+    return z, PhaseCache(l, f_caches, attn_cache, fhat_caches, z)
 
 
 def x_block(z, l, atb, encoder, mu):

@@ -206,7 +206,7 @@ def test_attention_threshold_gradients(capsys):
 
         _, cache = attn_forward(u, params)
         grad_in, grad_p = attn_backward(c, cache, params)
-        margin = np.abs(np.abs(u) - cache.tau[:, None, None, None])
+        margin = np.abs(np.abs(u) - (cache.s * cache.a)[:, None, None, None])
 
         def fd(arr, idx):
             orig = arr[idx]

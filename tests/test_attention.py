@@ -30,7 +30,7 @@ def test_zero_params_single_voxel_example():
     # with one voxel per channel a = |u| and out = u / 2
     u = np.array([2.0, -4.0]).reshape(2, 1, 1, 1)
     out, cache = attn_forward(u, zero_params(2))
-    np.testing.assert_allclose(cache.tau, [1.0, 2.0], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(cache.s * cache.a, [1.0, 2.0], rtol=0, atol=1e-15)
     np.testing.assert_allclose(
         out.ravel(), [1.0, -2.0], rtol=0, atol=1e-15
     )
@@ -41,7 +41,7 @@ def test_zero_input_gives_zero_output():
     params = init_attn_params(3, rng)
     out, cache = attn_forward(np.zeros((3, 4, 4, 2)), params)
     assert not out.any()
-    assert np.array_equal(cache.tau, np.zeros(3))
+    assert np.array_equal(cache.s * cache.a, np.zeros(3))
 
 
 def test_forward_shape_validation():
@@ -75,8 +75,8 @@ def test_threshold_bounded_by_pooled_magnitude():
         params = init_attn_params(4, np.random.default_rng(seed))
         u = rng.standard_normal((4, 5, 5, 2))
         _, cache = attn_forward(u, params)
-        assert np.all(cache.tau >= 0.0)
-        assert np.all(cache.tau <= cache.a + 1e-15)
+        assert np.all(cache.s * cache.a >= 0.0)
+        assert np.all(cache.s * cache.a <= cache.a + 1e-15)
 
 
 def test_output_never_grows():
@@ -117,7 +117,7 @@ def test_forward_is_bit_identical_to_the_formula():
     out, cache = attn_forward(u, params)
     assert out.tobytes() == want.tobytes()
     for name, value in (("u", u), ("a", a), ("pre1", pre1),
-                        ("s", s), ("tau", tau), ("active", active)):
+                        ("s", s), ("active", active)):
         got = getattr(cache, name)
         assert got.dtype == value.dtype and got.tobytes() == value.tobytes(), name
 
@@ -205,7 +205,7 @@ def test_gradients_match_finite_differences():
 
         _, grad_in, grad_p = loss_and_grads(u, params, c)
         _, cache = attn_forward(u, params)
-        margin = np.abs(np.abs(u) - cache.tau[:, None, None, None])
+        margin = np.abs(np.abs(u) - (cache.s * cache.a)[:, None, None, None])
 
         for idx in np.ndindex(u.shape):
             if margin[idx] < 1e-4:

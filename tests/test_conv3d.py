@@ -309,6 +309,36 @@ def test_single_layer_stack_matches_plain_conv():
     assert len(caches) == 1
 
 
+@pytest.mark.parametrize("nc", [1, 3])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_stack_forward_streams_through_two_buffers(monkeypatch, depth, nc):
+    # an encode then a decode stack, as in the denoising block; at nc = 1 the
+    # decode output (2 channels) is the widest layer.  Every layer writes into
+    # a buffer apart from its input, with the bytes of the allocating run.
+    rng = np.random.default_rng(17)
+    enc, dec = make_encode_stack(nc, depth, rng), make_decode_stack(nc, depth, rng)
+    x = rng.standard_normal((2, 5, 4, 3))
+    want_u, _ = stack_forward(x, enc)
+    want, _ = stack_forward(want_u, dec)
+    seen = []
+
+    def recorded(x, layer, out=None, _fn=dynmr.conv3d.conv3d_forward):
+        y, cache = _fn(x, layer, out)
+        seen.append((x, y))
+        return y, cache
+
+    monkeypatch.setattr(dynmr.conv3d, "conv3d_forward", recorded)
+    bufs = [np.empty((max(nc, 2), *x.shape[1:])) for _ in range(2)]
+    u, caches = stack_forward(x, enc, bufs)
+    assert caches is None and u.tobytes() == want_u.tobytes()
+    out, caches = stack_forward(u, dec, bufs)
+    assert caches is None and out.tobytes() == want.tobytes()
+    assert len(seen) == 2 * depth
+    for layer_in, layer_out in seen:
+        assert any(np.shares_memory(layer_out, buf) for buf in bufs)
+        assert not np.shares_memory(layer_out, layer_in)
+
+
 def test_stack_shapes_and_plan():
     rng = np.random.default_rng(8)
     enc = make_encode_stack(6, 3, rng)

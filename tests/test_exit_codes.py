@@ -69,6 +69,8 @@ TABLE = [
     ("eval-missing-file", ["eval", "--recon", "{dir}/missing.dmrt", "--gt", "{gt}"], 3),
     ("eval-shape-mismatch", ["eval", "--recon", "{gt_other}", "--gt", "{gt}"], 3),
     ("eval-non-finite", ["eval", "--recon", "{gt_nan}", "--gt", "{gt}"], 4),
+    ("eval-inf-recon", ["eval", "--recon", "{gt_inf}", "--gt", "{gt}"], 4),
+    ("eval-overflow-recon", ["eval", "--recon", "{gt_huge}", "--gt", "{gt}"], 4),
     ("gradcheck-bad-seed", ["gradcheck", "--seed", "x"], 2),
     ("gradcheck-negative-seed", ["gradcheck", "--seed", "-1"], 3),
 ]
@@ -78,12 +80,14 @@ TABLE = [
 def files(tmp_path_factory):
     d = tmp_path_factory.mktemp("exit")
     gt = generate_phantom(PhantomSpec(shape=(16, 16, 4), seed=1))
-    gt_nan = gt.copy()
-    gt_nan[3, 5, 1] = np.nan
     cfg = NetworkConfig(n_phases=1, nc=4)
-    paths = {name: d / name for name in ("gt", "gt_nan", "gt_other", "mask", "mask_other")}
+    paths = {name: d / name for name in ("gt", "gt_other", "mask", "mask_other")}
     save_dmrt(paths["gt"], gt)
-    save_dmrt(paths["gt_nan"], gt_nan)
+    for name, bad in (("gt_nan", np.nan), ("gt_inf", np.inf), ("gt_huge", 1e300)):
+        vol = gt.copy()
+        vol[3, 5, 1] = bad
+        paths[name] = d / name
+        save_dmrt(paths[name], vol)
     save_dmrt(paths["gt_other"], gt[:, :, :3])
     save_dmrt(paths["mask"], make_pseudo_radial_mask(gt.shape, 6, seed=0))
     save_dmrt(paths["mask_other"], np.ones((16, 16, 5), dtype=np.uint8))
@@ -120,5 +124,7 @@ def test_failure_exit_code(files, argv, code):
     )
     assert r.returncode == code, r.stderr
     assert "Traceback" not in r.stderr
+    if argv[:1] == ["eval"]:  # a score that overflows is non-finite, not a warning
+        assert "RuntimeWarning" not in r.stderr
     if code != 2:
         assert "error:" in r.stderr

@@ -54,6 +54,18 @@ def test_psnr_identical_is_infinite():
     assert psnr(gt.copy(), gt) == math.inf
 
 
+def test_psnr_overflowing_error_is_minus_infinite():
+    # an inf voxel, or one whose squared error overflows, scores -inf without
+    # a warning (warnings are errors under pytest); a NaN voxel stays NaN
+    gt = generate_phantom(PhantomSpec(shape=(8, 8, 2), seed=0))
+    for bad in (np.inf, 1e300, -1e300j):
+        x_hat = gt.copy()
+        x_hat[3, 5, 1] = bad
+        assert psnr(x_hat, gt) == -math.inf, bad
+    x_hat[3, 5, 1] = np.nan
+    assert math.isnan(psnr(x_hat, gt))
+
+
 def test_psnr_rejects_zero_ground_truth():
     z = np.zeros((4, 4, 2), dtype=complex)
     with pytest.raises(ValueError):

@@ -340,12 +340,14 @@ def test_backward_rejects_cg_mode_and_bad_cache():
         network_backward(np.zeros_like(gt), short, params)
 
 
-@pytest.mark.parametrize("zeta", [0.0, 0.1])
-def test_conv_layer_call_counts(monkeypatch, zeta):
-    # one conv3d_forward per layer in the forward, one conv3d_backward per
-    # layer and no forward recomputation in the backward; at zeta > 0 the
-    # penalty adds its decode forward and backward per phase, and every phase
-    # but phase 0 pulls the encode input gradient back with stack_input_grad
+@pytest.mark.parametrize("want_cache, zeta", [(True, 0.0), (True, 0.1), (False, 0.0)],
+                         ids=["0.0", "0.1", "streamed"])
+def test_conv_layer_call_counts(monkeypatch, want_cache, zeta):
+    # one conv3d_forward per layer in the forward, cached or streamed, one
+    # conv3d_backward per layer and no forward recomputation in the backward;
+    # at zeta > 0 the penalty adds its decode forward and backward per phase,
+    # and every phase but phase 0 pulls the encode input gradient back with
+    # stack_input_grad
     calls = {"conv3d_forward": 0, "conv3d_backward": 0, "stack_input_grad": 0}
     for name in calls:
         owner = dynmr.network if name == "stack_input_grad" else dynmr.conv3d
@@ -360,9 +362,11 @@ def test_conv_layer_call_counts(monkeypatch, zeta):
     _, enc, b, rng = small_problem(seed=3)
     n, f, fhat = cfg.n_phases, cfg.f_depth, cfg.fhat_depth
 
-    out, cache = network_forward(b, enc, params, cfg)
+    out, cache = network_forward(b, enc, params, cfg, want_cache)
     assert calls == {"conv3d_forward": n * (f + fhat), "conv3d_backward": 0,
                      "stack_input_grad": 0}
+    if not want_cache:
+        return
     calls["conv3d_forward"] = 0
     network_backward(rand_volume(rng, out.shape), cache, params, zeta)
     if zeta == 0.0:
