@@ -51,6 +51,8 @@ def _load_mask(path):
     m = load_dmrt(path)
     if m.ndim != 3:
         raise FormatError(f"{path}: expected a 3-d mask, got shape {m.shape}")
+    if np.iscomplexobj(m):
+        raise FormatError(f"{path}: mask must be real, got {m.dtype}")
     if not np.all((m == 0) | (m == 1)):
         raise FormatError(f"{path}: mask entries must be 0 or 1")
     return m.astype(np.uint8)

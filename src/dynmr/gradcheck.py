@@ -14,7 +14,7 @@ import numpy as np
 
 from .conv3d import stack_forward
 from .encoding import Encoder, make_pseudo_radial_mask
-from .network import NetworkConfig, init_network_params, named_tensors
+from .network import NetworkConfig, block_caches, init_network_params, named_tensors
 from .network import network_backward, network_forward
 from .training import mse_loss
 
@@ -54,7 +54,7 @@ def run_gradcheck(seed=0):
     b = enc.forward(gt)
     x_hat, cache = network_forward(b, enc, params, cfg)
     gloss = mse_loss(x_hat, gt)[1]
-    inputs = [pc.f_caches[0].x for pc in cache.phases]
+    inputs = [block_caches(cache, n, ph).f_caches[0].x for n, ph in enumerate(params.phases)]
 
     def loss(zeta):
         total = mse_loss(network_forward(b, enc, params, cfg, want_cache=False)[0], gt)[0]

@@ -57,12 +57,15 @@ def ssim(x_hat, x_gt):
         b = np.abs(x_gt[:, :, f]).astype(np.float64)
         mu_a = _window_means(a)
         mu_b = _window_means(b)
-        var_a = _window_means(a * a) - mu_a**2
-        var_b = _window_means(b * b) - mu_b**2
-        cov = _window_means(a * b) - mu_a * mu_b
-        num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
-        den = (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
-        smap = num / den
+        # Luminance times contrast-structure, each a ratio of second-order
+        # terms: nothing overflows while psnr is finite, and a score that is
+        # still not finite is the caller's to report, not a warning.
+        with np.errstate(all="ignore"):
+            var_a = _window_means(a * a) - mu_a**2
+            var_b = _window_means(b * b) - mu_b**2
+            cov = _window_means(a * b) - mu_a * mu_b
+            lum = (2.0 * mu_a * mu_b + c1) / (mu_a**2 + mu_b**2 + c1)
+            smap = lum * ((2.0 * cov + c2) / (var_a + var_b + c2))
         total += float(smap.sum())
         count += smap.size
     return total / count

@@ -10,9 +10,14 @@ step is replaced by a learned map:
 encode/decode are 3x3x3 conv stacks (2 <-> nc channels), attn is the
 channel-attention soft threshold, and mu, eta are learned per phase through a
 softplus so they stay positive.  The initial state is the zero-filled adjoint
-with L = 0.  z_block is the one denoising-block forward: for training it keeps
-every intermediate, and for inference its conv stacks stream through two
-buffers by conv3d.stack_forward(bufs) and attention shrinks in place.
+with L = 0.  z_block is the one denoising-block forward.  For training each
+phase keeps a PhaseCache of five things: L before the phase, the encode
+output u, the decode stack's hidden outputs, Z and X.  Just before a phase's
+reverse step, block_caches rebuilds the rest: the block input from the
+previous X and L, the encode layers below the top one (at the default depths
+only the cheap 2 -> nc layer) and the attention.  That halves the training
+cache at the default depths.  For inference the conv stacks stream through
+two buffers by conv3d.stack_forward(bufs) and attention shrinks in place.
 
 The data-consistency and multiplier blocks are the classical solver's x and l
 steps, one admm.xl_step per phase: x = y + (A^H b - P y)/(1 + mu), y = Z - L,
@@ -34,6 +39,7 @@ import numpy as np
 from .admm import AdmmState, x_update_closed_form, xl_step
 from .attention import AttnParams, attn_backward, attn_forward, init_attn_params
 from .conv3d import (
+    Conv3dCache,
     make_decode_stack,
     make_encode_stack,
     spare,
@@ -141,12 +147,22 @@ def check_params(params, cfg):
 
 @dataclass
 class PhaseCache:
+    """What the training forward keeps of one phase; block_caches rebuilds the rest."""
+
     l_prev: np.ndarray
+    u: np.ndarray  # the encode output
+    fhat_hidden: list  # the decode stack's hidden outputs, fhat_depth - 1 arrays
+    z: np.ndarray
+    x: np.ndarray = None
+
+
+@dataclass
+class BlockCaches:
+    """Every conv and attention cache of one phase's denoising block."""
+
     f_caches: list
     attn_cache: object
     fhat_caches: list
-    z: np.ndarray
-    x: np.ndarray = None
 
 
 @dataclass
@@ -157,7 +173,7 @@ class NetCache:
 
 
 def z_block(x, l, phase, bufs=None):
-    """Denoising block; returns (z, cache with every intermediate).
+    """Denoising block; returns (z, PhaseCache keeping u and the decode hidden outputs).
 
     With bufs, two float64 arrays of at least every layer's output shape, the
     block keeps no intermediate and returns (z, None): the conv stacks stream
@@ -165,14 +181,34 @@ def z_block(x, l, phase, bufs=None):
     other buffer.
     """
     c_in = to_channels(x + l)
-    u, f_caches = stack_forward(c_in, phase.f_stack, bufs)
+    u, _ = stack_forward(c_in, phase.f_stack, bufs)
     work = None if bufs is None else spare(u, bufs)[:len(u)]
-    attn_out, attn_cache = attn_forward(u, phase.attn, work)
+    attn_out, _ = attn_forward(u, phase.attn, work)
     fhat_out, fhat_caches = stack_forward(attn_out, phase.fhat_stack, bufs)
     z = from_channels(fhat_out)
     if bufs is not None:
         return z, None
-    return z, PhaseCache(l, f_caches, attn_cache, fhat_caches, z)
+    return z, PhaseCache(l, u, [c.out for c in fhat_caches[:-1]], z)
+
+
+def block_caches(cache, n, phase):
+    """Rebuild phase n's BlockCaches from what its PhaseCache keeps.
+
+    The block input is to_channels(x_prev + l_prev), x_prev being phase n-1's x
+    (A^H b for phase 0); the encode stack below its top layer and the attention
+    re-run on the same inputs with the same calls as in the forward, so every
+    array equals the forward's.  The decode caches wrap the kept hidden outputs;
+    the top layer's output, whose values its linear backward does not read, is
+    to_channels(z).
+    """
+    pc = cache.phases[n]
+    x_prev = cache.phases[n - 1].x if n else cache.atb
+    top_in, f_caches = stack_forward(to_channels(x_prev + pc.l_prev), phase.f_stack[:-1])
+    f_caches.append(Conv3dCache(top_in, pc.u))
+    attn_out, attn_cache = attn_forward(pc.u, phase.attn)
+    ins = [attn_out, *pc.fhat_hidden]
+    outs = [*pc.fhat_hidden, to_channels(pc.z)]
+    return BlockCaches(f_caches, attn_cache, [Conv3dCache(*io) for io in zip(ins, outs)])
 
 
 def x_block(z, l, atb, encoder, mu):
@@ -183,7 +219,8 @@ def x_block(z, l, atb, encoder, mu):
 def network_forward(b, encoder, params, cfg, want_cache=True):
     """Run all phases from the zero-filled adjoint.
 
-    Returns (reconstruction, cache).  Each phase runs z_block and then
+    Returns (reconstruction, cache), the cache holding A^H b and one
+    PhaseCache per phase.  Each phase runs z_block and then
     admm.xl_step, whose NumericalError names the phase ("phase 1" for
     phase01.*).  When want_cache is False, for plain inference, the cache is
     None and every phase's activations stream through two buffers allocated
@@ -216,7 +253,9 @@ def network_forward(b, encoder, params, cfg, want_cache=True):
 def network_backward(grad_x, cache, params, zeta=0.0):
     """Pull a loss gradient on the output volume back to every parameter.
 
-    Reverse sweep over the phases.  The data-consistency block
+    Reverse sweep over the phases; each step first rebuilds the phase's
+    BlockCaches from its PhaseCache and drops them afterwards, so one phase's
+    full caches are alive at a time.  The data-consistency block
     x = y + (A^H b - P y)/(1 + mu) is linear in y with the self-adjoint
     Jacobian I - P/(1 + mu), so an incoming gradient g pulls back to
     g - P g/(1 + mu), and the mu-derivative of the loss is
@@ -253,21 +292,22 @@ def network_backward(grad_x, cache, params, zeta=0.0):
         )
 
         gz = gy - eta * gl
-        g, fhat_grads = stack_backward(to_channels(gz), pc.fhat_caches, phase.fhat_stack)
-        g_u, attn_grads = attn_backward(g, pc.attn_cache, phase.attn)
+        bc = block_caches(cache, n, phase)
+        g, fhat_grads = stack_backward(to_channels(gz), bc.fhat_caches, phase.fhat_stack)
+        g_u, attn_grads = attn_backward(g, bc.attn_cache, phase.attn)
         g = g_u
         if zeta > 0:
-            value, g, pen_fhat = inverse_penalty(pc, phase)
+            value, g, pen_fhat = inverse_penalty(bc, phase)
             penalties.append(value)
             g *= zeta
             g += g_u  # g_u + zeta * g_pen_u, in the penalty's buffer
             for (gw, gb), (pw, pb) in zip(fhat_grads, pen_fhat):
                 gw += zeta * pw
                 gb += zeta * pb
-        gx, f_grads = stack_backward(g, pc.f_caches, phase.f_stack, n > 0 and not zeta > 0)
+        gx, f_grads = stack_backward(g, bc.f_caches, phase.f_stack, n > 0 and not zeta > 0)
         if n and zeta > 0:  # the penalty holds its input constant: g_u alone
-            gx = stack_input_grad(g_u, pc.f_caches, phase.f_stack)
-        del g, g_u  # nc-channel activations the next phase does not read
+            gx = stack_input_grad(g_u, bc.f_caches, phase.f_stack)
+        del bc, g, g_u  # nc-channel activations the next phase does not read
         grads.update(_phase_tensors(n, f_grads, fhat_grads, attn_grads, g_mu, g_eta))
 
         if n:
@@ -279,10 +319,10 @@ def network_backward(grad_x, cache, params, zeta=0.0):
     return grads, penalty
 
 
-def inverse_penalty(pc, phase):
+def inverse_penalty(bc, phase):
     """Soft inversion penalty ||decode(encode(v)) - v||^2 of one phase.
 
-    v is the phase's denoising-block input, taken from its cache pc and
+    v is the phase's denoising-block input, taken from its BlockCaches bc and
     treated as a constant, so no gradient flows into earlier phases.  The
     decode stack is re-run here on the encode output u without the attention
     step in between.  Returns (value, g_pen_u, fhat_grads): the penalty's
@@ -290,8 +330,8 @@ def inverse_penalty(pc, phase):
     the encode stack's one backward pass, and the decode stack's gradients as
     per-layer (w, b) pairs.
     """
-    c_in = pc.f_caches[0].x
-    pen_out, pen_caches = stack_forward(pc.attn_cache.u, phase.fhat_stack)
+    c_in = bc.f_caches[0].x
+    pen_out, pen_caches = stack_forward(bc.attn_cache.u, phase.fhat_stack)
     r = pen_out - c_in
     g_pen_u, fhat_grads = stack_backward(2.0 * r, pen_caches, phase.fhat_stack)
     return float(np.sum(r * r)), g_pen_u, fhat_grads

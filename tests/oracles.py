@@ -4,22 +4,25 @@ x_update_cg solves the solver's data-consistency normal equations by
 conjugate gradients, as the reference for the closed form.  The identity conv
 stacks and neutral_phase_params build a phase whose denoising block is the
 exact identity, which pins the unrolled network to one classical iteration.
-inverse_penalty_two_pass is the inversion penalty as a second pass over a
-finished forward cache, with its own backward through both conv stacks: the
-reference for the penalty that network_backward folds into its one encode
-stack backward per phase.  The gradient tests take their central difference from
-dynmr.gradcheck.fd_at.
+stored_block_caches is the training forward that keeps every phase's conv
+and attention caches, the reference for the caches network_backward rebuilds
+from its slim PhaseCache.  inverse_penalty_two_pass is the inversion penalty
+as a second pass over those stored caches, with its own backward through both
+conv stacks: the reference for the penalty that network_backward folds into
+its one encode stack backward per phase.  The gradient tests take their
+central difference from dynmr.gradcheck.fd_at.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
-from dynmr.attention import AttnParams
+from dynmr.admm import AdmmState, xl_step
+from dynmr.attention import AttnParams, attn_forward
 from dynmr.conv3d import KERNEL, Conv3dLayer, stack_backward, stack_forward
 from dynmr.errors import NumericalError
-from dynmr.network import PhaseParams, _raw
-from dynmr.volume import check_same_shape, fro_norm
+from dynmr.network import BlockCaches, PhaseParams, _raw, eta_of, mu_of
+from dynmr.volume import check_same_shape, from_channels, fro_norm, to_channels
 
 class CgInfo(NamedTuple):
     n_iters: int
@@ -137,26 +140,42 @@ def neutral_phase_params(nc, mu, eta):
     )
 
 
-def inverse_penalty_two_pass(cache, params):
+def stored_block_caches(b, encoder, params):
+    """Every phase's BlockCaches, from a forward that stores them all."""
+    atb = encoder.adjoint(b)
+    state = AdmmState(x=atb.copy(), z=None, l=np.zeros_like(atb))
+    work = np.empty_like(atb)
+    stored = []
+    for n, phase in enumerate(params.phases):
+        u, f_caches = stack_forward(to_channels(state.x + state.l), phase.f_stack)
+        attn_out, attn_cache = attn_forward(u, phase.attn)
+        fhat_out, fhat_caches = stack_forward(attn_out, phase.fhat_stack)
+        state.z = from_channels(fhat_out)
+        stored.append(BlockCaches(f_caches, attn_cache, fhat_caches))
+        xl_step(state, atb, encoder, mu_of(phase), eta_of(phase), work, f"phase {n}")
+    return stored
+
+
+def inverse_penalty_two_pass(stored, params):
     """Soft inversion penalty sum_p ||decode(encode(v_p)) - v_p||^2.
 
-    v_p is the denoising-block input of phase p, taken from the forward cache
-    and treated as a constant: the returned gradients cover only the conv
-    stacks of each phase and do not flow into earlier phases.  The decode
-    stack is re-run here without the attention step in between, and the
-    encode stack's input gradient is formed and dropped.
+    v_p is the denoising-block input of phase p, taken from its stored
+    BlockCaches and treated as a constant: the returned gradients cover only
+    the conv stacks of each phase and do not flow into earlier phases.  The
+    decode stack is re-run here without the attention step in between, and
+    the encode stack's input gradient is formed and dropped.
     """
     total = 0.0
     grads = {}
-    for n, (pc, phase) in enumerate(zip(cache.phases, params.phases)):
+    for n, (bc, phase) in enumerate(zip(stored, params.phases)):
         tag = f"phase{n:02d}"
-        c_in = pc.f_caches[0].x
-        f_out = pc.attn_cache.u
+        c_in = bc.f_caches[0].x
+        f_out = bc.attn_cache.u
         pen_out, pen_caches = stack_forward(f_out, phase.fhat_stack)
         r = pen_out - c_in
         total += float(np.sum(r * r))
         g, fhat_grads = stack_backward(2.0 * r, pen_caches, phase.fhat_stack)
-        _, f_grads = stack_backward(g, pc.f_caches, phase.f_stack)
+        _, f_grads = stack_backward(g, bc.f_caches, phase.f_stack)
         for j, (gw, gb) in enumerate(f_grads):
             grads[f"{tag}.f{j}.w"] = gw
             grads[f"{tag}.f{j}.b"] = gb

@@ -3,11 +3,14 @@
 One table over every subcommand's failure paths: a usage error exits 2; a
 malformed, missing or unwritable file, a rejected setting or a volume too
 large to allocate exits 3; a non-finite result or a collapsed mu exits 4.
+No row prints a warning: a score or loss that overflows is reported by its
+exit code alone.
 Each row runs `python -m dynmr` in a child process whose address space is
 capped, so an oversized request fails at once on any machine instead of
 paging in.
 """
 
+import math
 import os
 import resource
 import subprocess
@@ -48,6 +51,7 @@ TABLE = [
     ("recon-admm-missing-file", [*RECON_ADMM[:2], "{dir}/missing.dmrt", *RECON_ADMM[3:]], 3),
     ("recon-admm-shape-mismatch", [*RECON_ADMM[:4], "{mask_other}", *RECON_ADMM[5:]], 3),
     ("recon-admm-not-a-mask", [*RECON_ADMM[:4], "{gt}", *RECON_ADMM[5:]], 3),
+    ("recon-admm-complex-mask", [*RECON_ADMM[:4], "{mask_complex}", *RECON_ADMM[5:]], 3),
     ("recon-admm-nan-lambda", [*RECON_ADMM, "--lambda=nan"], 3),
     ("recon-admm-non-finite", [*RECON_ADMM[:2], "{gt_nan}", *RECON_ADMM[3:]], 4),
     ("train-no-out-ckpt", ["train", "--config", "{cfg_ok}"], 2),
@@ -83,13 +87,16 @@ def files(tmp_path_factory):
     cfg = NetworkConfig(n_phases=1, nc=4)
     paths = {name: d / name for name in ("gt", "gt_other", "mask", "mask_other")}
     save_dmrt(paths["gt"], gt)
-    for name, bad in (("gt_nan", np.nan), ("gt_inf", np.inf), ("gt_huge", 1e300)):
+    for name, bad in (("gt_nan", np.nan), ("gt_inf", np.inf), ("gt_huge", 1e300),
+                      ("gt_large", 1e150)):
         vol = gt.copy()
         vol[3, 5, 1] = bad
         paths[name] = d / name
         save_dmrt(paths[name], vol)
     save_dmrt(paths["gt_other"], gt[:, :, :3])
     save_dmrt(paths["mask"], make_pseudo_radial_mask(gt.shape, 6, seed=0))
+    paths["mask_complex"] = d / "mask_complex"  # 0/1 entries, stored as complex
+    save_dmrt(paths["mask_complex"], make_pseudo_radial_mask(gt.shape, 6, seed=0) + 0j)
     save_dmrt(paths["mask_other"], np.ones((16, 16, 5), dtype=np.uint8))
     paths["ckpt"] = d / "net.dusc"
     save_checkpoint(paths["ckpt"], init_network_params(cfg), cfg)
@@ -112,19 +119,32 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
 
 
-@pytest.mark.parametrize("argv, code", [row[1:] for row in TABLE],
-                         ids=[row[0] for row in TABLE])
-def test_failure_exit_code(files, argv, code):
-    r = subprocess.run(
+def _run(files, argv):
+    return subprocess.run(
         [sys.executable, "-m", "dynmr", *(a.format(**files) for a in argv)],
         capture_output=True,
         text=True,
         env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
         preexec_fn=_cap_address_space,
     )
+
+
+@pytest.mark.parametrize("argv, code", [row[1:] for row in TABLE],
+                         ids=[row[0] for row in TABLE])
+def test_failure_exit_code(files, argv, code):
+    r = _run(files, argv)
     assert r.returncode == code, r.stderr
     assert "Traceback" not in r.stderr
-    if argv[:1] == ["eval"]:  # a score that overflows is non-finite, not a warning
-        assert "RuntimeWarning" not in r.stderr
+    assert "Warning" not in r.stderr
     if code != 2:
         assert "error:" in r.stderr
+
+
+def test_eval_of_a_large_finite_voxel_scores_without_a_warning(files):
+    # one 1e150 voxel: psnr is finite, so ssim runs, and its windows must not overflow
+    r = _run(files, ["eval", "--recon", "{gt_large}", "--gt", "{gt}"])
+    assert r.returncode == 0, r.stderr
+    assert r.stderr == ""
+    scores = dict(line.split() for line in r.stdout.splitlines())
+    assert math.isfinite(float(scores["psnr_db"]))
+    assert 0.0 < float(scores["ssim"]) < 1.0

@@ -1,5 +1,6 @@
 import tracemalloc
 import types
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from dynmr.network import (
     NetCache,
     NetworkConfig,
     NetworkParams,
+    PhaseCache,
+    block_caches,
     eta_of,
     init_network_params,
     inverse_penalty,
@@ -29,7 +32,12 @@ from dynmr.network import (
 )
 from dynmr.phantom import PhantomSpec, generate_phantom
 from dynmr.volume import from_channels, fro_norm, real_inner, to_channels
-from oracles import inverse_penalty_two_pass, neutral_phase_params, x_update_cg
+from oracles import (
+    inverse_penalty_two_pass,
+    neutral_phase_params,
+    stored_block_caches,
+    x_update_cg,
+)
 
 
 def rand_volume(rng, shape):
@@ -75,7 +83,7 @@ def test_z_block_neutral_is_exact_identity():
     assert np.array_equal(z, x + l)
     assert cache.z is z
     assert cache.l_prev is l
-    assert np.array_equal(from_channels(cache.f_caches[0].x), x + l)
+    assert np.array_equal(from_channels(cache.u[:2]), x + l)  # the encode half
 
 
 def test_z_block_generic_shapes():
@@ -87,8 +95,8 @@ def test_z_block_generic_shapes():
     z, cache = z_block(x, l, params.phases[0])
     assert z.shape == x.shape
     assert np.iscomplexobj(z)
-    assert len(cache.f_caches) == 2 and len(cache.fhat_caches) == 2
-    assert cache.attn_cache.u.shape == (4, 6, 6, 3)
+    assert cache.u.shape == (4, 6, 6, 3)
+    assert [h.shape for h in cache.fhat_hidden] == [(4, 6, 6, 3)]
 
 
 def test_z_block_backward_matches_finite_differences():
@@ -104,8 +112,10 @@ def test_z_block_backward_matches_finite_differences():
         z, _ = z_block(x, l, phase)
         return real_inner(c, z)
 
-    # the block's share of network_backward at zeta 0: decode, attention, encode
-    _, cache = z_block(x, l, phase)
+    # the block's share of network_backward at zeta 0: decode, attention,
+    # encode, on the caches rebuilt from the block's PhaseCache (x_prev = x)
+    _, pc = z_block(x, l, phase)
+    cache = block_caches(NetCache(atb=x, encoder=None, phases=[pc]), 0, phase)
     g, _ = stack_backward(to_channels(c), cache.fhat_caches, phase.fhat_stack)
     g, attn_grads = attn_backward(g, cache.attn_cache, phase.attn)
     g, f_grads = stack_backward(g, cache.f_caches, phase.f_stack)
@@ -169,15 +179,17 @@ def test_forward_matches_manual_composition():
     atb = enc.adjoint(b)
     x, l = atb, np.zeros_like(atb)
     held = [x_out]
-    for phase, pc in zip(params.phases, cache.phases, strict=True):
-        assert np.array_equal(from_channels(pc.f_caches[0].x), x + l)
-        z, _ = z_block(x, l, phase)
+    for n, (phase, pc) in enumerate(zip(params.phases, cache.phases, strict=True)):
+        assert np.array_equal(from_channels(block_caches(cache, n, phase).f_caches[0].x),
+                              x + l)
+        z, block = z_block(x, l, phase)
         l_prev = l
         x = x_update_closed_form(z, l, atb, enc, mu_of(phase))
         l = l_update(AdmmState(x=x, z=z, l=l), eta_of(phase))
-        for got, want in ((pc.x, x), (pc.z, z), (pc.l_prev, l_prev)):
+        kept = [(pc.x, x), (pc.z, z), (pc.l_prev, l_prev), (pc.u, block.u)]
+        for got, want in kept + list(zip(pc.fhat_hidden, block.fhat_hidden, strict=True)):
             assert np.array_equal(got, want)
-        held += [pc.x, pc.z, pc.l_prev]
+        held += [pc.x, pc.z, pc.l_prev, pc.u, *pc.fhat_hidden]
     assert np.array_equal(x_out, x)
     for i, a in enumerate(held):
         for other in held[i + 1:]:
@@ -343,11 +355,11 @@ def test_backward_rejects_cg_mode_and_bad_cache():
 @pytest.mark.parametrize("want_cache, zeta", [(True, 0.0), (True, 0.1), (False, 0.0)],
                          ids=["0.0", "0.1", "streamed"])
 def test_conv_layer_call_counts(monkeypatch, want_cache, zeta):
-    # one conv3d_forward per layer in the forward, cached or streamed, one
-    # conv3d_backward per layer and no forward recomputation in the backward;
-    # at zeta > 0 the penalty adds its decode forward and backward per phase,
-    # and every phase but phase 0 pulls the encode input gradient back with
-    # stack_input_grad
+    # one conv3d_forward per layer in the forward, cached or streamed; in the
+    # backward one conv3d_backward per layer, and per phase the rebuild re-runs
+    # the encode layers below the top one; at zeta > 0 the penalty adds its
+    # decode forward and backward per phase, and every phase but phase 0 pulls
+    # the encode input gradient back with stack_input_grad
     calls = {"conv3d_forward": 0, "conv3d_backward": 0, "stack_input_grad": 0}
     for name in calls:
         owner = dynmr.network if name == "stack_input_grad" else dynmr.conv3d
@@ -370,26 +382,87 @@ def test_conv_layer_call_counts(monkeypatch, want_cache, zeta):
     calls["conv3d_forward"] = 0
     network_backward(rand_volume(rng, out.shape), cache, params, zeta)
     if zeta == 0.0:
-        want = {"conv3d_forward": 0, "conv3d_backward": n * (f + fhat),
+        want = {"conv3d_forward": n * (f - 1), "conv3d_backward": n * (f + fhat),
                 "stack_input_grad": 0}
     else:
-        want = {"conv3d_forward": n * fhat, "conv3d_backward": n * (f + 2 * fhat),
-                "stack_input_grad": n - 1}
+        want = {"conv3d_forward": n * (fhat + f - 1),
+                "conv3d_backward": n * (f + 2 * fhat), "stack_input_grad": n - 1}
     assert calls == want
 
 
 def test_forward_cache_holds_each_activation_once():
-    # a layer caches its output, which is the next layer's input: one array
+    # a phase keeps u and the decode hidden outputs, and the rebuilt caches
+    # wrap those same arrays: a layer's output is the next layer's input
     _, enc, b, _ = small_problem(seed=4)
     cfg = NetworkConfig(n_phases=2, nc=4, f_depth=3, fhat_depth=2)
     params = init_network_params(cfg, seed=4)
     _, cache = network_forward(b, enc, params, cfg)
-    for pc in cache.phases:
-        for caches in (pc.f_caches, pc.fhat_caches):
+    assert [f.name for f in fields(PhaseCache)] == ["l_prev", "u", "fhat_hidden", "z", "x"]
+    for n, (pc, phase) in enumerate(zip(cache.phases, params.phases)):
+        assert len(pc.fhat_hidden) == 1
+        bc = block_caches(cache, n, phase)
+        for caches in (bc.f_caches, bc.fhat_caches):
             for prev, nxt in zip(caches, caches[1:]):
                 assert prev.out is nxt.x
             assert not hasattr(caches[0], "pre")
-        assert pc.f_caches[-1].out is pc.attn_cache.u
+        assert bc.f_caches[-1].out is pc.u
+        assert bc.attn_cache.u is pc.u
+        assert bc.fhat_caches[0].out is pc.fhat_hidden[0]
+
+
+@pytest.mark.parametrize("depths", [(2, 2), (1, 3), (3, 1)])
+def test_rebuilt_caches_equal_the_stored_forward(monkeypatch, depths):
+    # every array block_caches rebuilds has the bytes the stored-cache forward
+    # kept, and the backward on the stored caches gives the same bytes
+    gt, enc, b, rng = small_problem(seed=22, shape=(9, 7, 3))
+    cfg = NetworkConfig(n_phases=3, nc=4, f_depth=depths[0], fhat_depth=depths[1])
+    params = init_network_params(cfg, seed=22)
+    _, cache = network_forward(b, enc, params, cfg)
+    stored = stored_block_caches(b, enc, params)
+    for n, (phase, want) in enumerate(zip(params.phases, stored, strict=True)):
+        got = block_caches(cache, n, phase)
+        for kind in ("f_caches", "fhat_caches"):
+            pairs = zip(getattr(got, kind), getattr(want, kind), strict=True)
+            for j, (g, w) in enumerate(pairs):
+                for field in ("x", "out"):
+                    a, c = getattr(g, field), getattr(w, field)
+                    assert a.tobytes() == c.tobytes() and a.shape == c.shape, (n, kind, j)
+        for field in ("u", "a", "pre1", "s", "active"):
+            a, c = getattr(got.attn_cache, field), getattr(want.attn_cache, field)
+            assert a.dtype == c.dtype and a.shape == c.shape, (n, field)
+            assert a.tobytes() == c.tobytes(), (n, field)
+    c = rand_volume(rng, gt.shape)
+    for zeta in (0.0, 0.1):
+        rebuilt = network_backward(c, cache, params, zeta)
+        with monkeypatch.context() as m:
+            m.setattr(dynmr.network, "block_caches", lambda _c, n, _p: stored[n])
+            oracle = network_backward(c, cache, params, zeta)
+        assert rebuilt[1] == oracle[1]
+        assert list(rebuilt[0]) == list(oracle[0])
+        for name, g in rebuilt[0].items():
+            assert g.tobytes() == oracle[0][name].tobytes(), (zeta, name)
+
+
+@pytest.mark.parametrize("depths", [(2, 2), (1, 3), (3, 1)])
+def test_training_cache_is_fhat_depth_activations_per_phase(depths):
+    # a phase keeps u and fhat_depth - 1 hidden outputs (nc channels each) and
+    # four complex volumes of 1/8 activation: l_prev, z, x and, across the
+    # cache, A^H b and the returned x; the stored-cache forward held 4.82 per
+    # phase at depths (2, 2)
+    shape, nc, n_phases = (24, 24, 8), 16, 4
+    _, enc, b, _ = small_problem(seed=23, shape=shape)
+    cfg = NetworkConfig(n_phases=n_phases, nc=nc, f_depth=depths[0], fhat_depth=depths[1])
+    params = init_network_params(cfg, seed=23)
+    activation = nc * np.prod(shape) * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        held = network_forward(b, enc, params, cfg)
+        size = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(held[1].phases) == n_phases
+    assert size <= n_phases * (depths[1] + 0.5) * activation, size / activation
 
 
 def test_backward_zero_upstream_gives_zero_grads():
@@ -473,8 +546,9 @@ def penalty_sweep(cache, params, zeta=1.0):
     return network_backward(np.zeros_like(cache.atb), cache, params, zeta)
 
 
-def block_inputs(cache):
-    return [from_channels(pc.f_caches[0].x) for pc in cache.phases]
+def block_inputs(cache, params):
+    return [from_channels(block_caches(cache, n, phase).f_caches[0].x)
+            for n, phase in enumerate(params.phases)]
 
 
 def test_penalty_zero_for_neutral_stacks():
@@ -495,7 +569,7 @@ def test_penalty_value_matches_direct_recomputation():
     _, cache = network_forward(b, enc, params, cfg)
     _, total = penalty_sweep(cache, params)
     assert total > 0.0
-    want = inverse_penalty_from_inputs(block_inputs(cache), params)
+    want = inverse_penalty_from_inputs(block_inputs(cache, params), params)
     assert abs(total - want) < 1e-10 * max(1.0, want)
 
 
@@ -507,7 +581,7 @@ def test_penalty_gradients_match_finite_differences():
     params = init_network_params(cfg, seed=16)
     _, cache = network_forward(b, enc, params, cfg)
     grads, _ = penalty_sweep(cache, params)
-    v_list = block_inputs(cache)
+    v_list = block_inputs(cache, params)
 
     def loss():
         return inverse_penalty_from_inputs(v_list, params)
@@ -536,21 +610,22 @@ def test_penalty_grads_only_cover_conv_stacks():
 def record_penalty_sweep(monkeypatch):
     """Record g_u (attention's input gradient) and a copy of g_pen_u per phase.
 
-    network_backward sums zeta * g_pen_u into the penalty's own buffer, so
-    the record copies it on the way out of inverse_penalty.
+    Both lists fill in sweep order, last phase first.  network_backward sums
+    zeta * g_pen_u into the penalty's own buffer, so the record copies it on
+    the way out of inverse_penalty.
     """
-    g_u, g_pen_u = {}, {}
+    g_u, g_pen_u = [], []
     attn = dynmr.network.attn_backward
     penalty = dynmr.network.inverse_penalty
 
     def attn_rec(g, attn_cache, p):
         g_in, grads = attn(g, attn_cache, p)
-        g_u[id(attn_cache)] = g_in
+        g_u.append(g_in)
         return g_in, grads
 
-    def penalty_rec(pc, phase):
-        value, g_pen, fhat_grads = penalty(pc, phase)
-        g_pen_u[id(pc)] = g_pen.copy()
+    def penalty_rec(bc, phase):
+        value, g_pen, fhat_grads = penalty(bc, phase)
+        g_pen_u.append(g_pen.copy())
         return value, g_pen, fhat_grads
 
     monkeypatch.setattr(dynmr.network, "attn_backward", attn_rec)
@@ -572,16 +647,17 @@ def test_penalty_in_the_sweep_is_bit_identical_to_a_second_pass(monkeypatch, zet
     plain, zero = network_backward(c, cache, params)
     g_u, g_pen_u = record_penalty_sweep(monkeypatch)
     grads, total = network_backward(c, cache, params, zeta)
-    want_total, pen_grads = inverse_penalty_two_pass(cache, params)
+    stored = stored_block_caches(b, enc, params)
+    want_total, pen_grads = inverse_penalty_two_pass(stored, params)
     assert zero == 0.0
     assert total == want_total
     for name, g in plain.items():
         if ".f" not in name or ".fhat" in name:
             want = g + zeta * pen_grads[name] if name in pen_grads else g
             assert grads[name].tobytes() == want.tobytes(), name
-    for n, (pc, phase) in enumerate(zip(cache.phases, params.phases)):
-        g_sum = g_u[id(pc.attn_cache)] + zeta * g_pen_u[id(pc)]
-        _, want_f = stack_backward(g_sum, pc.f_caches, phase.f_stack)
+    for n, (bc, phase) in enumerate(zip(stored, params.phases)):
+        g_sum = g_u[-1 - n] + zeta * g_pen_u[-1 - n]
+        _, want_f = stack_backward(g_sum, bc.f_caches, phase.f_stack)
         for j, (ww, wb) in enumerate(want_f):
             for key, want in ((f"phase{n:02d}.f{j}.w", ww), (f"phase{n:02d}.f{j}.b", wb)):
                 assert grads[key].tobytes() == want.tobytes(), key
@@ -597,10 +673,10 @@ def test_penalty_is_summed_in_phase_order(monkeypatch):
     cfg = NetworkConfig(n_phases=3, nc=4)
     params = init_network_params(cfg, seed=20)
     _, cache = network_forward(b, enc, params, cfg)
-    values = dict(zip(map(id, cache.phases), (1.0, 1e16, -1e16)))
+    values = iter((-1e16, 1e16, 1.0))  # phases 2, 1, 0 in sweep order
     penalty = dynmr.network.inverse_penalty
     monkeypatch.setattr(dynmr.network, "inverse_penalty",
-                        lambda pc, phase: (values[id(pc)], *penalty(pc, phase)[1:]))
+                        lambda bc, phase: (next(values), *penalty(bc, phase)[1:]))
     _, total = network_backward(np.zeros_like(gt), cache, params, 0.1)
     assert total == 0.0
 
@@ -625,12 +701,11 @@ def test_penalty_grads_are_bit_identical_without_the_input_gradient():
     gt, enc, b, rng = small_problem(seed=18)
     cfg = NetworkConfig(n_phases=2, nc=4, f_depth=2, fhat_depth=2)
     params = init_network_params(cfg, seed=18)
-    _, cache = network_forward(b, enc, params, cfg)
-    for pc, phase in zip(cache.phases, params.phases):
-        pen_out, pen_caches = stack_forward(pc.attn_cache.u, phase.fhat_stack)
-        r = pen_out - pc.f_caches[0].x
+    for bc, phase in zip(stored_block_caches(b, enc, params), params.phases):
+        pen_out, pen_caches = stack_forward(bc.attn_cache.u, phase.fhat_stack)
+        r = pen_out - bc.f_caches[0].x
         want_g, want_fhat = stack_backward(2.0 * r, pen_caches, phase.fhat_stack)
-        value, g_pen_u, fhat_grads = inverse_penalty(pc, phase)
+        value, g_pen_u, fhat_grads = inverse_penalty(bc, phase)
         assert value == float(np.sum(r * r))
         assert g_pen_u.tobytes() == want_g.tobytes()
         assert len(fhat_grads) == len(want_fhat)
@@ -644,9 +719,9 @@ def test_penalty_grads_are_bit_identical_without_the_input_gradient():
 def test_backward_conv_pass_counts(monkeypatch, zeta, depths):
     # per phase: a weight-gradient pass per encode layer and one per decode
     # layer for the loss and again for the penalty; correlations for every
-    # input gradient, the penalty's decode forward, and at zeta > 0 the
-    # encode stack's second stream below its top layer; phase 0 forms no
-    # input gradient
+    # input gradient, the rebuild's encode forward below the top layer, the
+    # penalty's decode forward, and at zeta > 0 the encode stack's second
+    # stream below its top layer; phase 0 forms no input gradient
     cfg = NetworkConfig(n_phases=3, nc=4, f_depth=depths[0], fhat_depth=depths[1])
     params = init_network_params(cfg, seed=21)
     gt, enc, b, rng = small_problem(seed=21)
@@ -661,10 +736,11 @@ def test_backward_conv_pass_counts(monkeypatch, zeta, depths):
     network_backward(rand_volume(rng, gt.shape), cache, params, zeta)
     n, f, fhat = cfg.n_phases, cfg.f_depth, cfg.fhat_depth
     if zeta == 0.0:
-        want = {"_correlate": n * (f + fhat) - 1, "_param_grads": n * (f + fhat)}
+        want = {"_correlate": n * (f + fhat) - 1 + n * (f - 1),
+                "_param_grads": n * (f + fhat)}
     else:
         want = {
-            "_correlate": n * 3 * fhat + (n - 1) * (2 * f - 1) + f - 1,
+            "_correlate": n * 3 * fhat + (n - 1) * (2 * f - 1) + f - 1 + n * (f - 1),
             "_param_grads": n * (f + 2 * fhat),
         }
     assert calls == want
