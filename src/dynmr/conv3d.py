@@ -11,12 +11,14 @@ transposed weights.  The weight gradient is the transposed product: per band
 and kernel row, one GEMM of the output gradient, stacked at the same three
 shifts, with the row's view of the buffer.
 
-A stack is a plain list of layers applied in order.  Its forward keeps each
-layer's cache or, given two buffers, streams through them.  Its backward
-forms the parameter gradients and, unless told not to, the input gradient;
-stack_input_grad forms the input gradient alone.  Factory helpers build
-the two stacks the reconstruction network needs: an encode stack 2 -> nc and
-a decode stack nc -> 2, ReLU between layers and a linear final layer.
+A layer is linear: correlation plus bias.  A stack is a plain list of
+layers applied in order, with a ReLU after every layer but the last, so
+activations are positional by construction and no layer stores one.  A stack's
+forward keeps the list of its layer inputs or, given two buffers, streams
+through them.  Its backward forms the parameter gradients and, unless told
+not to, the input gradient; stack_input_grad forms the input gradient alone.
+Factory helpers build the two stacks the reconstruction network needs: an
+encode stack 2 -> nc and a decode stack nc -> 2.
 """
 
 from dataclasses import dataclass
@@ -34,7 +36,6 @@ BAND_BYTES = 3 << 19  # 1.5 MB
 class Conv3dLayer:
     weights: np.ndarray  # (out_ch, in_ch, 3, 3, 3)
     bias: np.ndarray  # (out_ch,)
-    activation: str = "linear"
 
     def __post_init__(self):
         w = self.weights
@@ -44,8 +45,6 @@ class Conv3dLayer:
             raise ValueError(
                 f"bias shape {self.bias.shape} does not match {w.shape[0]} outputs"
             )
-        if self.activation not in ("relu", "linear"):
-            raise ValueError(f"unknown activation {self.activation!r}")
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(self.bias))):
             raise ValueError("non-finite layer parameters")
 
@@ -56,12 +55,6 @@ class Conv3dLayer:
     @property
     def out_channels(self):
         return self.weights.shape[0]
-
-
-@dataclass
-class Conv3dCache:
-    x: np.ndarray  # layer input, (in_ch, h, w, t)
-    out: np.ndarray  # layer output, (out_ch, h, w, t); the next layer's x
 
 
 def _band_rows(c_in, c_out, h, w, t):
@@ -133,18 +126,8 @@ def _correlate(x, weights, out=None):
     return out
 
 
-def _grad_pre(grad_out, cache, layer):
-    """The loss gradient on the pre-activation output."""
-    if grad_out.shape != cache.out.shape:
-        raise ValueError(
-            f"grad shape {grad_out.shape} does not match output {cache.out.shape}"
-        )
-    # out > 0 exactly where pre > 0 (NaN included), so the ReLU mask needs no pre
-    return grad_out * (cache.out > 0) if layer.activation == "relu" else grad_out
-
-
 def _param_grads(g_pre, x):
-    """(grad_weights, grad_bias) from a layer's pre-activation gradient and input."""
+    """(grad_weights, grad_bias) from a layer's output gradient and input."""
     c_out, h, w, t = g_pre.shape
     c_in = x.shape[0]
     plane = (w + 2) * t
@@ -167,7 +150,7 @@ def _param_grads(g_pre, x):
 
 
 def conv3d_forward(x, layer, out=None):
-    """Apply one layer; returns (output, cache).
+    """Apply one layer; returns its output.
 
     The output is written into out when given, a float64 array of the output
     shape that does not overlap x.
@@ -182,25 +165,25 @@ def conv3d_forward(x, layer, out=None):
         raise ValueError(f"out must be a {want} array apart from the input")
     out = _correlate(x, layer.weights, out)
     out += layer.bias[:, None, None, None]
-    if layer.activation == "relu":
-        np.maximum(out, 0.0, out=out)
-    return out, Conv3dCache(x=x, out=out)
+    return out
 
 
 def _input_grad(g_pre, layer):
-    """Correlate a pre-activation gradient with the flipped, transposed kernel."""
+    """Correlate an output gradient with the flipped, transposed kernel."""
     w_adj = np.transpose(layer.weights[:, :, ::-1, ::-1, ::-1], (1, 0, 2, 3, 4))
     return _correlate(g_pre, w_adj)
 
 
-def conv3d_backward(grad_out, cache, layer, want_input=True):
-    """Gradients of one layer; returns (grad_input, grad_weights, grad_bias).
+def conv3d_backward(grad_out, x, layer, want_input=True):
+    """Gradients of one layer at input x; returns (grad_input, grad_weights, grad_bias).
 
     grad_input is None when want_input is False.
     """
-    g_pre = _grad_pre(grad_out, cache, layer)
-    grad_in = _input_grad(g_pre, layer) if want_input else None
-    return (grad_in, *_param_grads(g_pre, cache.x))
+    want = (layer.out_channels, *x.shape[1:])
+    if grad_out.shape != want:
+        raise ValueError(f"grad shape {grad_out.shape} does not match output {want}")
+    grad_in = _input_grad(grad_out, layer) if want_input else None
+    return (grad_in, *_param_grads(grad_out, x))
 
 
 def spare(x, bufs):
@@ -209,44 +192,51 @@ def spare(x, bufs):
 
 
 def stack_forward(x, layers, bufs=None):
-    """Run a list of layers; returns (output, list of caches).
+    """Run a list of layers, ReLU after all but the last; returns (output, ins).
 
-    With bufs, two float64 arrays of at least every layer's output shape, each
-    layer writes into the one that does not hold its input; caches is None.
+    ins lists the float64 input each layer read.  With bufs, two float64
+    arrays of at least every layer's output shape, each layer writes into the
+    one that does not hold its input; ins is None.
     """
-    caches = []
-    for layer in layers:
+    x = np.asarray(x, dtype=np.float64)
+    ins = []
+    for j, layer in enumerate(layers):
+        ins.append(x)
         out = None if bufs is None else spare(x, bufs)[:layer.out_channels]
-        x, cache = conv3d_forward(x, layer, out)
-        caches.append(cache)
-    return x, caches if bufs is None else None
+        x = conv3d_forward(x, layer, out)
+        if j < len(layers) - 1:
+            np.maximum(x, 0.0, out=x)
+    return x, ins if bufs is None else None
 
 
-def stack_backward(grad_out, caches, layers, want_input=True):
+def stack_backward(grad_out, ins, layers, want_input=True):
     """Backprop a stack; returns (grad_input or None, [(grad_w, grad_b), ...])."""
     grads = [None] * len(layers)
     g = grad_out
     for j in range(len(layers) - 1, -1, -1):
-        g, gw, gb = conv3d_backward(g, caches[j], layers[j], want_input or j > 0)
+        if j < len(layers) - 1:  # relu(pre) > 0 exactly where pre > 0, NaN included
+            g = g * (ins[j + 1] > 0)
+        g, gw, gb = conv3d_backward(g, ins[j], layers[j], want_input or j > 0)
         grads[j] = (gw, gb)
     return g, grads
 
 
-def stack_input_grad(grad_out, caches, layers):
+def stack_input_grad(grad_out, ins, layers):
     """The input gradient alone of a stack's backward, one correlation per layer."""
     g = grad_out
     for j in range(len(layers) - 1, -1, -1):
-        g = _input_grad(_grad_pre(g, caches[j], layers[j]), layers[j])
+        if j < len(layers) - 1:
+            g = g * (ins[j + 1] > 0)
+        g = _input_grad(g, layers[j])
     return g
 
 
-def init_conv_layer(in_ch, out_ch, activation, rng):
+def init_conv_layer(in_ch, out_ch, rng):
     """Seeded uniform init with bound sqrt(6 / fan_in), zero bias."""
     bound = np.sqrt(6.0 / (in_ch * KERNEL**3))
     return Conv3dLayer(
         weights=rng.uniform(-bound, bound, size=(out_ch, in_ch, KERNEL, KERNEL, KERNEL)),
         bias=np.zeros(out_ch),
-        activation=activation,
     )
 
 
@@ -254,15 +244,14 @@ def _plan(ch_in, ch_out, nc, depth):
     if depth < 1:
         raise ValueError("stack depth must be >= 1")
     widths = [ch_in] + [nc] * (depth - 1) + [ch_out]
-    acts = ["relu"] * (depth - 1) + ["linear"]
-    return list(zip(widths[:-1], widths[1:], acts))
+    return list(zip(widths[:-1], widths[1:]))
 
 
 def make_encode_stack(nc, depth, rng):
-    """2 -> nc feature stack (ReLU between layers, linear last)."""
-    return [init_conv_layer(i, o, a, rng) for i, o, a in _plan(2, nc, nc, depth)]
+    """2 -> nc feature stack."""
+    return [init_conv_layer(i, o, rng) for i, o in _plan(2, nc, nc, depth)]
 
 
 def make_decode_stack(nc, depth, rng):
-    """nc -> 2 feature stack (ReLU between layers, linear last)."""
-    return [init_conv_layer(i, o, a, rng) for i, o, a in _plan(nc, 2, nc, depth)]
+    """nc -> 2 feature stack."""
+    return [init_conv_layer(i, o, rng) for i, o in _plan(nc, 2, nc, depth)]

@@ -17,10 +17,10 @@ DUSC (network checkpoints)
 The dc byte keeps the v1 layout: 0 is the closed-form data-consistency step,
 the only one the network has, and any other value is rejected.
 Tensors are stored in named_tensors order under its names; any other order is
-rejected.  Layer activations are not stored because they are positional (last
-layer of a stack linear, the rest ReLU).  Loads validate magic, version, and
-exact payload lengths and raise FormatError on anything malformed.  Round trips
-are bit-exact.
+rejected.  Layer activations are not stored: a conv stack applies a ReLU after
+every layer but the last, so they are positional by construction.  Loads
+validate magic, version, and exact payload lengths and raise FormatError on
+anything malformed.  Round trips are bit-exact.
 Saves fsync a temporary file and rename it over the target, so a crash
 mid-write leaves either the old file or the new one.
 """
@@ -72,7 +72,11 @@ class _Reader:
 
 
 def _write_atomic(path, data):
-    """Replace path with data; on any failure the old file is left as it was."""
+    """Replace path with data; on any failure the old file is left as it was.
+
+    An OSError that names the temporary file the data goes to first is raised
+    again naming path.
+    """
     tmp = f"{path}.{os.urandom(6).hex()}.tmp"
     try:
         with open(tmp, "xb") as fh:
@@ -80,9 +84,11 @@ def _write_atomic(path, data):
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
         raise
 
 

@@ -54,7 +54,7 @@ def run_gradcheck(seed=0):
     b = enc.forward(gt)
     x_hat, cache = network_forward(b, enc, params, cfg)
     gloss = mse_loss(x_hat, gt)[1]
-    inputs = [block_caches(cache, n, ph).f_caches[0].x for n, ph in enumerate(params.phases)]
+    inputs = [block_caches(cache, n, ph).f_ins[0] for n, ph in enumerate(params.phases)]
 
     def loss(zeta):
         total = mse_loss(network_forward(b, enc, params, cfg, want_cache=False)[0], gt)[0]

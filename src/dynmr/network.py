@@ -39,7 +39,6 @@ import numpy as np
 from .admm import AdmmState, x_update_closed_form, xl_step
 from .attention import AttnParams, attn_backward, attn_forward, init_attn_params
 from .conv3d import (
-    Conv3dCache,
     make_decode_stack,
     make_encode_stack,
     spare,
@@ -158,11 +157,11 @@ class PhaseCache:
 
 @dataclass
 class BlockCaches:
-    """Every conv and attention cache of one phase's denoising block."""
+    """Every layer input and the attention cache of one phase's denoising block."""
 
-    f_caches: list
+    f_ins: list
     attn_cache: object
-    fhat_caches: list
+    fhat_ins: list
 
 
 @dataclass
@@ -184,11 +183,11 @@ def z_block(x, l, phase, bufs=None):
     u, _ = stack_forward(c_in, phase.f_stack, bufs)
     work = None if bufs is None else spare(u, bufs)[:len(u)]
     attn_out, _ = attn_forward(u, phase.attn, work)
-    fhat_out, fhat_caches = stack_forward(attn_out, phase.fhat_stack, bufs)
+    fhat_out, fhat_ins = stack_forward(attn_out, phase.fhat_stack, bufs)
     z = from_channels(fhat_out)
     if bufs is not None:
         return z, None
-    return z, PhaseCache(l, u, [c.out for c in fhat_caches[:-1]], z)
+    return z, PhaseCache(l, u, fhat_ins[1:], z)
 
 
 def block_caches(cache, n, phase):
@@ -197,18 +196,16 @@ def block_caches(cache, n, phase):
     The block input is to_channels(x_prev + l_prev), x_prev being phase n-1's x
     (A^H b for phase 0); the encode stack below its top layer and the attention
     re-run on the same inputs with the same calls as in the forward, so every
-    array equals the forward's.  The decode caches wrap the kept hidden outputs;
-    the top layer's output, whose values its linear backward does not read, is
-    to_channels(z).
+    array equals the forward's.  The decode inputs are the attention output and
+    the kept hidden outputs.
     """
     pc = cache.phases[n]
     x_prev = cache.phases[n - 1].x if n else cache.atb
-    top_in, f_caches = stack_forward(to_channels(x_prev + pc.l_prev), phase.f_stack[:-1])
-    f_caches.append(Conv3dCache(top_in, pc.u))
+    top_in, f_ins = stack_forward(to_channels(x_prev + pc.l_prev), phase.f_stack[:-1])
+    if f_ins:  # the partial stack's output is a hidden layer of the whole stack
+        np.maximum(top_in, 0.0, out=top_in)
     attn_out, attn_cache = attn_forward(pc.u, phase.attn)
-    ins = [attn_out, *pc.fhat_hidden]
-    outs = [*pc.fhat_hidden, to_channels(pc.z)]
-    return BlockCaches(f_caches, attn_cache, [Conv3dCache(*io) for io in zip(ins, outs)])
+    return BlockCaches([*f_ins, top_in], attn_cache, [attn_out, *pc.fhat_hidden])
 
 
 def x_block(z, l, atb, encoder, mu):
@@ -293,7 +290,7 @@ def network_backward(grad_x, cache, params, zeta=0.0):
 
         gz = gy - eta * gl
         bc = block_caches(cache, n, phase)
-        g, fhat_grads = stack_backward(to_channels(gz), bc.fhat_caches, phase.fhat_stack)
+        g, fhat_grads = stack_backward(to_channels(gz), bc.fhat_ins, phase.fhat_stack)
         g_u, attn_grads = attn_backward(g, bc.attn_cache, phase.attn)
         g = g_u
         if zeta > 0:
@@ -304,9 +301,9 @@ def network_backward(grad_x, cache, params, zeta=0.0):
             for (gw, gb), (pw, pb) in zip(fhat_grads, pen_fhat):
                 gw += zeta * pw
                 gb += zeta * pb
-        gx, f_grads = stack_backward(g, bc.f_caches, phase.f_stack, n > 0 and not zeta > 0)
+        gx, f_grads = stack_backward(g, bc.f_ins, phase.f_stack, n > 0 and not zeta > 0)
         if n and zeta > 0:  # the penalty holds its input constant: g_u alone
-            gx = stack_input_grad(g_u, bc.f_caches, phase.f_stack)
+            gx = stack_input_grad(g_u, bc.f_ins, phase.f_stack)
         del bc, g, g_u  # nc-channel activations the next phase does not read
         grads.update(_phase_tensors(n, f_grads, fhat_grads, attn_grads, g_mu, g_eta))
 
@@ -330,8 +327,7 @@ def inverse_penalty(bc, phase):
     the encode stack's one backward pass, and the decode stack's gradients as
     per-layer (w, b) pairs.
     """
-    c_in = bc.f_caches[0].x
-    pen_out, pen_caches = stack_forward(bc.attn_cache.u, phase.fhat_stack)
-    r = pen_out - c_in
-    g_pen_u, fhat_grads = stack_backward(2.0 * r, pen_caches, phase.fhat_stack)
+    pen_out, pen_ins = stack_forward(bc.attn_cache.u, phase.fhat_stack)
+    r = pen_out - bc.f_ins[0]
+    g_pen_u, fhat_grads = stack_backward(2.0 * r, pen_ins, phase.fhat_stack)
     return float(np.sum(r * r)), g_pen_u, fhat_grads

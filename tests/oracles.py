@@ -5,9 +5,9 @@ conjugate gradients, as the reference for the closed form.  The identity conv
 stacks and neutral_phase_params build a phase whose denoising block is the
 exact identity, which pins the unrolled network to one classical iteration.
 stored_block_caches is the training forward that keeps every phase's conv
-and attention caches, the reference for the caches network_backward rebuilds
-from its slim PhaseCache.  inverse_penalty_two_pass is the inversion penalty
-as a second pass over those stored caches, with its own backward through both
+layer inputs and attention cache, the reference for the caches
+network_backward rebuilds from its slim PhaseCache.  inverse_penalty_two_pass
+is the inversion penalty as a second pass over those stored caches, with its own backward through both
 conv stacks: the reference for the penalty that network_backward folds into
 its one encode stack backward per phase.  The gradient tests take their
 central difference from dynmr.gradcheck.fd_at.
@@ -92,10 +92,8 @@ def identity_encode_stack(nc):
     _center_tap(w2, 0, 2, -1.0)
     _center_tap(w2, 1, 1, 1.0)
     _center_tap(w2, 1, 3, -1.0)
-    return [
-        Conv3dLayer(weights=w1, bias=np.zeros(nc), activation="relu"),
-        Conv3dLayer(weights=w2, bias=np.zeros(nc), activation="linear"),
-    ]
+    return [Conv3dLayer(weights=w1, bias=np.zeros(nc)),
+            Conv3dLayer(weights=w2, bias=np.zeros(nc))]
 
 
 def identity_decode_stack(nc):
@@ -112,10 +110,8 @@ def identity_decode_stack(nc):
     _center_tap(w2, 0, 2, -1.0)
     _center_tap(w2, 1, 1, 1.0)
     _center_tap(w2, 1, 3, -1.0)
-    return [
-        Conv3dLayer(weights=w1, bias=np.zeros(nc), activation="relu"),
-        Conv3dLayer(weights=w2, bias=np.zeros(2), activation="linear"),
-    ]
+    return [Conv3dLayer(weights=w1, bias=np.zeros(nc)),
+            Conv3dLayer(weights=w2, bias=np.zeros(2))]
 
 
 def neutral_phase_params(nc, mu, eta):
@@ -147,11 +143,11 @@ def stored_block_caches(b, encoder, params):
     work = np.empty_like(atb)
     stored = []
     for n, phase in enumerate(params.phases):
-        u, f_caches = stack_forward(to_channels(state.x + state.l), phase.f_stack)
+        u, f_ins = stack_forward(to_channels(state.x + state.l), phase.f_stack)
         attn_out, attn_cache = attn_forward(u, phase.attn)
-        fhat_out, fhat_caches = stack_forward(attn_out, phase.fhat_stack)
+        fhat_out, fhat_ins = stack_forward(attn_out, phase.fhat_stack)
         state.z = from_channels(fhat_out)
-        stored.append(BlockCaches(f_caches, attn_cache, fhat_caches))
+        stored.append(BlockCaches(f_ins, attn_cache, fhat_ins))
         xl_step(state, atb, encoder, mu_of(phase), eta_of(phase), work, f"phase {n}")
     return stored
 
@@ -169,13 +165,13 @@ def inverse_penalty_two_pass(stored, params):
     grads = {}
     for n, (bc, phase) in enumerate(zip(stored, params.phases)):
         tag = f"phase{n:02d}"
-        c_in = bc.f_caches[0].x
+        c_in = bc.f_ins[0]
         f_out = bc.attn_cache.u
-        pen_out, pen_caches = stack_forward(f_out, phase.fhat_stack)
+        pen_out, pen_ins = stack_forward(f_out, phase.fhat_stack)
         r = pen_out - c_in
         total += float(np.sum(r * r))
-        g, fhat_grads = stack_backward(2.0 * r, pen_caches, phase.fhat_stack)
-        _, f_grads = stack_backward(g, bc.f_caches, phase.f_stack)
+        g, fhat_grads = stack_backward(2.0 * r, pen_ins, phase.fhat_stack)
+        _, f_grads = stack_backward(g, bc.f_ins, phase.f_stack)
         for j, (gw, gb) in enumerate(f_grads):
             grads[f"{tag}.f{j}.w"] = gw
             grads[f"{tag}.f{j}.b"] = gb

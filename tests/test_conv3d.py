@@ -20,10 +20,17 @@ from dynmr.gradcheck import fd_at
 from oracles import identity_decode_stack, identity_encode_stack
 
 
-def center_tap_layer(value=1.0, bias=0.0, activation="linear"):
+def center_tap_layer(value=1.0, bias=0.0):
     w = np.zeros((1, 1, 3, 3, 3))
     w[0, 0, 1, 1, 1] = value
-    return Conv3dLayer(weights=w, bias=np.array([bias]), activation=activation)
+    return Conv3dLayer(weights=w, bias=np.array([bias]))
+
+
+def identity_layer(c):
+    """c -> c layer whose output is its input, and so is its input gradient."""
+    w = np.zeros((c, c, 3, 3, 3))
+    w[range(c), range(c), 1, 1, 1] = 1.0
+    return Conv3dLayer(weights=w, bias=np.zeros(c))
 
 
 # ------------------------------------------------------------- forward
@@ -32,7 +39,7 @@ def center_tap_layer(value=1.0, bias=0.0, activation="linear"):
 def test_center_tap_is_identity():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((1, 5, 4, 3))
-    out, _ = conv3d_forward(x, center_tap_layer())
+    out = conv3d_forward(x, center_tap_layer())
     assert np.array_equal(out, x)
 
 
@@ -40,7 +47,7 @@ def test_all_ones_kernel_counts_neighbors():
     w = np.ones((1, 1, 3, 3, 3))
     layer = Conv3dLayer(weights=w, bias=np.array([0.5]))
     x = np.ones((1, 5, 5, 5))
-    out, _ = conv3d_forward(x, layer)
+    out = conv3d_forward(x, layer)
     # interior voxels see the full 27-point neighborhood, corners only 8
     assert abs(out[0, 2, 2, 2] - 27.5) < 1e-12
     assert abs(out[0, 0, 0, 0] - 8.5) < 1e-12
@@ -53,18 +60,18 @@ def test_zero_padding_at_borders():
     w[0, 0, 0, 1, 1] = 1.0  # reads from row above
     layer = Conv3dLayer(weights=w, bias=np.zeros(1))
     x = np.arange(8.0).reshape(1, 2, 2, 2)
-    out, _ = conv3d_forward(x, layer)
+    out = conv3d_forward(x, layer)
     assert np.all(out[0, 0] == 0.0)
     assert np.array_equal(out[0, 1], x[0, 0])
 
 
 def test_linearity():
     rng = np.random.default_rng(1)
-    layer = init_conv_layer(2, 3, "linear", rng)
+    layer = init_conv_layer(2, 3, rng)
     x, y = rng.standard_normal((2, 2, 4, 4, 3))
-    ax, _ = conv3d_forward(2.0 * x - 3.0 * y, layer)
-    ox, _ = conv3d_forward(x, layer)
-    oy, _ = conv3d_forward(y, layer)
+    ax = conv3d_forward(2.0 * x - 3.0 * y, layer)
+    ox = conv3d_forward(x, layer)
+    oy = conv3d_forward(y, layer)
     np.testing.assert_allclose(ax - layer.bias[:, None, None, None],
                                2.0 * (ox - layer.bias[:, None, None, None])
                                - 3.0 * (oy - layer.bias[:, None, None, None]),
@@ -72,11 +79,12 @@ def test_linearity():
 
 
 def test_relu_activation_clamps():
-    layer = center_tap_layer(activation="relu")
+    # a stack clamps the output of every layer but the last
+    stack = [center_tap_layer(), center_tap_layer(-1.0)]
     x = np.array([[-1.0, 2.0]]).reshape(1, 1, 1, 2)
-    out, cache = conv3d_forward(x, layer)
-    assert np.array_equal(out.ravel(), [0.0, 2.0])
-    assert cache.out is out and cache.x is x
+    out, ins = stack_forward(x, stack)
+    assert ins[0] is x and np.array_equal(ins[1].ravel(), [0.0, 2.0])
+    assert np.array_equal(out.ravel(), [0.0, -2.0])
 
 
 def test_forward_validation():
@@ -91,9 +99,6 @@ def test_forward_validation():
         Conv3dLayer(weights=np.zeros((1, 1, 3, 3)), bias=np.zeros(1))
     with pytest.raises(ValueError):
         Conv3dLayer(weights=np.zeros((2, 1, 3, 3, 3)), bias=np.zeros(1))
-    with pytest.raises(ValueError):
-        Conv3dLayer(weights=np.zeros((1, 1, 3, 3, 3)), bias=np.zeros(1),
-                    activation="tanh")
     bad = np.zeros((1, 1, 3, 3, 3))
     bad[0, 0, 0, 0, 0] = np.inf
     with pytest.raises(ValueError):
@@ -106,13 +111,13 @@ def test_forward_validation():
 def test_input_gradient_is_the_adjoint():
     # <conv(x), g> == <x, grad_in(g)> for a bias-free linear layer
     rng = np.random.default_rng(2)
-    layer = init_conv_layer(2, 3, "linear", rng)
+    layer = init_conv_layer(2, 3, rng)
     layer.bias[:] = 0.0
     for _ in range(10):
         x = rng.standard_normal((2, 4, 4, 3))
         g = rng.standard_normal((3, 4, 4, 3))
-        out, cache = conv3d_forward(x, layer)
-        grad_in, _, _ = conv3d_backward(g, cache, layer)
+        out = conv3d_forward(x, layer)
+        grad_in, _, _ = conv3d_backward(g, x, layer)
         lhs = float(np.sum(out * g))
         rhs = float(np.sum(x * grad_in))
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
@@ -120,44 +125,40 @@ def test_input_gradient_is_the_adjoint():
 
 def test_bias_gradient_sums_upstream():
     rng = np.random.default_rng(3)
-    layer = init_conv_layer(2, 3, "linear", rng)
+    layer = init_conv_layer(2, 3, rng)
     x = rng.standard_normal((2, 4, 4, 2))
     g = rng.standard_normal((3, 4, 4, 2))
-    _, cache = conv3d_forward(x, layer)
-    _, _, g_bias = conv3d_backward(g, cache, layer)
+    _, _, g_bias = conv3d_backward(g, x, layer)
     np.testing.assert_allclose(g_bias, g.sum(axis=(1, 2, 3)), rtol=1e-13, atol=0)
 
 
 def test_backward_zero_upstream():
     rng = np.random.default_rng(4)
-    layer = init_conv_layer(2, 2, "relu", rng)
+    layer = init_conv_layer(2, 2, rng)
     x = rng.standard_normal((2, 3, 3, 2))
-    _, cache = conv3d_forward(x, layer)
-    grad_in, gw, gb = conv3d_backward(np.zeros((2, 3, 3, 2)), cache, layer)
+    grad_in, gw, gb = conv3d_backward(np.zeros((2, 3, 3, 2)), x, layer)
     assert not grad_in.any() and not gw.any() and not gb.any()
 
 
 def test_backward_shape_validation():
     rng = np.random.default_rng(5)
-    layer = init_conv_layer(1, 1, "linear", rng)
-    _, cache = conv3d_forward(rng.standard_normal((1, 2, 2, 2)), layer)
+    layer = init_conv_layer(1, 1, rng)
+    x = rng.standard_normal((1, 2, 2, 2))
     with pytest.raises(ValueError):
-        conv3d_backward(np.zeros((1, 2, 2, 3)), cache, layer)
+        conv3d_backward(np.zeros((1, 2, 2, 3)), x, layer)
 
 
 def test_layer_gradients_match_finite_differences():
     rng = np.random.default_rng(6)
-    layer = init_conv_layer(2, 3, "relu", rng)
+    layer = init_conv_layer(2, 3, rng)
     layer.bias += rng.uniform(-0.05, 0.05, size=3)
     x = rng.standard_normal((2, 4, 4, 2))
     c = rng.standard_normal((3, 4, 4, 2))
 
     def loss():
-        out, _ = conv3d_forward(x, layer)
-        return float(np.sum(c * out))
+        return float(np.sum(c * conv3d_forward(x, layer)))
 
-    out, cache = conv3d_forward(x, layer)
-    grad_in, gw, gb = conv3d_backward(c, cache, layer)
+    grad_in, gw, gb = conv3d_backward(c, x, layer)
 
     def check(arr, an_arr, label):
         for idx in np.ndindex(arr.shape):
@@ -209,21 +210,26 @@ def rel_err(got, want):
     return np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300)
 
 
-def assert_layer_matches_direct_sum(layer, x, g):
-    out, cache = conv3d_forward(x, layer)
-    grad_in, gw, gb = conv3d_backward(g, cache, layer)
-
+def assert_layer_matches_direct_sum(layer, x, g, activation):
+    """The layer last in a stack ("linear") or followed by the stack's ReLU."""
     pre = direct_forward(x, layer.weights, layer.bias)
-    relu = layer.activation == "relu"
-    want_out = np.maximum(pre, 0.0) if relu else pre
-    g_pre = g * (pre > 0) if relu else g
+    if activation == "relu":
+        # an identity layer after it passes its ReLU output and g unchanged
+        stack = [layer, identity_layer(layer.out_channels)]
+        out, ins = stack_forward(x, stack)
+        grad_in, [(gw, gb), _] = stack_backward(g, ins, stack)
+        assert np.array_equal(ins[1], out)
+        want_out, g_pre = np.maximum(pre, 0.0), g * (pre > 0)
+    else:
+        out = conv3d_forward(x, layer)
+        grad_in, gw, gb = conv3d_backward(g, x, layer)
+        # written into a given array (NaN-filled, so every voxel must be set)
+        buf = np.full_like(out, np.nan)
+        into = conv3d_forward(x, layer, out=buf)
+        assert into is buf and into.tobytes() == out.tobytes()
+        want_out, g_pre = pre, g
     want_in, want_w, want_b = direct_backward(g_pre, x, layer.weights)
-    assert cache.out is out
     assert rel_err(out, want_out) <= 1e-12
-    # written into a given array (NaN-filled, so every voxel must be set)
-    buf = np.full_like(out, np.nan)
-    into, _ = conv3d_forward(x, layer, out=buf)
-    assert into is buf and into.tobytes() == out.tobytes()
     assert rel_err(grad_in, want_in) <= 1e-12
     assert rel_err(gw, want_w) <= 1e-12
     assert rel_err(gb, want_b) <= 1e-12
@@ -234,22 +240,52 @@ def assert_layer_matches_direct_sum(layer, x, g):
 @pytest.mark.parametrize("activation", ["relu", "linear"])
 def test_layer_matches_direct_sum(shape, ch, activation):
     rng = np.random.default_rng(12)
-    layer = init_conv_layer(ch[0], ch[1], activation, rng)
+    layer = init_conv_layer(ch[0], ch[1], rng)
     layer.bias[:] = rng.uniform(-0.5, 0.5, size=ch[1])
     x = rng.standard_normal((ch[0],) + shape)
     g = rng.standard_normal((ch[1],) + shape)
-    assert_layer_matches_direct_sum(layer, x, g)
+    assert_layer_matches_direct_sum(layer, x, g, activation)
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+def test_stack_matches_composed_direct_sums(depth):
+    # ReLU between the layers, none after the last; the backward chains the
+    # direct-sum layer backwards through the direct ReLU masks
+    rng = np.random.default_rng(19)
+    layers = make_encode_stack(5, depth, rng)
+    for layer in layers:
+        layer.bias[:] = rng.uniform(-0.5, 0.5, size=layer.out_channels)
+    x = rng.standard_normal((2, 33, 21, 5))
+    g = rng.standard_normal((5, 33, 21, 5))
+    out, ins = stack_forward(x, layers)
+    grad_in, grads = stack_backward(g, ins, layers)
+
+    want_ins, pres = [x], []
+    for layer in layers:
+        pres.append(direct_forward(want_ins[-1], layer.weights, layer.bias))
+        want_ins.append(np.maximum(pres[-1], 0.0))
+    assert rel_err(out, pres[-1]) <= 1e-12
+    for got, want in zip(ins[1:], want_ins[1:-1], strict=True):
+        assert rel_err(got, want) <= 1e-12
+    g_pre = g
+    for j in range(depth - 1, -1, -1):
+        want_in, want_w, want_b = direct_backward(g_pre, want_ins[j], layers[j].weights)
+        assert rel_err(grads[j][0], want_w) <= 1e-12, j
+        assert rel_err(grads[j][1], want_b) <= 1e-12, j
+        if j:
+            g_pre = want_in * (pres[j - 1] > 0)
+    assert rel_err(grad_in, want_in) <= 1e-12
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
 def test_input_gradient_is_the_adjoint_on_odd_shapes(shape):
     rng = np.random.default_rng(13)
-    layer = init_conv_layer(3, 5, "linear", rng)
+    layer = init_conv_layer(3, 5, rng)
     layer.bias[:] = 0.0
     x = rng.standard_normal((3,) + shape)
     g = rng.standard_normal((5,) + shape)
-    out, cache = conv3d_forward(x, layer)
-    grad_in, _, _ = conv3d_backward(g, cache, layer)
+    out = conv3d_forward(x, layer)
+    grad_in, _, _ = conv3d_backward(g, x, layer)
     lhs = float(np.sum(out * g))
     rhs = float(np.sum(x * grad_in))
     assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
@@ -269,27 +305,27 @@ def test_band_boundaries_match_direct_sum(monkeypatch, band_bytes, activation):
     monkeypatch.setattr(dynmr.conv3d, "BAND_BYTES", band_bytes)
     assert _band_rows(3, 5, 10, 7, 3) == (1 if band_bytes == 1 else 3)
     rng = np.random.default_rng(14)
-    layer = init_conv_layer(3, 5, activation, rng)
+    layer = init_conv_layer(3, 5, rng)
     layer.bias[:] = rng.uniform(-0.5, 0.5, size=5)
     x = rng.standard_normal((3, 10, 7, 3))
     g = rng.standard_normal((5, 10, 7, 3))
-    assert_layer_matches_direct_sum(layer, x, g)
+    assert_layer_matches_direct_sum(layer, x, g, activation)
 
 
 def test_layer_pass_memory_is_bounded():
-    # A 16 -> 16 ReLU layer at 32x32x8: forward + backward keep three
-    # output-sized arrays (the output, g_pre and grad_in).  The kernel's own
-    # buffers are band-sized, so the traced peak stays under 6 outputs; one
-    # buffer over the whole input (3.4 outputs) would break it.
+    # A 16 -> 16 layer at 32x32x8: forward + backward keep two output-sized
+    # arrays (the output and grad_in).  The kernel's own buffers are
+    # band-sized, so the traced peak stays under 6 outputs; one buffer over
+    # the whole input (3.4 outputs) would break it.
     rng = np.random.default_rng(15)
-    layer = init_conv_layer(16, 16, "relu", rng)
+    layer = init_conv_layer(16, 16, rng)
     x = rng.standard_normal((16, 32, 32, 8))
     g = rng.standard_normal((16, 32, 32, 8))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        out, cache = conv3d_forward(x, layer)
-        conv3d_backward(g, cache, layer)
+        out = conv3d_forward(x, layer)
+        conv3d_backward(g, x, layer)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -301,12 +337,15 @@ def test_layer_pass_memory_is_bounded():
 
 def test_single_layer_stack_matches_plain_conv():
     rng = np.random.default_rng(7)
-    layer = init_conv_layer(2, 3, "linear", rng)
+    layer = init_conv_layer(2, 3, rng)
     x = rng.standard_normal((2, 4, 4, 2))
-    out_s, caches = stack_forward(x, [layer])
-    out_c, _ = conv3d_forward(x, layer)
-    assert np.array_equal(out_s, out_c)
-    assert len(caches) == 1
+    out_s, ins = stack_forward(x, [layer])
+    assert np.array_equal(out_s, conv3d_forward(x, layer))
+    assert len(ins) == 1 and ins[0] is x
+    # the recorded input is the float64 array the layer read
+    x32 = x.astype(np.float32)
+    _, ins = stack_forward(x32, [layer])
+    assert ins[0].dtype == np.float64 and np.array_equal(ins[0], x32)
 
 
 @pytest.mark.parametrize("nc", [1, 3])
@@ -323,16 +362,16 @@ def test_stack_forward_streams_through_two_buffers(monkeypatch, depth, nc):
     seen = []
 
     def recorded(x, layer, out=None, _fn=dynmr.conv3d.conv3d_forward):
-        y, cache = _fn(x, layer, out)
+        y = _fn(x, layer, out)
         seen.append((x, y))
-        return y, cache
+        return y
 
     monkeypatch.setattr(dynmr.conv3d, "conv3d_forward", recorded)
     bufs = [np.empty((max(nc, 2), *x.shape[1:])) for _ in range(2)]
-    u, caches = stack_forward(x, enc, bufs)
-    assert caches is None and u.tobytes() == want_u.tobytes()
-    out, caches = stack_forward(u, dec, bufs)
-    assert caches is None and out.tobytes() == want.tobytes()
+    u, ins = stack_forward(x, enc, bufs)
+    assert ins is None and u.tobytes() == want_u.tobytes()
+    out, ins = stack_forward(u, dec, bufs)
+    assert ins is None and out.tobytes() == want.tobytes()
     assert len(seen) == 2 * depth
     for layer_in, layer_out in seen:
         assert any(np.shares_memory(layer_out, buf) for buf in bufs)
@@ -343,10 +382,8 @@ def test_stack_shapes_and_plan():
     rng = np.random.default_rng(8)
     enc = make_encode_stack(6, 3, rng)
     dec = make_decode_stack(6, 3, rng)
-    assert [(l.in_channels, l.out_channels, l.activation) for l in enc] == [
-        (2, 6, "relu"), (6, 6, "relu"), (6, 6, "linear")]
-    assert [(l.in_channels, l.out_channels, l.activation) for l in dec] == [
-        (6, 6, "relu"), (6, 6, "relu"), (6, 2, "linear")]
+    assert [(l.in_channels, l.out_channels) for l in enc] == [(2, 6), (6, 6), (6, 6)]
+    assert [(l.in_channels, l.out_channels) for l in dec] == [(6, 6), (6, 6), (6, 2)]
     with pytest.raises(ValueError):
         make_encode_stack(4, 0, rng)
 
@@ -361,8 +398,8 @@ def test_stack_gradients_match_finite_differences():
         out, _ = stack_forward(x, layers)
         return float(np.sum(c * out))
 
-    out, caches = stack_forward(x, layers)
-    grad_in, grads = stack_backward(c, caches, layers)
+    _, ins = stack_forward(x, layers)
+    grad_in, grads = stack_backward(c, ins, layers)
     assert len(grads) == len(layers)
 
     for j, layer in enumerate(layers):
@@ -391,8 +428,8 @@ def test_stack_backward_without_input_and_stack_input_grad(monkeypatch, depth):
     layers = make_encode_stack(4, depth, rng)
     x = rng.standard_normal((2, 5, 4, 3))
     c = rng.standard_normal((4, 5, 4, 3))
-    _, caches = stack_forward(x, layers)
-    want_in, want = stack_backward(c, caches, layers)
+    _, ins = stack_forward(x, layers)
+    want_in, want = stack_backward(c, ins, layers)
     calls = {"_correlate": 0, "_param_grads": 0}
     for name in calls:
         def counted(*args, _fn=getattr(dynmr.conv3d, name), _name=name):
@@ -401,7 +438,7 @@ def test_stack_backward_without_input_and_stack_input_grad(monkeypatch, depth):
 
         monkeypatch.setattr(dynmr.conv3d, name, counted)
 
-    got_in, got = stack_backward(c, caches, layers, want_input=False)
+    got_in, got = stack_backward(c, ins, layers, want_input=False)
     assert got_in is None
     assert calls == {"_correlate": depth - 1, "_param_grads": depth}
     assert len(got) == depth
@@ -409,13 +446,13 @@ def test_stack_backward_without_input_and_stack_input_grad(monkeypatch, depth):
         assert gw.tobytes() == ww.tobytes() and gb.tobytes() == wb.tobytes()
 
     calls.update(_correlate=0, _param_grads=0)
-    assert stack_input_grad(c, caches, layers).tobytes() == want_in.tobytes()
+    assert stack_input_grad(c, ins, layers).tobytes() == want_in.tobytes()
     assert calls == {"_correlate": depth, "_param_grads": 0}
 
 
 def test_init_bounds_and_determinism():
-    a = init_conv_layer(4, 8, "relu", np.random.default_rng(10))
-    b = init_conv_layer(4, 8, "relu", np.random.default_rng(10))
+    a = init_conv_layer(4, 8, np.random.default_rng(10))
+    b = init_conv_layer(4, 8, np.random.default_rng(10))
     assert np.array_equal(a.weights, b.weights)
     assert not a.bias.any()
     assert np.max(np.abs(a.weights)) <= np.sqrt(6.0 / (4 * 27))

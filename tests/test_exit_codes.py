@@ -54,6 +54,7 @@ TABLE = [
     ("recon-admm-complex-mask", [*RECON_ADMM[:4], "{mask_complex}", *RECON_ADMM[5:]], 3),
     ("recon-admm-nan-lambda", [*RECON_ADMM, "--lambda=nan"], 3),
     ("recon-admm-non-finite", [*RECON_ADMM[:2], "{gt_nan}", *RECON_ADMM[3:]], 4),
+    ("recon-admm-unwritable-diag", [*RECON_ADMM, "--diag", "{dir}/no/d.txt"], 3),
     ("train-no-out-ckpt", ["train", "--config", "{cfg_ok}"], 2),
     ("train-missing-config", ["train", "--config", "{dir}/missing.cfg",
                               "--out-ckpt", "{dir}/c.dusc"], 3),
@@ -65,6 +66,8 @@ TABLE = [
                              "--out-ckpt", "{dir}/c.dusc"], 3),
     ("train-diverges", ["train", "--config", "{cfg_diverges}",
                         "--out-ckpt", "{dir}/c.dusc"], 4),
+    ("train-unwritable-ckpt", ["train", "--config", "{cfg_ok}",
+                               "--out-ckpt", "{dir}/no/c.dusc"], 3),
     ("train-mu-collapses", ["train", "--config", "{cfg_mu_collapses}",
                             "--out-ckpt", "{dir}/c.dusc"], 4),
     ("recon-net-missing-ckpt", [*RECON_NET[:2], "{dir}/missing.dusc", *RECON_NET[3:]], 3),
@@ -129,15 +132,25 @@ def _run(files, argv):
     )
 
 
-@pytest.mark.parametrize("argv, code", [row[1:] for row in TABLE],
-                         ids=[row[0] for row in TABLE])
-def test_failure_exit_code(files, argv, code):
+# The path a row's message must name: the target, not a temporary file.
+NAMES = {
+    "phantom-unwritable": "{dir}/no/p.dmrt",
+    "recon-admm-unwritable-diag": "{dir}/no/d.txt",
+    "train-unwritable-ckpt": "{dir}/no/c.dusc",
+}
+
+
+@pytest.mark.parametrize("row, argv, code", TABLE, ids=[row[0] for row in TABLE])
+def test_failure_exit_code(files, row, argv, code):
     r = _run(files, argv)
     assert r.returncode == code, r.stderr
     assert "Traceback" not in r.stderr
     assert "Warning" not in r.stderr
+    assert ".tmp" not in r.stderr
     if code != 2:
         assert "error:" in r.stderr
+    if row in NAMES:
+        assert NAMES[row].format(**files) in r.stderr
 
 
 def test_eval_of_a_large_finite_voxel_scores_without_a_warning(files):

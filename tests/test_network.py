@@ -15,6 +15,7 @@ from dynmr.encoding import Encoder, make_pseudo_radial_mask
 from dynmr.errors import NumericalError
 from dynmr.gradcheck import fd_at
 from dynmr.network import (
+    BlockCaches,
     NetCache,
     NetworkConfig,
     NetworkParams,
@@ -116,9 +117,9 @@ def test_z_block_backward_matches_finite_differences():
     # encode, on the caches rebuilt from the block's PhaseCache (x_prev = x)
     _, pc = z_block(x, l, phase)
     cache = block_caches(NetCache(atb=x, encoder=None, phases=[pc]), 0, phase)
-    g, _ = stack_backward(to_channels(c), cache.fhat_caches, phase.fhat_stack)
+    g, _ = stack_backward(to_channels(c), cache.fhat_ins, phase.fhat_stack)
     g, attn_grads = attn_backward(g, cache.attn_cache, phase.attn)
-    g, f_grads = stack_backward(g, cache.f_caches, phase.f_stack)
+    g, f_grads = stack_backward(g, cache.f_ins, phase.f_stack)
     gv = from_channels(g)
 
     # input gradient, checked separately on real and imaginary parts
@@ -180,7 +181,7 @@ def test_forward_matches_manual_composition():
     x, l = atb, np.zeros_like(atb)
     held = [x_out]
     for n, (phase, pc) in enumerate(zip(params.phases, cache.phases, strict=True)):
-        assert np.array_equal(from_channels(block_caches(cache, n, phase).f_caches[0].x),
+        assert np.array_equal(from_channels(block_caches(cache, n, phase).f_ins[0]),
                               x + l)
         z, block = z_block(x, l, phase)
         l_prev = l
@@ -391,23 +392,20 @@ def test_conv_layer_call_counts(monkeypatch, want_cache, zeta):
 
 
 def test_forward_cache_holds_each_activation_once():
-    # a phase keeps u and the decode hidden outputs, and the rebuilt caches
-    # wrap those same arrays: a layer's output is the next layer's input
+    # a phase keeps u and the decode hidden outputs, and the rebuilt caches,
+    # which are the layer inputs alone, hold those same arrays
     _, enc, b, _ = small_problem(seed=4)
     cfg = NetworkConfig(n_phases=2, nc=4, f_depth=3, fhat_depth=2)
     params = init_network_params(cfg, seed=4)
     _, cache = network_forward(b, enc, params, cfg)
     assert [f.name for f in fields(PhaseCache)] == ["l_prev", "u", "fhat_hidden", "z", "x"]
+    assert [f.name for f in fields(BlockCaches)] == ["f_ins", "attn_cache", "fhat_ins"]
     for n, (pc, phase) in enumerate(zip(cache.phases, params.phases)):
         assert len(pc.fhat_hidden) == 1
         bc = block_caches(cache, n, phase)
-        for caches in (bc.f_caches, bc.fhat_caches):
-            for prev, nxt in zip(caches, caches[1:]):
-                assert prev.out is nxt.x
-            assert not hasattr(caches[0], "pre")
-        assert bc.f_caches[-1].out is pc.u
+        assert len(bc.f_ins) == 3 and len(bc.fhat_ins) == 2
         assert bc.attn_cache.u is pc.u
-        assert bc.fhat_caches[0].out is pc.fhat_hidden[0]
+        assert bc.fhat_ins[1] is pc.fhat_hidden[0]
 
 
 @pytest.mark.parametrize("depths", [(2, 2), (1, 3), (3, 1)])
@@ -421,12 +419,10 @@ def test_rebuilt_caches_equal_the_stored_forward(monkeypatch, depths):
     stored = stored_block_caches(b, enc, params)
     for n, (phase, want) in enumerate(zip(params.phases, stored, strict=True)):
         got = block_caches(cache, n, phase)
-        for kind in ("f_caches", "fhat_caches"):
+        for kind in ("f_ins", "fhat_ins"):
             pairs = zip(getattr(got, kind), getattr(want, kind), strict=True)
-            for j, (g, w) in enumerate(pairs):
-                for field in ("x", "out"):
-                    a, c = getattr(g, field), getattr(w, field)
-                    assert a.tobytes() == c.tobytes() and a.shape == c.shape, (n, kind, j)
+            for j, (a, c) in enumerate(pairs):
+                assert a.tobytes() == c.tobytes() and a.shape == c.shape, (n, kind, j)
         for field in ("u", "a", "pre1", "s", "active"):
             a, c = getattr(got.attn_cache, field), getattr(want.attn_cache, field)
             assert a.dtype == c.dtype and a.shape == c.shape, (n, field)
@@ -547,7 +543,7 @@ def penalty_sweep(cache, params, zeta=1.0):
 
 
 def block_inputs(cache, params):
-    return [from_channels(block_caches(cache, n, phase).f_caches[0].x)
+    return [from_channels(block_caches(cache, n, phase).f_ins[0])
             for n, phase in enumerate(params.phases)]
 
 
@@ -657,7 +653,7 @@ def test_penalty_in_the_sweep_is_bit_identical_to_a_second_pass(monkeypatch, zet
             assert grads[name].tobytes() == want.tobytes(), name
     for n, (bc, phase) in enumerate(zip(stored, params.phases)):
         g_sum = g_u[-1 - n] + zeta * g_pen_u[-1 - n]
-        _, want_f = stack_backward(g_sum, bc.f_caches, phase.f_stack)
+        _, want_f = stack_backward(g_sum, bc.f_ins, phase.f_stack)
         for j, (ww, wb) in enumerate(want_f):
             for key, want in ((f"phase{n:02d}.f{j}.w", ww), (f"phase{n:02d}.f{j}.b", wb)):
                 assert grads[key].tobytes() == want.tobytes(), key
@@ -702,9 +698,9 @@ def test_penalty_grads_are_bit_identical_without_the_input_gradient():
     cfg = NetworkConfig(n_phases=2, nc=4, f_depth=2, fhat_depth=2)
     params = init_network_params(cfg, seed=18)
     for bc, phase in zip(stored_block_caches(b, enc, params), params.phases):
-        pen_out, pen_caches = stack_forward(bc.attn_cache.u, phase.fhat_stack)
-        r = pen_out - bc.f_caches[0].x
-        want_g, want_fhat = stack_backward(2.0 * r, pen_caches, phase.fhat_stack)
+        pen_out, pen_ins = stack_forward(bc.attn_cache.u, phase.fhat_stack)
+        r = pen_out - bc.f_ins[0]
+        want_g, want_fhat = stack_backward(2.0 * r, pen_ins, phase.fhat_stack)
         value, g_pen_u, fhat_grads = inverse_penalty(bc, phase)
         assert value == float(np.sum(r * r))
         assert g_pen_u.tobytes() == want_g.tobytes()
