@@ -11,14 +11,16 @@ One learned threshold per channel of a (nc, h, w, t) feature tensor:
 Since 0 <= s <= 1, the threshold never exceeds the channel's mean absolute
 value.  The backward pass is the exact chain rule through this map, with the
 usual subgradient conventions at the shrinkage kink (derivative 0 where
-|u| <= tau) and at u = 0 (sign contributes 0).
+|u| <= tau) and at u = 0 (sign contributes 0).  It keeps no cache: the
+backward recomputes the gate (a few length-nc vectors) and the |u| > tau mask
+from u.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mathutil import relu, sigmoid
+from .mathutil import sigmoid
 
 
 @dataclass
@@ -47,15 +49,6 @@ class AttnParams:
         return self.b1.shape[0]
 
 
-@dataclass
-class AttnCache:
-    u: np.ndarray
-    a: np.ndarray
-    pre1: np.ndarray
-    s: np.ndarray
-    active: np.ndarray  # |u| > tau, the shrink-active voxels
-
-
 def init_attn_params(nc, rng):
     """Seeded init: uniform(+-1/sqrt(nc)) weights, zero biases (gate starts ~0.5)."""
     bound = 1.0 / np.sqrt(nc)
@@ -67,48 +60,51 @@ def init_attn_params(nc, rng):
     )
 
 
+def _gate(u, params, mag):
+    """Write |u| into mag; return (a, hidden, s, tau_b), tau_b broadcast over u."""
+    np.abs(u, out=mag)
+    a = np.mean(mag, axis=(1, 2, 3))
+    hidden = np.maximum(params.w1 @ a + params.b1, 0.0)
+    s = sigmoid(params.w2 @ hidden + params.b2)
+    return a, hidden, s, (s * a)[:, None, None, None]
+
+
 def attn_forward(u, params, work=None):
-    """Apply the operator; returns (output, cache for the backward pass).
+    """Apply the operator and return its output.
 
     With work, a float64 array of u's shape apart from u, the output
-    overwrites u, work holds |u| and the cache is None: plain inference
-    allocates nothing the size of u.
+    overwrites u and work holds |u|: plain inference allocates nothing the
+    size of u.
     """
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 4 or u.shape[0] != params.nc:
         raise ValueError(
             f"input shape {u.shape} does not match nc={params.nc} channel tensor"
         )
-    mag = np.abs(u, out=work)
-    a = np.mean(mag, axis=(1, 2, 3))
-    pre1 = params.w1 @ a + params.b1
-    hidden = relu(pre1)
-    s = sigmoid(params.w2 @ hidden + params.b2)
-    tau_b = (s * a)[:, None, None, None]
-    cache = None
-    if work is None:
-        cache = AttnCache(u=u, a=a, pre1=pre1, s=s, active=mag > tau_b)
+    mag = np.empty_like(u) if work is None else work
+    tau_b = _gate(u, params, mag)[3]
     # sign(u) * max(|u| - tau, 0), built in mag and the output
     mag -= tau_b
     np.maximum(mag, 0.0, out=mag)
     out = np.sign(u, out=None if work is None else u)
     out *= mag
-    return out, cache
+    return out
 
 
-def attn_backward(grad_out, cache, params):
-    """Exact gradients of a scalar loss through attn_forward.
+def attn_backward(grad_out, u, params):
+    """Exact gradients of a scalar loss through attn_forward at input u.
 
     Returns (grad_input, AttnParams-shaped gradients).  The threshold feeds
     back along two routes: through the gate s (FC stack) and through the
     pooled magnitude a (d a_i / d u = sign(u) / (h*w*t)).
     """
-    u = cache.u
     if grad_out.shape != u.shape:
         raise ValueError(f"grad shape {grad_out.shape} does not match {u.shape}")
     nvox = u[0].size
-    sign_u = np.sign(u)
-    g_active = grad_out * cache.active
+    mag = np.empty_like(u)
+    a, hidden, s, tau_b = _gate(u, params, mag)
+    g_active = grad_out * (mag > tau_b)
+    sign_u = np.sign(u, out=mag)  # |u| is no longer read
 
     # direct shrinkage route: d out/d u = 1 on active voxels
     grad_in = g_active.copy()
@@ -116,16 +112,15 @@ def attn_backward(grad_out, cache, params):
     g_tau = -np.sum(g_active * sign_u, axis=(1, 2, 3))
 
     # tau = s * a
-    g_s = g_tau * cache.a
-    g_a = g_tau * cache.s
-    # gate: sigmoid then the two FC layers
-    g_pre2 = g_s * cache.s * (1.0 - cache.s)
-    hidden = relu(cache.pre1)
+    g_s = g_tau * a
+    g_a = g_tau * s
+    # gate: sigmoid then the two FC layers; hidden > 0 exactly where pre1 > 0
+    g_pre2 = g_s * s * (1.0 - s)
     g_w2 = np.outer(g_pre2, hidden)
     g_b2 = g_pre2.copy()
     g_hidden = params.w2.T @ g_pre2
-    g_pre1 = g_hidden * (cache.pre1 > 0)
-    g_w1 = np.outer(g_pre1, cache.a)
+    g_pre1 = g_hidden * (hidden > 0)
+    g_w1 = np.outer(g_pre1, a)
     g_b1 = g_pre1.copy()
     g_a = g_a + params.w1.T @ g_pre1
 

@@ -18,7 +18,7 @@ import numpy as np
 from .admm import AdmmConfig, iterate, objective, reconstruct
 from .encoding import Encoder, make_pseudo_radial_mask, make_vds_mask
 from .errors import FormatError, NumericalError
-from .fileio import load_checkpoint, load_dmrt, save_dmrt
+from .fileio import _write_atomic, load_checkpoint, load_dmrt, save_dmrt
 from .gradcheck import run_gradcheck
 from .metrics import psnr, ssim
 from .network import NetworkConfig, network_forward
@@ -100,15 +100,16 @@ def _cmd_recon_admm(args):
         x = reconstruct(b, encoder, cfg)
     else:  # the same loop, walked here to report the objective per iteration
         x = encoder.adjoint(b)  # what n_iters = 0 returns
-        with open(args.diag, "w") as fh:
-            fh.write("iteration objective fidelity l1 constraint\n")
-            for it, state in enumerate(iterate(b, encoder, cfg), start=1):
-                total, fidelity, l1 = objective(state.x, b, encoder, cfg)
-                constraint = fro_norm(state.z - state.x)
-                fh.write(
-                    f"{it} {total:.12e} {fidelity:.12e} {l1:.12e} {constraint:.12e}\n"
-                )
-                x = state.x
+        lines = ["iteration objective fidelity l1 constraint\n"]
+        for it, state in enumerate(iterate(b, encoder, cfg), start=1):
+            total, fidelity, l1 = objective(state.x, b, encoder, cfg)
+            constraint = fro_norm(state.z - state.x)
+            lines.append(
+                f"{it} {total:.12e} {fidelity:.12e} {l1:.12e} {constraint:.12e}\n"
+            )
+            x = state.x
+        # written once the solve succeeds, so a failed run keeps the old file
+        _write_atomic(args.diag, "".join(lines).encode())
     save_dmrt(args.out, x)
     return 0
 

@@ -24,7 +24,3 @@ def softplus_inv(y):
     if np.any(np.asarray(y) <= 0):
         raise ValueError("softplus_inv needs y > 0")
     return y + np.log1p(-np.exp(-y))
-
-
-def relu(x):
-    return np.maximum(x, 0.0)

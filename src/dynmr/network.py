@@ -15,9 +15,9 @@ phase keeps a PhaseCache of five things: L before the phase, the encode
 output u, the decode stack's hidden outputs, Z and X.  Just before a phase's
 reverse step, block_caches rebuilds the rest: the block input from the
 previous X and L, the encode layers below the top one (at the default depths
-only the cheap 2 -> nc layer) and the attention.  That halves the training
-cache at the default depths.  For inference the conv stacks stream through
-two buffers by conv3d.stack_forward(bufs) and attention shrinks in place.
+only the cheap 2 -> nc layer) and the attention output.  That halves the
+training cache at the default depths.  Inference streams the conv stacks
+through two buffers by conv3d.stack_forward(bufs); attention shrinks in place.
 
 The data-consistency and multiplier blocks are the classical solver's x and l
 steps, one admm.xl_step per phase: x = y + (A^H b - P y)/(1 + mu), y = Z - L,
@@ -157,10 +157,10 @@ class PhaseCache:
 
 @dataclass
 class BlockCaches:
-    """Every layer input and the attention cache of one phase's denoising block."""
+    """Every layer input of one phase's denoising block; u is the attention input."""
 
     f_ins: list
-    attn_cache: object
+    u: np.ndarray
     fhat_ins: list
 
 
@@ -182,7 +182,7 @@ def z_block(x, l, phase, bufs=None):
     c_in = to_channels(x + l)
     u, _ = stack_forward(c_in, phase.f_stack, bufs)
     work = None if bufs is None else spare(u, bufs)[:len(u)]
-    attn_out, _ = attn_forward(u, phase.attn, work)
+    attn_out = attn_forward(u, phase.attn, work)
     fhat_out, fhat_ins = stack_forward(attn_out, phase.fhat_stack, bufs)
     z = from_channels(fhat_out)
     if bufs is not None:
@@ -204,8 +204,8 @@ def block_caches(cache, n, phase):
     top_in, f_ins = stack_forward(to_channels(x_prev + pc.l_prev), phase.f_stack[:-1])
     if f_ins:  # the partial stack's output is a hidden layer of the whole stack
         np.maximum(top_in, 0.0, out=top_in)
-    attn_out, attn_cache = attn_forward(pc.u, phase.attn)
-    return BlockCaches([*f_ins, top_in], attn_cache, [attn_out, *pc.fhat_hidden])
+    attn_out = attn_forward(pc.u, phase.attn)
+    return BlockCaches([*f_ins, top_in], pc.u, [attn_out, *pc.fhat_hidden])
 
 
 def x_block(z, l, atb, encoder, mu):
@@ -291,7 +291,7 @@ def network_backward(grad_x, cache, params, zeta=0.0):
         gz = gy - eta * gl
         bc = block_caches(cache, n, phase)
         g, fhat_grads = stack_backward(to_channels(gz), bc.fhat_ins, phase.fhat_stack)
-        g_u, attn_grads = attn_backward(g, bc.attn_cache, phase.attn)
+        g_u, attn_grads = attn_backward(g, bc.u, phase.attn)
         g = g_u
         if zeta > 0:
             value, g, pen_fhat = inverse_penalty(bc, phase)
@@ -327,7 +327,7 @@ def inverse_penalty(bc, phase):
     the encode stack's one backward pass, and the decode stack's gradients as
     per-layer (w, b) pairs.
     """
-    pen_out, pen_ins = stack_forward(bc.attn_cache.u, phase.fhat_stack)
+    pen_out, pen_ins = stack_forward(bc.u, phase.fhat_stack)
     r = pen_out - bc.f_ins[0]
     g_pen_u, fhat_grads = stack_backward(2.0 * r, pen_ins, phase.fhat_stack)
     return float(np.sum(r * r)), g_pen_u, fhat_grads

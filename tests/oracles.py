@@ -5,7 +5,7 @@ conjugate gradients, as the reference for the closed form.  The identity conv
 stacks and neutral_phase_params build a phase whose denoising block is the
 exact identity, which pins the unrolled network to one classical iteration.
 stored_block_caches is the training forward that keeps every phase's conv
-layer inputs and attention cache, the reference for the caches
+layer inputs and encode output u, the reference for the caches
 network_backward rebuilds from its slim PhaseCache.  inverse_penalty_two_pass
 is the inversion penalty as a second pass over those stored caches, with its own backward through both
 conv stacks: the reference for the penalty that network_backward folds into
@@ -144,10 +144,9 @@ def stored_block_caches(b, encoder, params):
     stored = []
     for n, phase in enumerate(params.phases):
         u, f_ins = stack_forward(to_channels(state.x + state.l), phase.f_stack)
-        attn_out, attn_cache = attn_forward(u, phase.attn)
-        fhat_out, fhat_ins = stack_forward(attn_out, phase.fhat_stack)
+        fhat_out, fhat_ins = stack_forward(attn_forward(u, phase.attn), phase.fhat_stack)
         state.z = from_channels(fhat_out)
-        stored.append(BlockCaches(f_ins, attn_cache, fhat_ins))
+        stored.append(BlockCaches(f_ins, u, fhat_ins))
         xl_step(state, atb, encoder, mu_of(phase), eta_of(phase), work, f"phase {n}")
     return stored
 
@@ -166,7 +165,7 @@ def inverse_penalty_two_pass(stored, params):
     for n, (bc, phase) in enumerate(zip(stored, params.phases)):
         tag = f"phase{n:02d}"
         c_in = bc.f_ins[0]
-        f_out = bc.attn_cache.u
+        f_out = bc.u
         pen_out, pen_ins = stack_forward(f_out, phase.fhat_stack)
         r = pen_out - c_in
         total += float(np.sum(r * r))

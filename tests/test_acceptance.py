@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from dynmr.admm import AdmmConfig, AdmmState, l_update, reconstruct, x_update_closed_form, z_update
-from dynmr.attention import attn_backward, attn_forward, init_attn_params
+from dynmr.attention import _gate, attn_backward, attn_forward, init_attn_params
 from dynmr.encoding import Encoder, make_pseudo_radial_mask
 from dynmr.fileio import load_checkpoint, load_dmrt, save_checkpoint, save_dmrt
 from dynmr.metrics import SSIM_K1, SSIM_K2, SSIM_WINDOW, psnr, ssim
@@ -201,12 +201,13 @@ def test_attention_threshold_gradients(capsys):
         c = rng.standard_normal(u.shape)
 
         def loss():
-            out, _ = attn_forward(u, params)
+            out = attn_forward(u, params)
             return float(np.sum(c * out))
 
-        _, cache = attn_forward(u, params)
-        grad_in, grad_p = attn_backward(c, cache, params)
-        margin = np.abs(np.abs(u) - (cache.s * cache.a)[:, None, None, None])
+        grad_in, grad_p = attn_backward(c, u, params)
+        mag = np.empty_like(u)
+        tau_b = _gate(u, params, mag)[3]
+        margin = np.abs(mag - tau_b)
 
         def fd(arr, idx):
             orig = arr[idx]

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
-from dynmr.attention import AttnParams, attn_backward, attn_forward, init_attn_params
+from dynmr.attention import (
+    AttnParams,
+    _gate,
+    attn_backward,
+    attn_forward,
+    init_attn_params,
+)
 from dynmr.gradcheck import fd_at
-from dynmr.mathutil import relu, sigmoid
+from dynmr.mathutil import sigmoid
 
 
 def zero_params(nc):
@@ -17,9 +23,14 @@ def zero_params(nc):
 
 def loss_and_grads(u, params, c):
     """Scalar probe loss sum(c * out) and its analytic gradients."""
-    out, cache = attn_forward(u, params)
-    grad_in, grad_p = attn_backward(c, cache, params)
+    out = attn_forward(u, params)
+    grad_in, grad_p = attn_backward(c, u, params)
     return float(np.sum(c * out)), grad_in, grad_p
+
+
+def threshold(u, params):
+    """The per-channel threshold tau = s * a the operator applies to u."""
+    return _gate(u, params, np.empty_like(u))[3]
 
 
 # ------------------------------------------------------------- forward
@@ -29,8 +40,9 @@ def test_zero_params_single_voxel_example():
     # zero weights leave the gate at sigmoid(0) = 0.5, so tau = a / 2;
     # with one voxel per channel a = |u| and out = u / 2
     u = np.array([2.0, -4.0]).reshape(2, 1, 1, 1)
-    out, cache = attn_forward(u, zero_params(2))
-    np.testing.assert_allclose(cache.s * cache.a, [1.0, 2.0], rtol=0, atol=1e-15)
+    out = attn_forward(u, zero_params(2))
+    np.testing.assert_allclose(threshold(u, zero_params(2)).ravel(), [1.0, 2.0],
+                               rtol=0, atol=1e-15)
     np.testing.assert_allclose(
         out.ravel(), [1.0, -2.0], rtol=0, atol=1e-15
     )
@@ -39,9 +51,10 @@ def test_zero_params_single_voxel_example():
 def test_zero_input_gives_zero_output():
     rng = np.random.default_rng(0)
     params = init_attn_params(3, rng)
-    out, cache = attn_forward(np.zeros((3, 4, 4, 2)), params)
+    u = np.zeros((3, 4, 4, 2))
+    out = attn_forward(u, params)
     assert not out.any()
-    assert np.array_equal(cache.s * cache.a, np.zeros(3))
+    assert np.array_equal(threshold(u, params).ravel(), np.zeros(3))
 
 
 def test_forward_shape_validation():
@@ -62,11 +75,11 @@ def test_params_shape_validation():
 def test_thresholding_produces_exact_zeros():
     rng = np.random.default_rng(1)
     u = rng.standard_normal((4, 6, 6, 3))
-    out, cache = attn_forward(u, zero_params(4))
-    inactive = ~cache.active
-    assert inactive.sum() > 0
-    assert np.all(out[inactive] == 0.0)
-    assert np.all(out[cache.active] != 0.0)
+    out = attn_forward(u, zero_params(4))
+    active = np.abs(u) > threshold(u, zero_params(4))
+    assert (~active).sum() > 0
+    assert np.all(out[~active] == 0.0)
+    assert np.all(out[active] != 0.0)
 
 
 def test_threshold_bounded_by_pooled_magnitude():
@@ -74,9 +87,9 @@ def test_threshold_bounded_by_pooled_magnitude():
     for seed in range(10):
         params = init_attn_params(4, np.random.default_rng(seed))
         u = rng.standard_normal((4, 5, 5, 2))
-        _, cache = attn_forward(u, params)
-        assert np.all(cache.s * cache.a >= 0.0)
-        assert np.all(cache.s * cache.a <= cache.a + 1e-15)
+        a, _, _, tau_b = _gate(u, params, np.empty_like(u))
+        assert np.all(tau_b >= 0.0)
+        assert np.all(tau_b.ravel() <= a + 1e-15)
 
 
 def test_output_never_grows():
@@ -84,7 +97,7 @@ def test_output_never_grows():
     for seed in range(10):
         params = init_attn_params(3, np.random.default_rng(seed))
         u = rng.standard_normal((3, 4, 4, 3))
-        out, _ = attn_forward(u, params)
+        out = attn_forward(u, params)
         assert np.all(np.abs(out) <= np.abs(u) + 1e-15)
         assert np.all(np.sign(out) * np.sign(u) >= 0.0)
 
@@ -92,7 +105,7 @@ def test_output_never_grows():
 def test_zero_params_match_per_channel_shrinkage():
     rng = np.random.default_rng(4)
     u = rng.standard_normal((3, 4, 4, 2))
-    out, _ = attn_forward(u, zero_params(3))
+    out = attn_forward(u, zero_params(3))
     tau = 0.5 * np.mean(np.abs(u), axis=(1, 2, 3))
     want = np.sign(u) * np.maximum(np.abs(u) - tau[:, None, None, None], 0.0)
     assert np.array_equal(out, want)
@@ -106,25 +119,26 @@ def test_forward_is_bit_identical_to_the_formula():
     u = rng.standard_normal((4, 6, 5, 3))
     u[1, 2] = 0.0
     a = np.mean(np.abs(u), axis=(1, 2, 3))
-    pre1 = params.w1 @ a + params.b1
-    pre2 = params.w2 @ relu(pre1) + params.b2
-    s = sigmoid(pre2)
-    tau = s * a
-    tau_b = tau[:, None, None, None]
-    active = np.abs(u) > tau_b
+    hidden = np.maximum(params.w1 @ a + params.b1, 0.0)
+    s = sigmoid(params.w2 @ hidden + params.b2)
+    tau_b = (s * a)[:, None, None, None]
     want = np.sign(u) * np.maximum(np.abs(u) - tau_b, 0.0)
 
-    out, cache = attn_forward(u, params)
+    mag = np.empty_like(u)
+    got = _gate(u, params, mag)
+    assert mag.tobytes() == np.abs(u).tobytes()
+    names = ("a", "hidden", "s", "tau")
+    for name, g, value in zip(names, got, (a, hidden, s, tau_b), strict=True):
+        assert g.dtype == value.dtype and g.shape == value.shape, name
+        assert g.tobytes() == value.tobytes(), name
+
+    out = attn_forward(u, params)
     assert out.tobytes() == want.tobytes()
-    for name, value in (("u", u), ("a", a), ("pre1", pre1),
-                        ("s", s), ("active", active)):
-        got = getattr(cache, name)
-        assert got.dtype == value.dtype and got.tobytes() == value.tobytes(), name
 
     # with a work array the output overwrites the input, with the same bytes
     buf = u.copy()
-    out, cache = attn_forward(buf, params, work=np.empty_like(u))
-    assert out is buf and cache is None
+    out = attn_forward(buf, params, work=np.empty_like(u))
+    assert out is buf
     assert out.tobytes() == want.tobytes()
 
 
@@ -144,8 +158,7 @@ def test_backward_zero_upstream_gives_zero_grads():
     rng = np.random.default_rng(6)
     params = init_attn_params(3, rng)
     u = rng.standard_normal((3, 4, 4, 2))
-    _, cache = attn_forward(u, params)
-    grad_in, grad_p = attn_backward(np.zeros_like(u), cache, params)
+    grad_in, grad_p = attn_backward(np.zeros_like(u), u, params)
     assert not grad_in.any()
     for g in (grad_p.w1, grad_p.b1, grad_p.w2, grad_p.b2):
         assert not g.any()
@@ -154,9 +167,9 @@ def test_backward_zero_upstream_gives_zero_grads():
 def test_backward_shape_validation():
     rng = np.random.default_rng(7)
     params = init_attn_params(2, rng)
-    _, cache = attn_forward(rng.standard_normal((2, 2, 2, 2)), params)
+    u = rng.standard_normal((2, 2, 2, 2))
     with pytest.raises(ValueError):
-        attn_backward(np.zeros((2, 2, 2, 3)), cache, params)
+        attn_backward(np.zeros((2, 2, 2, 3)), u, params)
 
 
 def test_zero_channel_gets_zero_input_gradient():
@@ -166,8 +179,7 @@ def test_zero_channel_gets_zero_input_gradient():
     params = init_attn_params(3, rng)
     u = rng.standard_normal((3, 4, 4, 2))
     u[1] = 0.0
-    _, cache = attn_forward(u, params)
-    grad_in, _ = attn_backward(np.ones_like(u), cache, params)
+    grad_in, _ = attn_backward(np.ones_like(u), u, params)
     assert not grad_in[1].any()
     assert grad_in[0].any() and grad_in[2].any()
 
@@ -177,12 +189,12 @@ def test_inactive_voxels_feel_only_the_pooling_route():
     u = rng.standard_normal((2, 4, 4, 2))
     params = zero_params(2)
     c = rng.standard_normal(u.shape)
-    _, cache = attn_forward(u, params)
-    grad_in, _ = attn_backward(c, cache, params)
+    grad_in, _ = attn_backward(c, u, params)
     # with zero weights the gate is frozen at 0.5 and g_a = 0.5 * g_tau
-    g_tau = -np.sum(c * cache.active * np.sign(u), axis=(1, 2, 3))
+    active = np.abs(u) > threshold(u, params)
+    g_tau = -np.sum(c * active * np.sign(u), axis=(1, 2, 3))
     pooled = (0.5 * g_tau / u[0].size)[:, None, None, None] * np.sign(u)
-    inactive = ~cache.active
+    inactive = ~active
     np.testing.assert_allclose(grad_in[inactive], pooled[inactive], rtol=0, atol=1e-14)
 
 
@@ -200,12 +212,11 @@ def test_gradients_match_finite_differences():
         c = rng.standard_normal(u.shape)
 
         def loss():
-            out, _ = attn_forward(u, params)
+            out = attn_forward(u, params)
             return float(np.sum(c * out))
 
         _, grad_in, grad_p = loss_and_grads(u, params, c)
-        _, cache = attn_forward(u, params)
-        margin = np.abs(np.abs(u) - (cache.s * cache.a)[:, None, None, None])
+        margin = np.abs(np.abs(u) - threshold(u, params))
 
         for idx in np.ndindex(u.shape):
             if margin[idx] < 1e-4:

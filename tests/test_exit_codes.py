@@ -28,6 +28,7 @@ ADDRESS_SPACE = 4 << 30  # bytes; far below the 7.28 TiB of the oversized phanto
 TRAIN = ["n_samples = 1", "shape = 8x8x2", "spokes = 3", "n_phases = 1", "nc = 2"]
 
 OUT = "{dir}/out.dmrt"
+OLD_DIAG = b"old diag\n"
 RECON_ADMM = ["recon-admm", "--data", "{gt}", "--mask", "{mask}", "--out", OUT]
 RECON_NET = ["recon-net", "--ckpt", "{ckpt}", "--data", "{gt}", "--mask", "{mask}",
              "--out", OUT]
@@ -55,6 +56,8 @@ TABLE = [
     ("recon-admm-nan-lambda", [*RECON_ADMM, "--lambda=nan"], 3),
     ("recon-admm-non-finite", [*RECON_ADMM[:2], "{gt_nan}", *RECON_ADMM[3:]], 4),
     ("recon-admm-unwritable-diag", [*RECON_ADMM, "--diag", "{dir}/no/d.txt"], 3),
+    ("recon-admm-non-finite-keeps-diag",
+     [*RECON_ADMM[:2], "{gt_nan}", *RECON_ADMM[3:], "--diag", "{diag_old}"], 4),
     ("train-no-out-ckpt", ["train", "--config", "{cfg_ok}"], 2),
     ("train-missing-config", ["train", "--config", "{dir}/missing.cfg",
                               "--out-ckpt", "{dir}/c.dusc"], 3),
@@ -101,6 +104,8 @@ def files(tmp_path_factory):
     paths["mask_complex"] = d / "mask_complex"  # 0/1 entries, stored as complex
     save_dmrt(paths["mask_complex"], make_pseudo_radial_mask(gt.shape, 6, seed=0) + 0j)
     save_dmrt(paths["mask_other"], np.ones((16, 16, 5), dtype=np.uint8))
+    paths["diag_old"] = d / "old_diag.txt"
+    paths["diag_old"].write_bytes(OLD_DIAG)
     paths["ckpt"] = d / "net.dusc"
     save_checkpoint(paths["ckpt"], init_network_params(cfg), cfg)
     paths["ckpt_cut"] = d / "cut.dusc"
@@ -139,6 +144,9 @@ NAMES = {
     "train-unwritable-ckpt": "{dir}/no/c.dusc",
 }
 
+# The file a failed row must leave byte-unchanged, with no temporary beside it.
+KEPT = {"recon-admm-non-finite-keeps-diag": "diag_old"}
+
 
 @pytest.mark.parametrize("row, argv, code", TABLE, ids=[row[0] for row in TABLE])
 def test_failure_exit_code(files, row, argv, code):
@@ -151,6 +159,10 @@ def test_failure_exit_code(files, row, argv, code):
         assert "error:" in r.stderr
     if row in NAMES:
         assert NAMES[row].format(**files) in r.stderr
+    if row in KEPT:
+        with open(files[KEPT[row]], "rb") as fh:
+            assert fh.read() == OLD_DIAG
+        assert not [n for n in os.listdir(files["dir"]) if n.endswith(".tmp")]
 
 
 def test_eval_of_a_large_finite_voxel_scores_without_a_warning(files):

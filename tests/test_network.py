@@ -118,7 +118,7 @@ def test_z_block_backward_matches_finite_differences():
     _, pc = z_block(x, l, phase)
     cache = block_caches(NetCache(atb=x, encoder=None, phases=[pc]), 0, phase)
     g, _ = stack_backward(to_channels(c), cache.fhat_ins, phase.fhat_stack)
-    g, attn_grads = attn_backward(g, cache.attn_cache, phase.attn)
+    g, attn_grads = attn_backward(g, cache.u, phase.attn)
     g, f_grads = stack_backward(g, cache.f_ins, phase.f_stack)
     gv = from_channels(g)
 
@@ -399,19 +399,20 @@ def test_forward_cache_holds_each_activation_once():
     params = init_network_params(cfg, seed=4)
     _, cache = network_forward(b, enc, params, cfg)
     assert [f.name for f in fields(PhaseCache)] == ["l_prev", "u", "fhat_hidden", "z", "x"]
-    assert [f.name for f in fields(BlockCaches)] == ["f_ins", "attn_cache", "fhat_ins"]
+    assert [f.name for f in fields(BlockCaches)] == ["f_ins", "u", "fhat_ins"]
     for n, (pc, phase) in enumerate(zip(cache.phases, params.phases)):
         assert len(pc.fhat_hidden) == 1
         bc = block_caches(cache, n, phase)
         assert len(bc.f_ins) == 3 and len(bc.fhat_ins) == 2
-        assert bc.attn_cache.u is pc.u
+        assert bc.u is pc.u
         assert bc.fhat_ins[1] is pc.fhat_hidden[0]
 
 
 @pytest.mark.parametrize("depths", [(2, 2), (1, 3), (3, 1)])
 def test_rebuilt_caches_equal_the_stored_forward(monkeypatch, depths):
-    # every array block_caches rebuilds has the bytes the stored-cache forward
-    # kept, and the backward on the stored caches gives the same bytes
+    # u and every layer input block_caches rebuilds have the bytes the
+    # stored-cache forward kept, and the backward on the stored caches gives
+    # the same bytes
     gt, enc, b, rng = small_problem(seed=22, shape=(9, 7, 3))
     cfg = NetworkConfig(n_phases=3, nc=4, f_depth=depths[0], fhat_depth=depths[1])
     params = init_network_params(cfg, seed=22)
@@ -423,10 +424,8 @@ def test_rebuilt_caches_equal_the_stored_forward(monkeypatch, depths):
             pairs = zip(getattr(got, kind), getattr(want, kind), strict=True)
             for j, (a, c) in enumerate(pairs):
                 assert a.tobytes() == c.tobytes() and a.shape == c.shape, (n, kind, j)
-        for field in ("u", "a", "pre1", "s", "active"):
-            a, c = getattr(got.attn_cache, field), getattr(want.attn_cache, field)
-            assert a.dtype == c.dtype and a.shape == c.shape, (n, field)
-            assert a.tobytes() == c.tobytes(), (n, field)
+        assert got.u.dtype == want.u.dtype and got.u.shape == want.u.shape, n
+        assert got.u.tobytes() == want.u.tobytes(), n
     c = rand_volume(rng, gt.shape)
     for zeta in (0.0, 0.1):
         rebuilt = network_backward(c, cache, params, zeta)
@@ -614,8 +613,8 @@ def record_penalty_sweep(monkeypatch):
     attn = dynmr.network.attn_backward
     penalty = dynmr.network.inverse_penalty
 
-    def attn_rec(g, attn_cache, p):
-        g_in, grads = attn(g, attn_cache, p)
+    def attn_rec(g, u, p):
+        g_in, grads = attn(g, u, p)
         g_u.append(g_in)
         return g_in, grads
 
@@ -698,7 +697,7 @@ def test_penalty_grads_are_bit_identical_without_the_input_gradient():
     cfg = NetworkConfig(n_phases=2, nc=4, f_depth=2, fhat_depth=2)
     params = init_network_params(cfg, seed=18)
     for bc, phase in zip(stored_block_caches(b, enc, params), params.phases):
-        pen_out, pen_ins = stack_forward(bc.attn_cache.u, phase.fhat_stack)
+        pen_out, pen_ins = stack_forward(bc.u, phase.fhat_stack)
         r = pen_out - bc.f_ins[0]
         want_g, want_fhat = stack_backward(2.0 * r, pen_ins, phase.fhat_stack)
         value, g_pen_u, fhat_grads = inverse_penalty(bc, phase)
