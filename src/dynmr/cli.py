@@ -58,9 +58,16 @@ def _load_mask(path):
     return m.astype(np.uint8)
 
 
+def _seed(args):
+    """args.seed; a negative one is a rejected setting, named here, not by numpy."""
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    return args.seed
+
+
 def _cmd_phantom(args):
     spec = PhantomSpec(
-        shape=args.shape, n_ellipses=args.ellipses, motion=args.motion, seed=args.seed
+        shape=args.shape, n_ellipses=args.ellipses, motion=args.motion, seed=_seed(args)
     )
     save_dmrt(args.out, generate_phantom(spec))
     return 0
@@ -82,7 +89,7 @@ def _cmd_mask(args, parser):
     if getattr(args, needed) is None:
         parser.error(f"--pattern {args.pattern} requires --{needed}")
     sampler = _sampler(args.pattern, args.spokes, args.accel, args.center_lines)
-    save_dmrt(args.out, sampler(args.shape, args.seed))
+    save_dmrt(args.out, sampler(args.shape, _seed(args)))
     return 0
 
 
@@ -204,7 +211,7 @@ def _cmd_eval(args):
 
 
 def _cmd_gradcheck(args):
-    results = run_gradcheck(seed=args.seed)
+    results = run_gradcheck(seed=_seed(args))
     failed = False
     for r in results:
         status = "pass" if r.ok else "FAIL"

@@ -89,19 +89,22 @@ def make_pseudo_radial_mask(shape, n_spokes, seed=0):
     cy, cx = h // 2, w // 2
     rmax = math.hypot(max(cy, h - 1 - cy), max(cx, w - 1 - cx))
     radii = np.arange(0.0, rmax + 0.5, 0.5)
+    angles = [
+        base + f * (math.pi / n_spokes) * GOLDEN_FRACTION + s * math.pi / n_spokes
+        for f in range(t)
+        for s in range(n_spokes)
+    ]
+    # (frame * spoke, radius) arrays, rounded as one spoke at a time would be
+    dy = np.array([math.sin(a) for a in angles])[:, None] * radii
+    dx = np.array([math.cos(a) for a in angles])[:, None] * radii
+    frames = np.broadcast_to(np.repeat(np.arange(t), n_spokes)[:, None], dy.shape)
     mask = np.zeros((h, w, t), dtype=np.uint8)
-    for f in range(t):
-        offset = base + f * (math.pi / n_spokes) * GOLDEN_FRACTION
-        for s in range(n_spokes):
-            ang = offset + s * math.pi / n_spokes
-            dy = radii * math.sin(ang)
-            dx = radii * math.cos(ang)
-            for sign in (1.0, -1.0):
-                ys = np.rint(cy + sign * dy).astype(np.int64)
-                xs = np.rint(cx + sign * dx).astype(np.int64)
-                keep = (ys >= 0) & (ys < h) & (xs >= 0) & (xs < w)
-                mask[ys[keep], xs[keep], f] = 1
-        mask[cy, cx, f] = 1
+    for sign in (1.0, -1.0):
+        ys = np.rint(cy + sign * dy).astype(np.int64)
+        xs = np.rint(cx + sign * dx).astype(np.int64)
+        keep = (ys >= 0) & (ys < h) & (xs >= 0) & (xs < w)
+        mask[ys[keep], xs[keep], frames[keep]] = 1
+    mask[cy, cx, :] = 1
     return mask
 
 

@@ -14,9 +14,10 @@ import numpy as np
 
 from .conv3d import stack_forward
 from .encoding import Encoder, make_pseudo_radial_mask
-from .network import NetworkConfig, block_caches, init_network_params, named_tensors
+from .network import NetworkConfig, init_network_params, named_tensors
 from .network import network_backward, network_forward
 from .training import mse_loss
+from .volume import to_channels
 
 FD_STEP = 1e-6
 ATOL = 1e-7
@@ -54,7 +55,8 @@ def run_gradcheck(seed=0):
     b = enc.forward(gt)
     x_hat, cache = network_forward(b, enc, params, cfg)
     gloss = mse_loss(x_hat, gt)[1]
-    inputs = [block_caches(cache, n, ph).f_ins[0] for n, ph in enumerate(params.phases)]
+    x_prev = [cache.atb] + [pc.x for pc in cache.phases[:-1]]
+    inputs = [to_channels(x + pc.l_prev) for x, pc in zip(x_prev, cache.phases)]
 
     def loss(zeta):
         total = mse_loss(network_forward(b, enc, params, cfg, want_cache=False)[0], gt)[0]

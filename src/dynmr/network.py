@@ -10,14 +10,14 @@ step is replaced by a learned map:
 encode/decode are 3x3x3 conv stacks (2 <-> nc channels), attn is the
 channel-attention soft threshold, and mu, eta are learned per phase through a
 softplus so they stay positive.  The initial state is the zero-filled adjoint
-with L = 0.  z_block is the one denoising-block forward.  For training each
-phase keeps a PhaseCache of five things: L before the phase, the encode
-output u, the decode stack's hidden outputs, Z and X.  Just before a phase's
-reverse step, block_caches rebuilds the rest: the block input from the
-previous X and L, the encode layers below the top one (at the default depths
-only the cheap 2 -> nc layer) and the attention output.  That halves the
-training cache at the default depths.  Inference streams the conv stacks
-through two buffers by conv3d.stack_forward(bufs); attention shrinks in place.
+with L = 0.  z_block is the one denoising-block forward: it streams the conv
+stacks through two buffers by conv3d.stack_forward(bufs), attention shrinking
+in place, or records every layer input in a BlockCaches.  Inference streams
+every phase.  So does training, which keeps a PhaseCache of L before the
+phase and X after it, two complex volumes per phase; only the last phase
+runs in record mode, and its Z and BlockCaches go into the NetCache.  The
+backward re-runs each other phase's z_block in record mode just before that
+phase's reverse step, so one phase's layer inputs are alive at a time.
 
 The data-consistency and multiplier blocks are the classical solver's x and l
 steps, one admm.xl_step per phase: x = y + (A^H b - P y)/(1 + mu), y = Z - L,
@@ -149,10 +149,7 @@ class PhaseCache:
     """What the training forward keeps of one phase; block_caches rebuilds the rest."""
 
     l_prev: np.ndarray
-    u: np.ndarray  # the encode output
-    fhat_hidden: list  # the decode stack's hidden outputs, fhat_depth - 1 arrays
-    z: np.ndarray
-    x: np.ndarray = None
+    x: np.ndarray
 
 
 @dataclass
@@ -169,10 +166,11 @@ class NetCache:
     atb: np.ndarray  # A^H b, the zero-filled start
     encoder: object
     phases: list = field(default_factory=list)
+    last: tuple = None  # the last phase's (z, BlockCaches) until a sweep takes it
 
 
 def z_block(x, l, phase, bufs=None):
-    """Denoising block; returns (z, PhaseCache keeping u and the decode hidden outputs).
+    """Denoising block; returns (z, BlockCaches of every layer input).
 
     With bufs, two float64 arrays of at least every layer's output shape, the
     block keeps no intermediate and returns (z, None): the conv stacks stream
@@ -180,32 +178,30 @@ def z_block(x, l, phase, bufs=None):
     other buffer.
     """
     c_in = to_channels(x + l)
-    u, _ = stack_forward(c_in, phase.f_stack, bufs)
+    u, f_ins = stack_forward(c_in, phase.f_stack, bufs)
     work = None if bufs is None else spare(u, bufs)[:len(u)]
     attn_out = attn_forward(u, phase.attn, work)
     fhat_out, fhat_ins = stack_forward(attn_out, phase.fhat_stack, bufs)
     z = from_channels(fhat_out)
     if bufs is not None:
         return z, None
-    return z, PhaseCache(l, u, fhat_ins[1:], z)
+    return z, BlockCaches(f_ins, u, fhat_ins)
 
 
 def block_caches(cache, n, phase):
-    """Rebuild phase n's BlockCaches from what its PhaseCache keeps.
+    """Phase n's (z, BlockCaches) for its reverse step.
 
-    The block input is to_channels(x_prev + l_prev), x_prev being phase n-1's x
-    (A^H b for phase 0); the encode stack below its top layer and the attention
-    re-run on the same inputs with the same calls as in the forward, so every
-    array equals the forward's.  The decode inputs are the attention output and
-    the kept hidden outputs.
+    The last phase's pair is taken out of cache.last, which the forward
+    filled, so a second sweep over the same cache rebuilds it.  Any other
+    phase re-runs z_block in record mode on x_prev + l_prev, x_prev being
+    phase n-1's x (A^H b for phase 0): the same calls on the same inputs as
+    the forward's, so every array equals the forward's.
     """
-    pc = cache.phases[n]
+    if n == len(cache.phases) - 1 and cache.last is not None:
+        kept, cache.last = cache.last, None
+        return kept
     x_prev = cache.phases[n - 1].x if n else cache.atb
-    top_in, f_ins = stack_forward(to_channels(x_prev + pc.l_prev), phase.f_stack[:-1])
-    if f_ins:  # the partial stack's output is a hidden layer of the whole stack
-        np.maximum(top_in, 0.0, out=top_in)
-    attn_out = attn_forward(pc.u, phase.attn)
-    return BlockCaches([*f_ins, top_in], pc.u, [attn_out, *pc.fhat_hidden])
+    return z_block(x_prev, cache.phases[n].l_prev, phase)
 
 
 def x_block(z, l, atb, encoder, mu):
@@ -216,43 +212,45 @@ def x_block(z, l, atb, encoder, mu):
 def network_forward(b, encoder, params, cfg, want_cache=True):
     """Run all phases from the zero-filled adjoint.
 
-    Returns (reconstruction, cache), the cache holding A^H b and one
-    PhaseCache per phase.  Each phase runs z_block and then
-    admm.xl_step, whose NumericalError names the phase ("phase 1" for
-    phase01.*).  When want_cache is False, for plain inference, the cache is
-    None and every phase's activations stream through two buffers allocated
-    here, so memory does not grow with depth or phases.  The phases come from
+    Returns (reconstruction, cache), the cache holding A^H b, one PhaseCache
+    per phase and the last phase's (z, BlockCaches).  Each phase runs z_block
+    and then admm.xl_step, whose NumericalError names the phase ("phase 1"
+    for phase01.*).  Every phase's activations stream through two buffers
+    allocated here, so memory does not grow with depth or phases; with
+    want_cache the last phase runs in record mode instead.  When want_cache
+    is False, for plain inference, the cache is None.  The phases come from
     params; cfg is not read, and is accepted only because the bench passes it.
     """
     atb = encoder.adjoint(b)
     state = AdmmState(x=atb.copy(), z=None, l=np.zeros_like(atb))
     work = np.empty_like(atb)
     cache = NetCache(atb=atb, encoder=encoder) if want_cache else None
-    bufs = None
-    if not want_cache:
-        width = max(
-            layer.out_channels
-            for phase in params.phases
-            for layer in phase.f_stack + phase.fhat_stack
-        )
-        bufs = [np.empty((width, *atb.shape)) for _ in range(2)]
+    width = max(
+        layer.out_channels
+        for phase in params.phases
+        for layer in phase.f_stack + phase.fhat_stack
+    )
+    bufs = [np.empty((width, *atb.shape)) for _ in range(2)]
+    last = len(params.phases) - 1
     for n, phase in enumerate(params.phases):
         state.z = None  # inference then holds one z at a time
         l_prev = state.l.copy() if want_cache else state.l  # xl_step overwrites l
-        state.z, pc = z_block(state.x, l_prev, phase, bufs)
+        record = want_cache and n == last
+        state.z, bc = z_block(state.x, l_prev, phase, None if record else bufs)
         xl_step(state, atb, encoder, mu_of(phase), eta_of(phase), work, f"phase {n}")
         if want_cache:
-            pc.x = state.x.copy()
-            cache.phases.append(pc)
+            cache.phases.append(PhaseCache(l_prev, state.x.copy()))
+    if want_cache:
+        cache.last = (state.z, bc)
     return state.x, cache
 
 
 def network_backward(grad_x, cache, params, zeta=0.0):
     """Pull a loss gradient on the output volume back to every parameter.
 
-    Reverse sweep over the phases; each step first rebuilds the phase's
-    BlockCaches from its PhaseCache and drops them afterwards, so one phase's
-    full caches are alive at a time.  The data-consistency block
+    Reverse sweep over the phases; each step first gets the phase's z and
+    BlockCaches from block_caches and drops them afterwards, so one phase's
+    layer inputs are alive at a time.  The data-consistency block
     x = y + (A^H b - P y)/(1 + mu) is linear in y with the self-adjoint
     Jacobian I - P/(1 + mu), so an incoming gradient g pulls back to
     g - P g/(1 + mu), and the mu-derivative of the loss is
@@ -277,19 +275,19 @@ def network_backward(grad_x, cache, params, zeta=0.0):
         phase = params.phases[n]
         mu = mu_of(phase)
         eta = eta_of(phase)
+        z, bc = block_caches(cache, n, phase)
 
-        g_eta = np.asarray(real_inner(gl, pc.x - pc.z) * sigmoid(phase.eta_raw))
+        g_eta = np.asarray(real_inner(gl, pc.x - z) * sigmoid(phase.eta_raw))
         g = gx + eta * gl
         pg = cache.encoder.normal(g)
         gy = g - pg / (1.0 + mu)
         g_mu = np.asarray(
-            (real_inner(pg, pc.z - pc.l_prev) - real_inner(g, cache.atb))
+            (real_inner(pg, z - pc.l_prev) - real_inner(g, cache.atb))
             / (1.0 + mu) ** 2
             * sigmoid(phase.mu_raw)
         )
 
         gz = gy - eta * gl
-        bc = block_caches(cache, n, phase)
         g, fhat_grads = stack_backward(to_channels(gz), bc.fhat_ins, phase.fhat_stack)
         g_u, attn_grads = attn_backward(g, bc.u, phase.attn)
         g = g_u
@@ -304,7 +302,7 @@ def network_backward(grad_x, cache, params, zeta=0.0):
         gx, f_grads = stack_backward(g, bc.f_ins, phase.f_stack, n > 0 and not zeta > 0)
         if n and zeta > 0:  # the penalty holds its input constant: g_u alone
             gx = stack_input_grad(g_u, bc.f_ins, phase.f_stack)
-        del bc, g, g_u  # nc-channel activations the next phase does not read
+        del z, bc, g, g_u  # activations the next phase does not read
         grads.update(_phase_tensors(n, f_grads, fhat_grads, attn_grads, g_mu, g_eta))
 
         if n:

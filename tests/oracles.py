@@ -4,15 +4,18 @@ x_update_cg solves the solver's data-consistency normal equations by
 conjugate gradients, as the reference for the closed form.  The identity conv
 stacks and neutral_phase_params build a phase whose denoising block is the
 exact identity, which pins the unrolled network to one classical iteration.
-stored_block_caches is the training forward that keeps every phase's conv
-layer inputs and encode output u, the reference for the caches
-network_backward rebuilds from its slim PhaseCache.  inverse_penalty_two_pass
-is the inversion penalty as a second pass over those stored caches, with its own backward through both
-conv stacks: the reference for the penalty that network_backward folds into
-its one encode stack backward per phase.  The gradient tests take their
-central difference from dynmr.gradcheck.fd_at.
+stored_block_caches is the training forward that keeps every phase's z and
+conv layer inputs and encode output u, the reference for what
+network_backward rebuilds from its PhaseCache of l and x.
+inverse_penalty_two_pass is the inversion penalty as a second pass over those
+stored caches, with its own backward through both conv stacks: the reference
+for the penalty that network_backward folds into its one encode stack
+backward per phase.  make_pseudo_radial_mask_loop is the radial mask
+rasterized one spoke at a time, the reference for the vectorized one.  The
+gradient tests take their central difference from dynmr.gradcheck.fd_at.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -20,6 +23,7 @@ import numpy as np
 from dynmr.admm import AdmmState, xl_step
 from dynmr.attention import AttnParams, attn_forward
 from dynmr.conv3d import KERNEL, Conv3dLayer, stack_backward, stack_forward
+from dynmr.encoding import GOLDEN_FRACTION
 from dynmr.errors import NumericalError
 from dynmr.network import BlockCaches, PhaseParams, _raw, eta_of, mu_of
 from dynmr.volume import check_same_shape, from_channels, fro_norm, to_channels
@@ -137,7 +141,7 @@ def neutral_phase_params(nc, mu, eta):
 
 
 def stored_block_caches(b, encoder, params):
-    """Every phase's BlockCaches, from a forward that stores them all."""
+    """Every phase's (z, BlockCaches), from a forward that stores them all."""
     atb = encoder.adjoint(b)
     state = AdmmState(x=atb.copy(), z=None, l=np.zeros_like(atb))
     work = np.empty_like(atb)
@@ -146,7 +150,7 @@ def stored_block_caches(b, encoder, params):
         u, f_ins = stack_forward(to_channels(state.x + state.l), phase.f_stack)
         fhat_out, fhat_ins = stack_forward(attn_forward(u, phase.attn), phase.fhat_stack)
         state.z = from_channels(fhat_out)
-        stored.append(BlockCaches(f_ins, u, fhat_ins))
+        stored.append((state.z, BlockCaches(f_ins, u, fhat_ins)))
         xl_step(state, atb, encoder, mu_of(phase), eta_of(phase), work, f"phase {n}")
     return stored
 
@@ -162,7 +166,7 @@ def inverse_penalty_two_pass(stored, params):
     """
     total = 0.0
     grads = {}
-    for n, (bc, phase) in enumerate(zip(stored, params.phases)):
+    for n, ((_, bc), phase) in enumerate(zip(stored, params.phases)):
         tag = f"phase{n:02d}"
         c_in = bc.f_ins[0]
         f_out = bc.u
@@ -178,3 +182,27 @@ def inverse_penalty_two_pass(stored, params):
             grads[f"{tag}.fhat{j}.w"] = gw
             grads[f"{tag}.fhat{j}.b"] = gb
     return total, grads
+
+
+def make_pseudo_radial_mask_loop(shape, n_spokes, seed=0):
+    """The pseudo-radial mask, rasterized one frame, spoke and sign at a time."""
+    h, w, t = shape
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(0.0, math.pi / n_spokes)
+    cy, cx = h // 2, w // 2
+    rmax = math.hypot(max(cy, h - 1 - cy), max(cx, w - 1 - cx))
+    radii = np.arange(0.0, rmax + 0.5, 0.5)
+    mask = np.zeros((h, w, t), dtype=np.uint8)
+    for f in range(t):
+        offset = base + f * (math.pi / n_spokes) * GOLDEN_FRACTION
+        for s in range(n_spokes):
+            ang = offset + s * math.pi / n_spokes
+            dy = radii * math.sin(ang)
+            dx = radii * math.cos(ang)
+            for sign in (1.0, -1.0):
+                ys = np.rint(cy + sign * dy).astype(np.int64)
+                xs = np.rint(cx + sign * dx).astype(np.int64)
+                keep = (ys >= 0) & (ys < h) & (xs >= 0) & (xs < w)
+                mask[ys[keep], xs[keep], f] = 1
+        mask[cy, cx, f] = 1
+    return mask

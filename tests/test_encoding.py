@@ -9,6 +9,7 @@ from dynmr.encoding import (
     make_vds_mask,
 )
 from dynmr.volume import fro_norm
+from oracles import make_pseudo_radial_mask_loop
 
 
 def rand_volume(rng, shape):
@@ -193,6 +194,19 @@ def test_radial_saturates_to_full_sampling():
     shape = (16, 16, 2)
     mask = make_pseudo_radial_mask(shape, 400, seed=0)
     assert np.all(mask == 1)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(32, 32, 8), (64, 64, 16), (17, 12, 6), (16, 16, 4), (33, 47, 5), (1, 1, 1), (8, 8, 3)],
+)
+def test_radial_mask_is_byte_equal_to_the_spoke_loop(shape):
+    for n_spokes in (1, 4, 5, 8, 16):
+        for seed in range(6):
+            got = make_pseudo_radial_mask(shape, n_spokes, seed=seed)
+            want = make_pseudo_radial_mask_loop(shape, n_spokes, seed=seed)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (shape, n_spokes, seed)
 
 
 def test_radial_sixteen_spokes_fraction():

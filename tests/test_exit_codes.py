@@ -42,12 +42,16 @@ TABLE = [
      ["phantom", "--shape", "8x8x2", "--ellipses", "0", "--out", OUT], 3),
     ("phantom-unwritable", ["phantom", "--shape", "8x8x2", "--out", "{dir}/no/p.dmrt"], 3),
     ("phantom-oversized", ["phantom", "--shape", "100000x100000x100", "--out", OUT], 3),
+    ("phantom-negative-seed",
+     ["phantom", "--shape", "8x8x2", "--seed", "-3", "--out", OUT], 3),
     ("mask-radial-no-spokes", ["mask", "--pattern", "radial", "--shape", "8x8x2",
                                "--out", OUT], 2),
     ("mask-unknown-pattern", ["mask", "--pattern", "spiral", "--shape", "8x8x2",
                               "--out", OUT], 2),
     ("mask-vds-nan-accel", ["mask", "--pattern", "vds", "--accel", "nan",
                             "--shape", "8x8x2", "--out", OUT], 3),
+    ("mask-negative-seed", ["mask", "--pattern", "radial", "--spokes", "4", "--shape", "8x8x2",
+                            "--seed", "-1", "--out", OUT], 3),
     ("recon-admm-unknown-option", [*RECON_ADMM, "--x-update", "cg"], 2),
     ("recon-admm-missing-file", [*RECON_ADMM[:2], "{dir}/missing.dmrt", *RECON_ADMM[3:]], 3),
     ("recon-admm-shape-mismatch", [*RECON_ADMM[:4], "{mask_other}", *RECON_ADMM[5:]], 3),
@@ -137,11 +141,15 @@ def _run(files, argv):
     )
 
 
-# The path a row's message must name: the target, not a temporary file.
+# What a row's message must name: the target path, not a temporary file, or
+# the rejected option.
 NAMES = {
     "phantom-unwritable": "{dir}/no/p.dmrt",
     "recon-admm-unwritable-diag": "{dir}/no/d.txt",
     "train-unwritable-ckpt": "{dir}/no/c.dusc",
+    "phantom-negative-seed": "--seed",
+    "mask-negative-seed": "--seed",
+    "gradcheck-negative-seed": "--seed",
 }
 
 # The file a failed row must leave byte-unchanged, with no temporary beside it.

@@ -80,11 +80,10 @@ def test_z_block_neutral_is_exact_identity():
     phase = neutral_phase_params(4, mu=0.5, eta=1.0)
     x = rand_volume(rng, (6, 6, 3))
     l = rand_volume(rng, (6, 6, 3))
-    z, cache = z_block(x, l, phase)
+    z, bc = z_block(x, l, phase)
     assert np.array_equal(z, x + l)
-    assert cache.z is z
-    assert cache.l_prev is l
-    assert np.array_equal(from_channels(cache.u[:2]), x + l)  # the encode half
+    assert np.array_equal(from_channels(bc.f_ins[0]), x + l)
+    assert np.array_equal(from_channels(bc.u[:2]), x + l)  # the encode half
 
 
 def test_z_block_generic_shapes():
@@ -93,11 +92,16 @@ def test_z_block_generic_shapes():
     params = init_network_params(cfg, seed=1)
     x = rand_volume(rng, (6, 6, 3))
     l = rand_volume(rng, (6, 6, 3))
-    z, cache = z_block(x, l, params.phases[0])
+    z, bc = z_block(x, l, params.phases[0])
     assert z.shape == x.shape
     assert np.iscomplexobj(z)
-    assert cache.u.shape == (4, 6, 6, 3)
-    assert [h.shape for h in cache.fhat_hidden] == [(4, 6, 6, 3)]
+    assert [a.shape for a in bc.f_ins] == [(2, 6, 6, 3), (4, 6, 6, 3)]
+    assert bc.u.shape == (4, 6, 6, 3)
+    assert [a.shape for a in bc.fhat_ins] == [(4, 6, 6, 3), (4, 6, 6, 3)]
+    bufs = [np.empty((4, 6, 6, 3)) for _ in range(2)]
+    streamed, none = z_block(x, l, params.phases[0], bufs)
+    assert none is None
+    assert streamed.tobytes() == z.tobytes()
 
 
 def test_z_block_backward_matches_finite_differences():
@@ -114,9 +118,8 @@ def test_z_block_backward_matches_finite_differences():
         return real_inner(c, z)
 
     # the block's share of network_backward at zeta 0: decode, attention,
-    # encode, on the caches rebuilt from the block's PhaseCache (x_prev = x)
-    _, pc = z_block(x, l, phase)
-    cache = block_caches(NetCache(atb=x, encoder=None, phases=[pc]), 0, phase)
+    # encode, on the layer inputs z_block records
+    _, cache = z_block(x, l, phase)
     g, _ = stack_backward(to_channels(c), cache.fhat_ins, phase.fhat_stack)
     g, attn_grads = attn_backward(g, cache.u, phase.attn)
     g, f_grads = stack_backward(g, cache.f_ins, phase.f_stack)
@@ -179,18 +182,21 @@ def test_forward_matches_manual_composition():
 
     atb = enc.adjoint(b)
     x, l = atb, np.zeros_like(atb)
-    held = [x_out]
-    for n, (phase, pc) in enumerate(zip(params.phases, cache.phases, strict=True)):
-        assert np.array_equal(from_channels(block_caches(cache, n, phase).f_ins[0]),
-                              x + l)
+    z_last, bc_last = cache.last
+    held = [x_out, z_last, *bc_last.f_ins, bc_last.u, *bc_last.fhat_ins]
+    for phase, pc in zip(params.phases, cache.phases, strict=True):
         z, block = z_block(x, l, phase)
         l_prev = l
         x = x_update_closed_form(z, l, atb, enc, mu_of(phase))
         l = l_update(AdmmState(x=x, z=z, l=l), eta_of(phase))
-        kept = [(pc.x, x), (pc.z, z), (pc.l_prev, l_prev), (pc.u, block.u)]
-        for got, want in kept + list(zip(pc.fhat_hidden, block.fhat_hidden, strict=True)):
-            assert np.array_equal(got, want)
-        held += [pc.x, pc.z, pc.l_prev, pc.u, *pc.fhat_hidden]
+        assert np.array_equal(pc.x, x)
+        assert np.array_equal(pc.l_prev, l_prev)
+        held += [pc.x, pc.l_prev]
+    # the last phase's z and layer inputs, from the forward's record mode
+    assert np.array_equal(z_last, z)
+    for got, want in [(bc_last.u, block.u), *zip(bc_last.f_ins, block.f_ins, strict=True),
+                      *zip(bc_last.fhat_ins, block.fhat_ins, strict=True)]:
+        assert np.array_equal(got, want)
     assert np.array_equal(x_out, x)
     for i, a in enumerate(held):
         for other in held[i + 1:]:
@@ -357,10 +363,11 @@ def test_backward_rejects_cg_mode_and_bad_cache():
                          ids=["0.0", "0.1", "streamed"])
 def test_conv_layer_call_counts(monkeypatch, want_cache, zeta):
     # one conv3d_forward per layer in the forward, cached or streamed; in the
-    # backward one conv3d_backward per layer, and per phase the rebuild re-runs
-    # the encode layers below the top one; at zeta > 0 the penalty adds its
-    # decode forward and backward per phase, and every phase but phase 0 pulls
-    # the encode input gradient back with stack_input_grad
+    # backward one conv3d_backward per layer, and every phase but the last,
+    # which the forward recorded, re-runs its whole denoising block; at
+    # zeta > 0 the penalty adds its decode forward and backward per phase, and
+    # every phase but phase 0 pulls the encode input gradient back with
+    # stack_input_grad
     calls = {"conv3d_forward": 0, "conv3d_backward": 0, "stack_input_grad": 0}
     for name in calls:
         owner = dynmr.network if name == "stack_input_grad" else dynmr.conv3d
@@ -383,81 +390,155 @@ def test_conv_layer_call_counts(monkeypatch, want_cache, zeta):
     calls["conv3d_forward"] = 0
     network_backward(rand_volume(rng, out.shape), cache, params, zeta)
     if zeta == 0.0:
-        want = {"conv3d_forward": n * (f - 1), "conv3d_backward": n * (f + fhat),
+        want = {"conv3d_forward": (n - 1) * (f + fhat), "conv3d_backward": n * (f + fhat),
                 "stack_input_grad": 0}
     else:
-        want = {"conv3d_forward": n * (fhat + f - 1),
+        want = {"conv3d_forward": (n - 1) * (f + fhat) + n * fhat,
                 "conv3d_backward": n * (f + 2 * fhat), "stack_input_grad": n - 1}
     assert calls == want
 
 
 def test_forward_cache_holds_each_activation_once():
-    # a phase keeps u and the decode hidden outputs, and the rebuilt caches,
-    # which are the layer inputs alone, hold those same arrays
+    # a phase keeps l_prev and x; the last phase's z and layer inputs are kept
+    # once, apart from every other array, and the first block_caches of that
+    # phase hands over those same arrays
     _, enc, b, _ = small_problem(seed=4)
     cfg = NetworkConfig(n_phases=2, nc=4, f_depth=3, fhat_depth=2)
     params = init_network_params(cfg, seed=4)
     _, cache = network_forward(b, enc, params, cfg)
-    assert [f.name for f in fields(PhaseCache)] == ["l_prev", "u", "fhat_hidden", "z", "x"]
+    assert [f.name for f in fields(PhaseCache)] == ["l_prev", "x"]
     assert [f.name for f in fields(BlockCaches)] == ["f_ins", "u", "fhat_ins"]
-    for n, (pc, phase) in enumerate(zip(cache.phases, params.phases)):
-        assert len(pc.fhat_hidden) == 1
-        bc = block_caches(cache, n, phase)
-        assert len(bc.f_ins) == 3 and len(bc.fhat_ins) == 2
-        assert bc.u is pc.u
-        assert bc.fhat_ins[1] is pc.fhat_hidden[0]
+    assert [f.name for f in fields(NetCache)] == ["atb", "encoder", "phases", "last"]
+    z, bc = cache.last
+    assert len(bc.f_ins) == 3 and len(bc.fhat_ins) == 2
+    held = [cache.atb, z, *bc.f_ins, bc.u, *bc.fhat_ins]
+    held += [a for pc in cache.phases for a in (pc.l_prev, pc.x)]
+    for i, a in enumerate(held):
+        for other in held[i + 1:]:
+            assert not np.shares_memory(a, other)
+    got = block_caches(cache, 1, params.phases[1])
+    assert got[0] is z and got[1] is bc
+    assert cache.last is None
+
+
+def assert_same_bytes(got, want, label):
+    assert got.dtype == want.dtype and got.shape == want.shape, label
+    assert got.tobytes() == want.tobytes(), label
+
+
+def assert_same_sweep(got, want, label):
+    assert got[1] == want[1], label
+    assert list(got[0]) == list(want[0]), label
+    for name, g in got[0].items():
+        assert g.tobytes() == want[0][name].tobytes(), (label, name)
+
+
+def oracle_sweep(monkeypatch, stored, c, cache, params, zeta):
+    """network_backward on the stored-cache forward's z and layer inputs."""
+    with monkeypatch.context() as m:
+        m.setattr(dynmr.network, "block_caches", lambda _c, n, _p: stored[n])
+        return network_backward(c, cache, params, zeta)
 
 
 @pytest.mark.parametrize("depths", [(2, 2), (1, 3), (3, 1)])
 def test_rebuilt_caches_equal_the_stored_forward(monkeypatch, depths):
-    # u and every layer input block_caches rebuilds have the bytes the
-    # stored-cache forward kept, and the backward on the stored caches gives
-    # the same bytes
+    # z, u and every layer input block_caches hands over, the kept last
+    # phase's in the first pass and rebuilt ones in the second, have the
+    # bytes the stored-cache forward kept, and the backward on the stored
+    # caches gives the same bytes
     gt, enc, b, rng = small_problem(seed=22, shape=(9, 7, 3))
     cfg = NetworkConfig(n_phases=3, nc=4, f_depth=depths[0], fhat_depth=depths[1])
     params = init_network_params(cfg, seed=22)
     _, cache = network_forward(b, enc, params, cfg)
     stored = stored_block_caches(b, enc, params)
-    for n, (phase, want) in enumerate(zip(params.phases, stored, strict=True)):
-        got = block_caches(cache, n, phase)
-        for kind in ("f_ins", "fhat_ins"):
-            pairs = zip(getattr(got, kind), getattr(want, kind), strict=True)
-            for j, (a, c) in enumerate(pairs):
-                assert a.tobytes() == c.tobytes() and a.shape == c.shape, (n, kind, j)
-        assert got.u.dtype == want.u.dtype and got.u.shape == want.u.shape, n
-        assert got.u.tobytes() == want.u.tobytes(), n
+    for sweep in range(2):
+        for n, (phase, (want_z, want)) in enumerate(zip(params.phases, stored, strict=True)):
+            z, got = block_caches(cache, n, phase)
+            assert_same_bytes(z, want_z, (sweep, n, "z"))
+            assert_same_bytes(got.u, want.u, (sweep, n, "u"))
+            for kind in ("f_ins", "fhat_ins"):
+                pairs = zip(getattr(got, kind), getattr(want, kind), strict=True)
+                for j, (a, w) in enumerate(pairs):
+                    assert_same_bytes(a, w, (sweep, n, kind, j))
     c = rand_volume(rng, gt.shape)
     for zeta in (0.0, 0.1):
+        _, cache = network_forward(b, enc, params, cfg)
         rebuilt = network_backward(c, cache, params, zeta)
-        with monkeypatch.context() as m:
-            m.setattr(dynmr.network, "block_caches", lambda _c, n, _p: stored[n])
-            oracle = network_backward(c, cache, params, zeta)
-        assert rebuilt[1] == oracle[1]
-        assert list(rebuilt[0]) == list(oracle[0])
-        for name, g in rebuilt[0].items():
-            assert g.tobytes() == oracle[0][name].tobytes(), (zeta, name)
+        assert_same_sweep(rebuilt, oracle_sweep(monkeypatch, stored, c, cache, params, zeta),
+                          zeta)
+
+
+def count_z_blocks(monkeypatch):
+    """Record one entry per z_block the backward's block_caches runs."""
+    calls = []
+    exact = dynmr.network.z_block
+
+    def counted(*args):
+        calls.append(1)
+        return exact(*args)
+
+    monkeypatch.setattr(dynmr.network, "z_block", counted)
+    return calls
+
+
+@pytest.mark.parametrize("zeta", [0.0, 0.1])
+def test_one_phase_sweep_rebuilds_nothing(monkeypatch, zeta):
+    # with one phase the kept last phase is the whole sweep
+    gt, enc, b, rng = small_problem(seed=24, shape=(9, 7, 3))
+    cfg = NetworkConfig(n_phases=1, nc=4)
+    params = init_network_params(cfg, seed=24)
+    stored = stored_block_caches(b, enc, params)
+    c = rand_volume(rng, gt.shape)
+    _, cache = network_forward(b, enc, params, cfg)
+    calls = count_z_blocks(monkeypatch)
+    kept = network_backward(c, cache, params, zeta)
+    assert calls == []
+    assert_same_sweep(kept, oracle_sweep(monkeypatch, stored, c, cache, params, zeta), zeta)
+
+
+@pytest.mark.parametrize("zeta", [0.0, 0.1])
+def test_two_sweeps_over_one_cache_give_the_same_bytes(monkeypatch, zeta):
+    # the first sweep takes the kept last phase out of the cache, so the
+    # second rebuilds every phase
+    gt, enc, b, rng = small_problem(seed=25, shape=(9, 7, 3))
+    cfg = NetworkConfig(n_phases=3, nc=4, f_depth=2, fhat_depth=3)
+    params = init_network_params(cfg, seed=25)
+    c = rand_volume(rng, gt.shape)
+    _, cache = network_forward(b, enc, params, cfg)
+    calls = count_z_blocks(monkeypatch)
+    first = network_backward(c, cache, params, zeta)
+    assert len(calls) == cfg.n_phases - 1
+    assert cache.last is None
+    second = network_backward(c, cache, params, zeta)
+    assert len(calls) == 2 * cfg.n_phases - 1
+    assert_same_sweep(second, first, zeta)
 
 
 @pytest.mark.parametrize("depths", [(2, 2), (1, 3), (3, 1)])
-def test_training_cache_is_fhat_depth_activations_per_phase(depths):
-    # a phase keeps u and fhat_depth - 1 hidden outputs (nc channels each) and
-    # four complex volumes of 1/8 activation: l_prev, z, x and, across the
-    # cache, A^H b and the returned x; the stored-cache forward held 4.82 per
-    # phase at depths (2, 2)
-    shape, nc, n_phases = (24, 24, 8), 16, 4
+def test_training_cache_grows_by_l_and_x_per_phase(depths):
+    # each phase adds a PhaseCache of two complex volumes, l_prev and x, of
+    # 1/8 activation each at nc = 16: 0.25 activations per phase, checked
+    # against a bound of 0.3 for the objects around them; whatever the
+    # depths, the layer inputs of one phase, the last, are all the cache
+    # holds beyond that
+    shape, nc = (24, 24, 8), 16
     _, enc, b, _ = small_problem(seed=23, shape=shape)
-    cfg = NetworkConfig(n_phases=n_phases, nc=nc, f_depth=depths[0], fhat_depth=depths[1])
-    params = init_network_params(cfg, seed=23)
     activation = nc * np.prod(shape) * 8
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        held = network_forward(b, enc, params, cfg)
-        size = tracemalloc.get_traced_memory()[0] - base
-    finally:
-        tracemalloc.stop()
-    assert len(held[1].phases) == n_phases
-    assert size <= n_phases * (depths[1] + 0.5) * activation, size / activation
+    sizes = []
+    for n_phases in (2, 8):
+        cfg = NetworkConfig(n_phases=n_phases, nc=nc, f_depth=depths[0],
+                            fhat_depth=depths[1])
+        params = init_network_params(cfg, seed=23)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            held = network_forward(b, enc, params, cfg)
+            sizes.append(tracemalloc.get_traced_memory()[0] - base)
+        finally:
+            tracemalloc.stop()
+        assert len(held[1].phases) == n_phases
+    per_phase = (sizes[1] - sizes[0]) / 6 / activation
+    assert per_phase <= 0.3, per_phase
 
 
 def test_backward_zero_upstream_gives_zero_grads():
@@ -542,7 +623,7 @@ def penalty_sweep(cache, params, zeta=1.0):
 
 
 def block_inputs(cache, params):
-    return [from_channels(block_caches(cache, n, phase).f_ins[0])
+    return [from_channels(block_caches(cache, n, phase)[1].f_ins[0])
             for n, phase in enumerate(params.phases)]
 
 
@@ -650,7 +731,7 @@ def test_penalty_in_the_sweep_is_bit_identical_to_a_second_pass(monkeypatch, zet
         if ".f" not in name or ".fhat" in name:
             want = g + zeta * pen_grads[name] if name in pen_grads else g
             assert grads[name].tobytes() == want.tobytes(), name
-    for n, (bc, phase) in enumerate(zip(stored, params.phases)):
+    for n, ((_, bc), phase) in enumerate(zip(stored, params.phases)):
         g_sum = g_u[-1 - n] + zeta * g_pen_u[-1 - n]
         _, want_f = stack_backward(g_sum, bc.f_ins, phase.f_stack)
         for j, (ww, wb) in enumerate(want_f):
@@ -696,7 +777,7 @@ def test_penalty_grads_are_bit_identical_without_the_input_gradient():
     gt, enc, b, rng = small_problem(seed=18)
     cfg = NetworkConfig(n_phases=2, nc=4, f_depth=2, fhat_depth=2)
     params = init_network_params(cfg, seed=18)
-    for bc, phase in zip(stored_block_caches(b, enc, params), params.phases):
+    for (_, bc), phase in zip(stored_block_caches(b, enc, params), params.phases):
         pen_out, pen_ins = stack_forward(bc.u, phase.fhat_stack)
         r = pen_out - bc.f_ins[0]
         want_g, want_fhat = stack_backward(2.0 * r, pen_ins, phase.fhat_stack)
@@ -714,9 +795,9 @@ def test_penalty_grads_are_bit_identical_without_the_input_gradient():
 def test_backward_conv_pass_counts(monkeypatch, zeta, depths):
     # per phase: a weight-gradient pass per encode layer and one per decode
     # layer for the loss and again for the penalty; correlations for every
-    # input gradient, the rebuild's encode forward below the top layer, the
-    # penalty's decode forward, and at zeta > 0 the encode stack's second
-    # stream below its top layer; phase 0 forms no input gradient
+    # input gradient, the penalty's decode forward, and at zeta > 0 the encode
+    # stack's second stream below its top layer; phase 0 forms no input
+    # gradient; every phase but the last re-runs its whole block forward
     cfg = NetworkConfig(n_phases=3, nc=4, f_depth=depths[0], fhat_depth=depths[1])
     params = init_network_params(cfg, seed=21)
     gt, enc, b, rng = small_problem(seed=21)
@@ -730,12 +811,13 @@ def test_backward_conv_pass_counts(monkeypatch, zeta, depths):
         monkeypatch.setattr(dynmr.conv3d, name, counted)
     network_backward(rand_volume(rng, gt.shape), cache, params, zeta)
     n, f, fhat = cfg.n_phases, cfg.f_depth, cfg.fhat_depth
+    rebuilt = (n - 1) * (f + fhat)
     if zeta == 0.0:
-        want = {"_correlate": n * (f + fhat) - 1 + n * (f - 1),
+        want = {"_correlate": n * (f + fhat) - 1 + rebuilt,
                 "_param_grads": n * (f + fhat)}
     else:
         want = {
-            "_correlate": n * 3 * fhat + (n - 1) * (2 * f - 1) + f - 1 + n * (f - 1),
+            "_correlate": n * 3 * fhat + (n - 1) * (2 * f - 1) + f - 1 + rebuilt,
             "_param_grads": n * (f + 2 * fhat),
         }
     assert calls == want
