@@ -60,10 +60,20 @@ def init_attn_params(nc, rng):
     )
 
 
+def _magnitudes(u, mag):
+    """Yield (channel slice, |u| over it, formed in mag), len(mag) channels at a time."""
+    for c in range(0, len(u), len(mag)):
+        chunk = u[c:c + len(mag)]
+        yield slice(c, c + len(chunk)), np.abs(chunk, out=mag[:len(chunk)])
+
+
 def _gate(u, params, mag):
-    """Write |u| into mag; return (a, hidden, s, tau_b), tau_b broadcast over u."""
-    np.abs(u, out=mag)
-    a = np.mean(mag, axis=(1, 2, 3))
+    """Return (a, hidden, s, tau_b), tau_b broadcast over u.
+
+    |u| is formed in mag, a float64 array of u's plane shape, len(mag)
+    channels at a time; mag holds all of |u| when it is u's size.
+    """
+    a = np.concatenate([np.mean(m, axis=(1, 2, 3)) for _, m in _magnitudes(u, mag)])
     hidden = np.maximum(params.w1 @ a + params.b1, 0.0)
     s = sigmoid(params.w2 @ hidden + params.b2)
     return a, hidden, s, (s * a)[:, None, None, None]
@@ -72,22 +82,25 @@ def _gate(u, params, mag):
 def attn_forward(u, params, work=None):
     """Apply the operator and return its output.
 
-    With work, a float64 array of u's shape apart from u, the output
-    overwrites u and work holds |u|: plain inference allocates nothing the
-    size of u.
+    With work, a float64 array apart from u of u's plane shape and any
+    number of channels, the output overwrites u and |u| is formed in work
+    a chunk of len(work) channels at a time: plain inference allocates
+    nothing the size of u.
     """
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 4 or u.shape[0] != params.nc:
         raise ValueError(
             f"input shape {u.shape} does not match nc={params.nc} channel tensor"
         )
+    out = np.empty_like(u) if work is None else u
     mag = np.empty_like(u) if work is None else work
     tau_b = _gate(u, params, mag)[3]
-    # sign(u) * max(|u| - tau, 0), built in mag and the output
-    mag -= tau_b
-    np.maximum(mag, 0.0, out=mag)
-    out = np.sign(u, out=None if work is None else u)
-    out *= mag
+    # sign(u) * max(|u| - tau, 0), a chunk at a time in mag and the output
+    for part, m in _magnitudes(u, mag):
+        m -= tau_b[part]
+        np.maximum(m, 0.0, out=m)
+        np.sign(u[part], out=out[part])
+        out[part] *= m
     return out
 
 

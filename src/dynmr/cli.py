@@ -44,7 +44,7 @@ def _load_volume(path):
     v = load_dmrt(path)
     if v.ndim != 3:
         raise FormatError(f"{path}: expected a 3-d volume, got shape {v.shape}")
-    return v.astype(np.complex128)
+    return v.astype(np.complex128, copy=False)  # load_dmrt returned a fresh array
 
 
 def _load_mask(path):
@@ -55,7 +55,7 @@ def _load_mask(path):
         raise FormatError(f"{path}: mask must be real, got {m.dtype}")
     if not np.all((m == 0) | (m == 1)):
         raise FormatError(f"{path}: mask entries must be 0 or 1")
-    return m.astype(np.uint8)
+    return m.astype(np.uint8, copy=False)
 
 
 def _seed(args):

@@ -14,9 +14,10 @@ shifts, with the row's view of the buffer.
 A layer is linear: correlation plus bias.  A stack is a plain list of
 layers applied in order, with a ReLU after every layer but the last, so
 activations are positional by construction and no layer stores one.  A stack's
-forward keeps the list of its layer inputs or, given two buffers, streams
-through them.  Its backward forms the parameter gradients and, unless told
-not to, the input gradient; stack_input_grad forms the input gradient alone.
+forward keeps the list of its layer inputs or, given one buffer, streams
+through it, each layer writing over its own input.  Its backward forms the
+parameter gradients and, unless told not to, the input gradient;
+stack_input_grad forms the input gradient alone.
 Factory helpers build the two stacks the reconstruction network needs: an
 encode stack 2 -> nc and a decode stack nc -> 2.
 """
@@ -74,7 +75,9 @@ def _tap_bands(x, rows):
     in-plane tap (a, b) at taps column j + a(w+2)t + bt; the junk columns
     get cropped.  Past a short last band the buffer keeps the previous band's
     rows; the band's views reach past its bottom pad row only into a zero pad
-    column.
+    column.  Rows r0 .. r1 come from x (row h is the bottom pad); the top
+    halo row r0-1 is carried over from the previous band's buffer, so once a
+    band is yielded its output rows r0 .. r1-1 of x may be overwritten.
     """
     c, h, w, t = x.shape
     plane = (w + 2) * t
@@ -83,12 +86,12 @@ def _tap_bands(x, rows):
     taps = buf.reshape(3 * c, -1)
     for r0 in range(0, h, rows):
         r1 = min(r0 + rows, h)
-        lo, hi = max(r0 - 1, 0), min(r1 + 1, h)
-        d0 = lo - r0 + 1
-        d1 = d0 + hi - lo
-        grid[:, :, d1:r1 - r0 + 2] = 0
-        src = x[:, lo:hi]
-        dst = grid[:, :, d0:d1, 1:-1]
+        hi = min(r1 + 1, h)
+        if r0:  # the first band's top row stays the zero pad
+            grid[:, :, 0] = grid[:, :, rows]
+        grid[:, :, hi - r0 + 1:r1 - r0 + 2] = 0
+        src = x[:, r0:hi]
+        dst = grid[:, :, 1:hi - r0 + 1, 1:-1]
         dst[0, ..., 1:] = src[..., :-1]
         dst[1] = src
         dst[2, ..., :-1] = src[..., 1:]
@@ -98,8 +101,9 @@ def _tap_bands(x, rows):
 def _correlate(x, weights, out=None):
     """Zero-padded cross-correlation of (C_in, h, w, t) x with (C_out, C_in, 3, 3, 3).
 
-    The result goes to out, a (C_out, h, w, t) float64 array, when given; out
-    must not overlap x, whose bands are read after earlier bands are written.
+    The result goes to out, a (C_out, h, w, t) float64 array, when given.  out
+    may hold x's leading planes in place: a band is written only after its
+    input rows are in the tap buffer, and later bands read only rows below it.
     """
     c_in, h, w, t = x.shape
     c_out = weights.shape[0]
@@ -149,11 +153,18 @@ def _param_grads(g_pre, x):
     return g_weights.transpose(2, 4, 0, 1, 3), g_pre.sum(axis=(1, 2, 3))
 
 
+def _same_voxels(x, out):
+    """True when out[i] and x[i] are one element for every index both have."""
+    return out.strides == x.strides and out.ctypes.data == x.ctypes.data
+
+
 def conv3d_forward(x, layer, out=None):
     """Apply one layer; returns its output.
 
     The output is written into out when given, a float64 array of the output
-    shape that does not overlap x.
+    shape that either does not overlap x or starts at x's first element with
+    x's strides, such as buf[:C_out] when x is buf[:C_in]: the layer then
+    writes over its own input.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 4 or x.shape[0] != layer.in_channels:
@@ -161,8 +172,10 @@ def conv3d_forward(x, layer, out=None):
             f"input shape {x.shape} does not match {layer.in_channels} in-channels"
         )
     want = (layer.out_channels, *x.shape[1:])
-    if out is not None and (out.shape != want or np.may_share_memory(x, out)):
-        raise ValueError(f"out must be a {want} array apart from the input")
+    if out is not None and (
+        out.shape != want or (np.may_share_memory(x, out) and not _same_voxels(x, out))
+    ):
+        raise ValueError(f"out must be a {want} array apart from the input or over it")
     out = _correlate(x, layer.weights, out)
     out += layer.bias[:, None, None, None]
     return out
@@ -186,27 +199,21 @@ def conv3d_backward(grad_out, x, layer, want_input=True):
     return (grad_in, *_param_grads(grad_out, x))
 
 
-def spare(x, bufs):
-    """The one of the two buffers bufs that does not hold x."""
-    return bufs[1] if np.may_share_memory(x, bufs[0]) else bufs[0]
-
-
-def stack_forward(x, layers, bufs=None):
+def stack_forward(x, layers, buf=None):
     """Run a list of layers, ReLU after all but the last; returns (output, ins).
 
-    ins lists the float64 input each layer read.  With bufs, two float64
-    arrays of at least every layer's output shape, each layer writes into the
-    one that does not hold its input; ins is None.
+    ins lists the float64 input each layer read.  With buf, a float64 array
+    of at least every layer's output shape, each layer writes its output into
+    buf[:C_out], over its input when that is buf[:C_in]; ins is None.
     """
     x = np.asarray(x, dtype=np.float64)
     ins = []
     for j, layer in enumerate(layers):
         ins.append(x)
-        out = None if bufs is None else spare(x, bufs)[:layer.out_channels]
-        x = conv3d_forward(x, layer, out)
+        x = conv3d_forward(x, layer, None if buf is None else buf[:layer.out_channels])
         if j < len(layers) - 1:
             np.maximum(x, 0.0, out=x)
-    return x, ins if bufs is None else None
+    return x, ins if buf is None else None
 
 
 def stack_backward(grad_out, ins, layers, want_input=True):

@@ -11,13 +11,14 @@ encode/decode are 3x3x3 conv stacks (2 <-> nc channels), attn is the
 channel-attention soft threshold, and mu, eta are learned per phase through a
 softplus so they stay positive.  The initial state is the zero-filled adjoint
 with L = 0.  z_block is the one denoising-block forward: it streams the conv
-stacks through two buffers by conv3d.stack_forward(bufs), attention shrinking
-in place, or records every layer input in a BlockCaches.  Inference streams
-every phase.  So does training, which keeps a PhaseCache of L before the
-phase and X after it, two complex volumes per phase; only the last phase
-runs in record mode, and its Z and BlockCaches go into the NetCache.  The
-backward re-runs each other phase's z_block in record mode just before that
-phase's reverse step, so one phase's layer inputs are alive at a time.
+stacks through one buffer by conv3d.stack_forward(buf), every layer writing
+over its own input and attention shrinking in place, or records every layer
+input in a BlockCaches.  Inference streams every phase.  So does training,
+which keeps a PhaseCache of L before the phase and X after it, two complex
+volumes per phase; only the last phase runs in record mode, and its Z and
+BlockCaches go into the NetCache.  The backward re-runs each other phase's
+z_block in record mode just before that phase's reverse step, so one phase's
+layer inputs are alive at a time.
 
 The data-consistency and multiplier blocks are the classical solver's x and l
 steps, one admm.xl_step per phase: x = y + (A^H b - P y)/(1 + mu), y = Z - L,
@@ -41,7 +42,6 @@ from .attention import AttnParams, attn_backward, attn_forward, init_attn_params
 from .conv3d import (
     make_decode_stack,
     make_encode_stack,
-    spare,
     stack_backward,
     stack_forward,
     stack_input_grad,
@@ -169,21 +169,21 @@ class NetCache:
     last: tuple = None  # the last phase's (z, BlockCaches) until a sweep takes it
 
 
-def z_block(x, l, phase, bufs=None):
+def z_block(x, l, phase, buf=None):
     """Denoising block; returns (z, BlockCaches of every layer input).
 
-    With bufs, two float64 arrays of at least every layer's output shape, the
-    block keeps no intermediate and returns (z, None): the conv stacks stream
-    through the two buffers, and attention shrinks u in place with |u| in the
-    other buffer.
+    With buf, a float64 array of at least every layer's output shape, the
+    block keeps no intermediate and returns (z, None): the first encode layer
+    writes buf[:nc], every later layer writes over its input in buf, and
+    attention shrinks u in place, forming |u| in the block's 2-channel input,
+    which nothing reads after the first layer.
     """
     c_in = to_channels(x + l)
-    u, f_ins = stack_forward(c_in, phase.f_stack, bufs)
-    work = None if bufs is None else spare(u, bufs)[:len(u)]
-    attn_out = attn_forward(u, phase.attn, work)
-    fhat_out, fhat_ins = stack_forward(attn_out, phase.fhat_stack, bufs)
+    u, f_ins = stack_forward(c_in, phase.f_stack, buf)
+    attn_out = attn_forward(u, phase.attn, None if buf is None else c_in)
+    fhat_out, fhat_ins = stack_forward(attn_out, phase.fhat_stack, buf)
     z = from_channels(fhat_out)
-    if bufs is not None:
+    if buf is not None:
         return z, None
     return z, BlockCaches(f_ins, u, fhat_ins)
 
@@ -209,13 +209,16 @@ def x_block(z, l, atb, encoder, mu):
     return x_update_closed_form(z, l, atb, encoder, mu)
 
 
+# A diverging network overflows without a warning: xl_step's finiteness check
+# and adam_step's gradient check report it.
+@np.errstate(over="ignore", invalid="ignore")
 def network_forward(b, encoder, params, cfg, want_cache=True):
     """Run all phases from the zero-filled adjoint.
 
     Returns (reconstruction, cache), the cache holding A^H b, one PhaseCache
     per phase and the last phase's (z, BlockCaches).  Each phase runs z_block
     and then admm.xl_step, whose NumericalError names the phase ("phase 1"
-    for phase01.*).  Every phase's activations stream through two buffers
+    for phase01.*).  Every phase's activations stream through one buffer
     allocated here, so memory does not grow with depth or phases; with
     want_cache the last phase runs in record mode instead.  When want_cache
     is False, for plain inference, the cache is None.  The phases come from
@@ -230,13 +233,13 @@ def network_forward(b, encoder, params, cfg, want_cache=True):
         for phase in params.phases
         for layer in phase.f_stack + phase.fhat_stack
     )
-    bufs = [np.empty((width, *atb.shape)) for _ in range(2)]
+    buf = np.empty((width, *atb.shape))
     last = len(params.phases) - 1
     for n, phase in enumerate(params.phases):
         state.z = None  # inference then holds one z at a time
         l_prev = state.l.copy() if want_cache else state.l  # xl_step overwrites l
         record = want_cache and n == last
-        state.z, bc = z_block(state.x, l_prev, phase, None if record else bufs)
+        state.z, bc = z_block(state.x, l_prev, phase, None if record else buf)
         xl_step(state, atb, encoder, mu_of(phase), eta_of(phase), work, f"phase {n}")
         if want_cache:
             cache.phases.append(PhaseCache(l_prev, state.x.copy()))
@@ -245,6 +248,7 @@ def network_forward(b, encoder, params, cfg, want_cache=True):
     return state.x, cache
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def network_backward(grad_x, cache, params, zeta=0.0):
     """Pull a loss gradient on the output volume back to every parameter.
 

@@ -135,11 +135,13 @@ def test_forward_is_bit_identical_to_the_formula():
     out = attn_forward(u, params)
     assert out.tobytes() == want.tobytes()
 
-    # with a work array the output overwrites the input, with the same bytes
-    buf = u.copy()
-    out = attn_forward(buf, params, work=np.empty_like(u))
-    assert out is buf
-    assert out.tobytes() == want.tobytes()
+    # with a work array the output overwrites the input, with the same bytes,
+    # |u| formed in work's channels at a time: all 4, 2 + 2, or 3 + 1
+    for k in (4, 2, 3):
+        buf = u.copy()
+        out = attn_forward(buf, params, work=np.full((k, *u.shape[1:]), np.nan))
+        assert out is buf
+        assert out.tobytes() == want.tobytes(), k
 
 
 def test_init_is_seeded_and_bounded():

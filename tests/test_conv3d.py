@@ -91,10 +91,14 @@ def test_forward_validation():
     layer = center_tap_layer()
     with pytest.raises(ValueError):
         conv3d_forward(np.zeros((2, 4, 4, 2)), layer)
-    x = np.zeros((1, 4, 4, 2))
-    for out in (x, x[:, :, ::-1], np.zeros((1, 4, 4, 3))):  # overlaps x, wrong shape
+    buf = np.zeros((1, 5, 4, 2))
+    x = buf[:, :4]
+    # reversed views of x, a view of x's memory one row on, a wrong shape; x
+    # itself is the in-place case
+    for out in (x[:, :, ::-1], x[:, ::-1], buf[:, 1:], np.zeros((1, 4, 4, 3))):
         with pytest.raises(ValueError, match="out must be"):
             conv3d_forward(x, layer, out=out)
+    assert conv3d_forward(x, layer, out=x) is x
     with pytest.raises(ValueError):
         Conv3dLayer(weights=np.zeros((1, 1, 3, 3)), bias=np.zeros(1))
     with pytest.raises(ValueError):
@@ -312,6 +316,57 @@ def test_band_boundaries_match_direct_sum(monkeypatch, band_bytes, activation):
     assert_layer_matches_direct_sum(layer, x, g, activation)
 
 
+@pytest.mark.parametrize("band_bytes", [1, 20000])
+@pytest.mark.parametrize("ch", [(2, 5), (5, 5), (5, 2)], ids=lambda c: f"{c[0]}to{c[1]}")
+def test_in_place_forward_matches_allocating(monkeypatch, band_bytes, ch):
+    # out = buf[:C_out] over x = buf[:C_in]: each band's output lands on input
+    # rows the next band's top halo needed, so the halo must come from the tap
+    # buffer.  One-row bands, and bands of 4 or 3 rows over h = 10 whose last
+    # band is short.  The rest of buf starts NaN: reading it would show.
+    monkeypatch.setattr(dynmr.conv3d, "BAND_BYTES", band_bytes)
+    c_in, c_out = ch
+    rows = _band_rows(c_in, c_out, 10, 7, 3)
+    assert rows == 1 if band_bytes == 1 else (rows > 1 and 10 % rows)
+    rng = np.random.default_rng(16)
+    layer = init_conv_layer(c_in, c_out, rng)
+    layer.bias[:] = rng.uniform(-0.5, 0.5, size=c_out)
+    x = rng.standard_normal((c_in, 10, 7, 3))
+    want = conv3d_forward(x, layer)
+    buf = np.full((max(ch), 10, 7, 3), np.nan)
+    buf[:c_in] = x
+    got = conv3d_forward(buf[:c_in], layer, buf[:c_out])
+    assert np.shares_memory(got, buf) and got.ctypes.data == buf.ctypes.data
+    assert got.tobytes() == want.tobytes()
+
+
+def test_in_place_pass_allocates_no_output():
+    # A 16 -> 16 layer at 32x32x8 over its own input holds only the band
+    # working set: the tap buffer, the kernel-row product, the band
+    # accumulator and the reordered weights, plus numpy's own temporaries (a
+    # ufunc buffer, the carried halo row), under a quarter of an output.  An
+    # output-sized array (1 MB, half the working set) would break the bound.
+    rng = np.random.default_rng(15)
+    layer = init_conv_layer(16, 16, rng)
+    x = rng.standard_normal((16, 32, 32, 8))
+    want = conv3d_forward(x, layer)
+    rows, plane, t = _band_rows(16, 16, 32, 32, 8), 34 * 8, 8
+    working = 8 * (
+        3 * 16 * ((rows + 2) * plane + 2 * t)  # taps
+        + 3 * 16 * (rows * plane + 2 * t)  # kernel-row product
+        + 16 * rows * plane  # accumulator
+        + layer.weights.size
+    )
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = conv3d_forward(x, layer, x)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert got is x and got.tobytes() == want.tobytes()
+    assert peak <= working + x.nbytes // 4, (peak - working) / x.nbytes
+
+
 def test_layer_pass_memory_is_bounded():
     # A 16 -> 16 layer at 32x32x8: forward + backward keep two output-sized
     # arrays (the output and grad_in).  The kernel's own buffers are
@@ -352,8 +407,13 @@ def test_single_layer_stack_matches_plain_conv():
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_stack_forward_streams_through_two_buffers(monkeypatch, depth, nc):
     # an encode then a decode stack, as in the denoising block; at nc = 1 the
-    # decode output (2 channels) is the widest layer.  Every layer writes into
-    # a buffer apart from its input, with the bytes of the allocating run.
+    # decode output (2 channels) is the widest layer.  The two buffers are the
+    # stack's input and one streaming buffer: the first layer writes the
+    # buffer's leading planes, every later layer writes them over its own
+    # input, with the bytes of the allocating run.  The buffer starts NaN and
+    # the bands are one row, so a read of an unwritten voxel, or of a row
+    # already overwritten, would show.
+    monkeypatch.setattr(dynmr.conv3d, "BAND_BYTES", 1)
     rng = np.random.default_rng(17)
     enc, dec = make_encode_stack(nc, depth, rng), make_decode_stack(nc, depth, rng)
     x = rng.standard_normal((2, 5, 4, 3))
@@ -367,15 +427,15 @@ def test_stack_forward_streams_through_two_buffers(monkeypatch, depth, nc):
         return y
 
     monkeypatch.setattr(dynmr.conv3d, "conv3d_forward", recorded)
-    bufs = [np.empty((max(nc, 2), *x.shape[1:])) for _ in range(2)]
-    u, ins = stack_forward(x, enc, bufs)
+    buf = np.full((max(nc, 2), *x.shape[1:]), np.nan)
+    u, ins = stack_forward(x, enc, buf)
     assert ins is None and u.tobytes() == want_u.tobytes()
-    out, ins = stack_forward(u, dec, bufs)
+    out, ins = stack_forward(u, dec, buf)
     assert ins is None and out.tobytes() == want.tobytes()
     assert len(seen) == 2 * depth
-    for layer_in, layer_out in seen:
-        assert any(np.shares_memory(layer_out, buf) for buf in bufs)
-        assert not np.shares_memory(layer_out, layer_in)
+    for j, (layer_in, layer_out) in enumerate(seen):
+        assert layer_out.ctypes.data == buf.ctypes.data
+        assert np.shares_memory(layer_out, layer_in) == (j > 0)
 
 
 def test_stack_shapes_and_plan():

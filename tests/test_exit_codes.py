@@ -3,8 +3,8 @@
 One table over every subcommand's failure paths: a usage error exits 2; a
 malformed, missing or unwritable file, a rejected setting or a volume too
 large to allocate exits 3; a non-finite result or a collapsed mu exits 4.
-No row prints a warning: a score or loss that overflows is reported by its
-exit code alone.
+No row prints a warning: a score, loss or network forward that overflows is
+reported by its exit code alone.
 Each row runs `python -m dynmr` in a child process whose address space is
 capped, so an oversized request fails at once on any machine instead of
 paging in.
@@ -77,9 +77,13 @@ TABLE = [
                                "--out-ckpt", "{dir}/no/c.dusc"], 3),
     ("train-mu-collapses", ["train", "--config", "{cfg_mu_collapses}",
                             "--out-ckpt", "{dir}/c.dusc"], 4),
+    ("train-lr-overflows", ["train", "--config", "{cfg_lr_overflows}",
+                            "--out-ckpt", "{dir}/c.dusc"], 4),
     ("recon-net-missing-ckpt", [*RECON_NET[:2], "{dir}/missing.dusc", *RECON_NET[3:]], 3),
     ("recon-net-truncated-ckpt", [*RECON_NET[:2], "{ckpt_cut}", *RECON_NET[3:]], 3),
     ("recon-net-non-finite", [*RECON_NET[:4], "{gt_nan}", *RECON_NET[5:]], 4),
+    ("recon-net-overflowing-checkpoint",
+     [*RECON_NET[:2], "{ckpt_overflowing}", *RECON_NET[3:]], 4),
     ("eval-missing-file", ["eval", "--recon", "{dir}/missing.dmrt", "--gt", "{gt}"], 3),
     ("eval-shape-mismatch", ["eval", "--recon", "{gt_other}", "--gt", "{gt}"], 3),
     ("eval-non-finite", ["eval", "--recon", "{gt_nan}", "--gt", "{gt}"], 4),
@@ -121,9 +125,20 @@ def files(tmp_path_factory):
         ("cfg_duplicate", ["epochs = 1", "epochs = 2"]),
         ("cfg_diverges", ["sigma = 1e300"]),  # noise overflows the loss
         ("cfg_mu_collapses", ["epochs = 3", "lr0 = 1e10"]),  # softplus(mu_raw) -> 0
+        # one step at this rate leaves weights whose next forward overflows
+        ("cfg_lr_overflows", ["epochs = 2", "lr0 = 1e308"]),
+        ("cfg_lr_one_step", ["epochs = 1", "lr0 = 1e308"]),
     ):
         paths[name] = d / f"{name}.cfg"
         paths[name].write_text("\n".join(TRAIN + extra) + "\n")
+    paths["ckpt_overflowing"] = d / "overflowing.dusc"
+    subprocess.run(
+        [sys.executable, "-m", "dynmr", "train", "--config", str(paths["cfg_lr_one_step"]),
+         "--out-ckpt", str(paths["ckpt_overflowing"])],
+        check=True,
+        capture_output=True,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+    )
     return {"dir": str(d), **{k: str(v) for k, v in paths.items()}}
 
 
