@@ -150,7 +150,8 @@ def iterate(b, encoder, cfg):
     atb = encoder.adjoint(b)
     state = AdmmState(x=atb.copy(), z=np.empty_like(atb), l=np.zeros_like(atb))
     work = np.empty_like(atb)
-    mags = (np.empty(atb.shape), np.empty(atb.shape))
+    # z_update never touches work, so the shrinkage pair is its two real halves
+    mags = tuple(work.view(np.float64).reshape(2, *atb.shape))
     for it in range(1, cfg.n_iters + 1):
         state.z = z_update(state, cfg, state.z, mags)
         xl_step(state, atb, encoder, cfg.mu, cfg.eta, work, f"iteration {it}")

@@ -27,10 +27,17 @@ from dataclasses import dataclass
 import numpy as np
 
 KERNEL = 3
-# A band's working set, its (3 C_out) kernel-row product and (3 C_in) tap rows.
-# It bounds a pass's transient memory; speed was flat from 0.75 to 24 MB bands
-# (wide layer, 2-vCPU x86 VM), and fewer bands mean fewer numpy calls per pass.
+# Band working sets, a band's (3 C_out) kernel-row product and (3 C_in) tap
+# rows; they bound a pass's transient memory.  The weight gradient adds one
+# partial GEMM per band, so its bytes depend on the band partition: it keeps
+# BAND_BYTES.  A correlation's bytes do not, and its bands are a quarter of
+# that, which takes paper-default streamed inference on 32x32x8 from 3.7 to
+# 2.3 MB traced (an activation is 1 MB).  Forward pass, best of 40, 1.5 MB /
+# 384 KB bands, 2-vCPU x86 VM, one BLAS thread: at 32x32x8, 16 -> 16 4.8 /
+# 4.1 ms, 2 -> 16 2.0 / 1.4 ms, 16 -> 2 0.8 / 1.0 ms; at 64x64x8, where most
+# bands become one row, 14.7 / 16.1, 5.2 / 6.2 and 3.7 / 5.8 ms.
 BAND_BYTES = 3 << 19  # 1.5 MB
+CORRELATE_BYTES = BAND_BYTES // 4  # 384 KB
 
 
 @dataclass
@@ -58,9 +65,9 @@ class Conv3dLayer:
         return self.weights.shape[0]
 
 
-def _band_rows(c_in, c_out, h, w, t):
-    """Rows per band: the fewest bands whose working set stays near BAND_BYTES."""
-    rows = max(1, BAND_BYTES // (KERNEL * (c_in + c_out) * (w + 2) * t * 8))
+def _band_rows(c_in, c_out, h, w, t, budget):
+    """Rows per band: the fewest bands whose working set stays near budget bytes."""
+    rows = max(1, budget // (KERNEL * (c_in + c_out) * (w + 2) * t * 8))
     bands = -(-h // rows)
     return -(-h // bands)
 
@@ -108,7 +115,7 @@ def _correlate(x, weights, out=None):
     c_in, h, w, t = x.shape
     c_out = weights.shape[0]
     plane = (w + 2) * t
-    rows = _band_rows(c_in, c_out, h, w, t)
+    rows = _band_rows(c_in, c_out, h, w, t, CORRELATE_BYTES)
     # kernel row a: rows b*C_out + o, columns k*C_in + i
     w_rows = list(weights.transpose(2, 3, 0, 4, 1).reshape(KERNEL, KERNEL * c_out, -1))
     if out is None:
@@ -135,7 +142,7 @@ def _param_grads(g_pre, x):
     c_out, h, w, t = g_pre.shape
     c_in = x.shape[0]
     plane = (w + 2) * t
-    rows = _band_rows(c_in, c_out, h, w, t)
+    rows = _band_rows(c_in, c_out, h, w, t, BAND_BYTES)
     # The forward's kernel-row product, transposed: g_pre on the band's widened
     # grid (zero in the junk columns) at column shifts 0, t and 2t, row b*C_out + o.
     # Past a short last band the previous band's values meet only zero pad columns.
@@ -222,7 +229,7 @@ def stack_backward(grad_out, ins, layers, want_input=True):
     g = grad_out
     for j in range(len(layers) - 1, -1, -1):
         if j < len(layers) - 1:  # relu(pre) > 0 exactly where pre > 0, NaN included
-            g = g * (ins[j + 1] > 0)
+            g *= ins[j + 1] > 0  # g is layer j + 1's fresh input gradient
         g, gw, gb = conv3d_backward(g, ins[j], layers[j], want_input or j > 0)
         grads[j] = (gw, gb)
     return g, grads
@@ -233,7 +240,7 @@ def stack_input_grad(grad_out, ins, layers):
     g = grad_out
     for j in range(len(layers) - 1, -1, -1):
         if j < len(layers) - 1:
-            g = g * (ins[j + 1] > 0)
+            g *= ins[j + 1] > 0
         g = _input_grad(g, layers[j])
     return g
 

@@ -44,7 +44,7 @@ class Encoder:
         self.mask = mask.astype(np.uint8)
         # A^H A is circulant in each frame, so the centring shifts of
         # fft2_frames cancel around it: only the mask needs uncentring.
-        self._normal_filter = np.fft.ifftshift(self.mask, axes=_AXES).astype(np.float64)
+        self._normal_filter = np.fft.ifftshift(self.mask, axes=_AXES).astype(bool)
 
     def forward(self, x):
         """Sample k-space: mask * FFT(x).  Unsampled entries are exactly zero."""

@@ -44,18 +44,35 @@ _DTYPE_REAL = 3
 
 
 class _Reader:
-    """Cursor over a byte string that refuses to run past the end."""
+    """Cursor over an open file that refuses to run past its end.
 
-    def __init__(self, data, label):
-        self.data = data
+    Payloads are read straight into the arrays they fill, so a load holds
+    no copy of the file.
+    """
+
+    def __init__(self, fh, label):
+        self.fh = fh
+        self.size = os.fstat(fh.fileno()).st_size
         self.pos = 0
         self.label = label
 
-    def take(self, n):
-        if self.pos + n > len(self.data):
+    def _advance(self, n, got):
+        if got != n:
             raise FormatError(f"{self.label}: truncated at byte {self.pos}")
-        out = self.data[self.pos : self.pos + n]
         self.pos += n
+
+    def take(self, n):
+        out = self.fh.read(n) if self.pos + n <= self.size else b""
+        self._advance(n, len(out))
+        return out
+
+    def array(self, dims, dtype):
+        """The next prod(dims) items of dtype, as a new (dims) array."""
+        n = math.prod(dims) * dtype.itemsize
+        if self.pos + n > self.size:  # before allocating what dims ask for
+            self._advance(n, 0)
+        out = np.empty(dims, dtype)
+        self._advance(n, self.fh.readinto(out.reshape(-1).view(np.uint8)))
         return out
 
     def u32(self):
@@ -65,14 +82,14 @@ class _Reader:
         return self.take(1)[0]
 
     def done(self):
-        if self.pos != len(self.data):
-            raise FormatError(
-                f"{self.label}: {len(self.data) - self.pos} trailing bytes"
-            )
+        if self.pos != self.size:
+            raise FormatError(f"{self.label}: {self.size - self.pos} trailing bytes")
 
 
-def _write_atomic(path, data):
-    """Replace path with data; on any failure the old file is left as it was.
+def _write_atomic(path, *chunks):
+    """Replace path with the chunks, in order; a failure leaves the old file.
+
+    Each chunk is a bytes-like object, such as a C-contiguous array.
 
     An OSError that names the temporary file the data goes to first is raised
     again naming path.
@@ -80,7 +97,8 @@ def _write_atomic(path, data):
     tmp = f"{path}.{os.urandom(6).hex()}.tmp"
     try:
         with open(tmp, "xb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -106,72 +124,55 @@ def save_dmrt(path, arr):
     """Write an array; dtype code is inferred (u8/bool, complex, float)."""
     a = np.asarray(arr)
     if a.dtype == np.uint8 or a.dtype == bool:
-        code, payload = _DTYPE_MASK, a.astype("<u1")
+        code, dt = _DTYPE_MASK, "<u1"
     elif np.issubdtype(a.dtype, np.complexfloating):
-        code, payload = _DTYPE_COMPLEX, a.astype("<c16")
+        code, dt = _DTYPE_COMPLEX, "<c16"
     elif np.issubdtype(a.dtype, np.floating):
-        code, payload = _DTYPE_REAL, a.astype("<f8")
+        code, dt = _DTYPE_REAL, "<f8"
     else:
         raise ValueError(f"unsupported dtype {a.dtype}")
-    out = bytearray()
-    out += DMRT_MAGIC
-    out += struct.pack("<I", 1)
-    out += struct.pack("<I", a.ndim)
-    for d in a.shape:
-        out += struct.pack("<I", d)
-    out += struct.pack("<B", code)
-    out += payload.tobytes(order="C")
-    _write_atomic(path, out)
+    payload = np.asarray(a, dtype=dt, order="C")  # a itself when it already fits
+    header = struct.pack(f"<4sII{a.ndim}IB", DMRT_MAGIC, 1, a.ndim, *a.shape, code)
+    _write_atomic(path, header, payload)
 
 
 def load_dmrt(path):
     with open(path, "rb") as fh:
-        r = _Reader(fh.read(), str(path))
-    magic = r.take(4)
-    if magic != DMRT_MAGIC:
-        raise FormatError(f"{r.label}: bad magic {magic!r}, expected {DMRT_MAGIC!r}")
-    version = r.u32()
-    if version != 1:
-        raise FormatError(f"{r.label}: unsupported version {version}")
-    dims = _read_dims(r)
-    code = r.u8()
-    if code == _DTYPE_MASK:
-        dt = np.dtype("<u1")
-    elif code == _DTYPE_COMPLEX:
-        dt = np.dtype("<c16")
-    elif code == _DTYPE_REAL:
-        dt = np.dtype("<f8")
-    else:
-        raise FormatError(f"{r.label}: unknown dtype code {code}")
-    payload = r.take(math.prod(dims) * dt.itemsize)
-    r.done()
-    return np.frombuffer(payload, dtype=dt).reshape(dims).copy()
+        r = _Reader(fh, str(path))
+        magic = r.take(4)
+        if magic != DMRT_MAGIC:
+            raise FormatError(f"{r.label}: bad magic {magic!r}, expected {DMRT_MAGIC!r}")
+        version = r.u32()
+        if version != 1:
+            raise FormatError(f"{r.label}: unsupported version {version}")
+        dims = _read_dims(r)
+        code = r.u8()
+        if code == _DTYPE_MASK:
+            dt = np.dtype("<u1")
+        elif code == _DTYPE_COMPLEX:
+            dt = np.dtype("<c16")
+        elif code == _DTYPE_REAL:
+            dt = np.dtype("<f8")
+        else:
+            raise FormatError(f"{r.label}: unknown dtype code {code}")
+        arr = r.array(dims, dt)
+        r.done()
+        return arr
 
 
 def save_checkpoint(path, params, cfg, step=0, seed=0):
     """Write params under cfg's header; ValueError, and no write, if they differ."""
     check_params(params, cfg)
-    out = bytearray()
-    out += DUSC_MAGIC
-    out += struct.pack("<I", 1)
-    out += struct.pack("<I", cfg.n_phases)
-    out += struct.pack("<I", cfg.nc)
-    out += struct.pack("<B", 0)
-    out += struct.pack("<I", cfg.f_depth)
-    out += struct.pack("<I", cfg.fhat_depth)
     tensors = list(named_tensors(params))
-    out += struct.pack("<I", len(tensors))
+    head = (DUSC_MAGIC, 1, cfg.n_phases, cfg.nc, 0, cfg.f_depth, cfg.fhat_depth)
+    chunks = [struct.pack("<4sIIIBIII", *head, len(tensors))]
     for name, arr in tensors:
         raw = name.encode("utf-8")
-        out += struct.pack("<I", len(raw))
-        out += raw
-        out += struct.pack("<I", arr.ndim)
-        for d in arr.shape:
-            out += struct.pack("<I", d)
-        out += np.asarray(arr, dtype="<f8").tobytes(order="C")
-    out += struct.pack("<Q", step)
-    out += struct.pack("<q", seed)
-    _write_atomic(path, out)
+        fmt = f"<I{len(raw)}sI{arr.ndim}I"
+        chunks.append(struct.pack(fmt, len(raw), raw, arr.ndim, *arr.shape))
+        chunks.append(np.asarray(arr, dtype="<f8", order="C"))
+    chunks.append(struct.pack("<Qq", step, seed))
+    _write_atomic(path, *chunks)
 
 
 def _param_floats(cfg):
@@ -190,59 +191,59 @@ def load_checkpoint(path):
     drift or non-finite values all raise FormatError.
     """
     with open(path, "rb") as fh:
-        r = _Reader(fh.read(), str(path))
-    magic = r.take(4)
-    if magic != DUSC_MAGIC:
-        raise FormatError(f"{r.label}: bad magic {magic!r}, expected {DUSC_MAGIC!r}")
-    version = r.u32()
-    if version != 1:
-        raise FormatError(f"{r.label}: unsupported version {version}")
-    n_phases = r.u32()
-    nc = r.u32()
-    dc_code = r.u8()
-    if dc_code != 0:
-        raise FormatError(f"{r.label}: unknown dc_mode code {dc_code}")
-    f_depth = r.u32()
-    fhat_depth = r.u32()
-    try:
-        cfg = NetworkConfig(
-            n_phases=n_phases,
-            nc=nc,
-            f_depth=f_depth,
-            fhat_depth=fhat_depth,
-        )
-    except ValueError as exc:
-        raise FormatError(f"{r.label}: bad config block: {exc}") from exc
-    # The header fields are unchecked u32s: size them against the file
-    # before building shells, which could otherwise ask for gigabytes.
-    if 8 * _param_floats(cfg) > len(r.data) - r.pos:
-        raise FormatError(f"{r.label}: truncated: too short for its config block")
-    params = init_network_params(cfg, seed=0)
-    expected = list(named_tensors(params))
-    n_tensors = r.u32()
-    if n_tensors != len(expected):
-        raise FormatError(
-            f"{r.label}: {n_tensors} tensors, config implies {len(expected)}"
-        )
-    for want, target in expected:
-        name_len = r.u32()
+        r = _Reader(fh, str(path))
+        magic = r.take(4)
+        if magic != DUSC_MAGIC:
+            raise FormatError(f"{r.label}: bad magic {magic!r}, expected {DUSC_MAGIC!r}")
+        version = r.u32()
+        if version != 1:
+            raise FormatError(f"{r.label}: unsupported version {version}")
+        n_phases = r.u32()
+        nc = r.u32()
+        dc_code = r.u8()
+        if dc_code != 0:
+            raise FormatError(f"{r.label}: unknown dc_mode code {dc_code}")
+        f_depth = r.u32()
+        fhat_depth = r.u32()
         try:
-            name = r.take(name_len).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{r.label}: undecodable tensor name") from exc
-        if name != want:
-            raise FormatError(f"{r.label}: tensor {name} where {want} belongs")
-        dims = _read_dims(r)
-        if dims != target.shape:
-            raise FormatError(
-                f"{r.label}: tensor {name} has shape {dims}, expected {target.shape}"
+            cfg = NetworkConfig(
+                n_phases=n_phases,
+                nc=nc,
+                f_depth=f_depth,
+                fhat_depth=fhat_depth,
             )
-        values = np.frombuffer(r.take(math.prod(dims) * 8), dtype="<f8")
-        # the shells skip the layers' own finiteness check
-        if not np.isfinite(values).all():
-            raise FormatError(f"{r.label}: tensor {name} has non-finite values")
-        target[...] = values.reshape(dims)
-    step = struct.unpack("<Q", r.take(8))[0]
-    seed = struct.unpack("<q", r.take(8))[0]
-    r.done()
-    return params, cfg, step, seed
+        except ValueError as exc:
+            raise FormatError(f"{r.label}: bad config block: {exc}") from exc
+        # The header fields are unchecked u32s: size them against the file
+        # before building shells, which could otherwise ask for gigabytes.
+        if 8 * _param_floats(cfg) > r.size - r.pos:
+            raise FormatError(f"{r.label}: truncated: too short for its config block")
+        params = init_network_params(cfg, seed=0)
+        expected = list(named_tensors(params))
+        n_tensors = r.u32()
+        if n_tensors != len(expected):
+            raise FormatError(
+                f"{r.label}: {n_tensors} tensors, config implies {len(expected)}"
+            )
+        for want, target in expected:
+            name_len = r.u32()
+            try:
+                name = r.take(name_len).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{r.label}: undecodable tensor name") from exc
+            if name != want:
+                raise FormatError(f"{r.label}: tensor {name} where {want} belongs")
+            dims = _read_dims(r)
+            if dims != target.shape:
+                raise FormatError(
+                    f"{r.label}: tensor {name} has shape {dims}, expected {target.shape}"
+                )
+            values = r.array(dims, np.dtype("<f8"))
+            # the shells skip the layers' own finiteness check
+            if not np.isfinite(values).all():
+                raise FormatError(f"{r.label}: tensor {name} has non-finite values")
+            target[...] = values
+        step = struct.unpack("<Q", r.take(8))[0]
+        seed = struct.unpack("<q", r.take(8))[0]
+        r.done()
+        return params, cfg, step, seed

@@ -253,8 +253,9 @@ def network_backward(grad_x, cache, params, zeta=0.0):
     """Pull a loss gradient on the output volume back to every parameter.
 
     Reverse sweep over the phases; each step first gets the phase's z and
-    BlockCaches from block_caches and drops them afterwards, so one phase's
-    layer inputs are alive at a time.  The data-consistency block
+    BlockCaches from block_caches and drops each array after its last reader,
+    the decode layer inputs once the decode-stack backward has run, so at most
+    one phase's layer inputs are alive at a time.  The data-consistency block
     x = y + (A^H b - P y)/(1 + mu) is linear in y with the self-adjoint
     Jacobian I - P/(1 + mu), so an incoming gradient g pulls back to
     g - P g/(1 + mu), and the mu-derivative of the loss is
@@ -280,6 +281,9 @@ def network_backward(grad_x, cache, params, zeta=0.0):
         mu = mu_of(phase)
         eta = eta_of(phase)
         z, bc = block_caches(cache, n, phase)
+        # locals, so each goes after its last reader; bc itself is left whole
+        f_ins, u, fhat_ins = bc.f_ins, bc.u, bc.fhat_ins
+        del bc
 
         g_eta = np.asarray(real_inner(gl, pc.x - z) * sigmoid(phase.eta_raw))
         g = gx + eta * gl
@@ -290,23 +294,26 @@ def network_backward(grad_x, cache, params, zeta=0.0):
             / (1.0 + mu) ** 2
             * sigmoid(phase.mu_raw)
         )
+        del z, pg
 
         gz = gy - eta * gl
-        g, fhat_grads = stack_backward(to_channels(gz), bc.fhat_ins, phase.fhat_stack)
-        g_u, attn_grads = attn_backward(g, bc.u, phase.attn)
+        g, fhat_grads = stack_backward(to_channels(gz), fhat_ins, phase.fhat_stack)
+        del gz, fhat_ins
+        g_u, attn_grads = attn_backward(g, u, phase.attn)
         g = g_u
         if zeta > 0:
-            value, g, pen_fhat = inverse_penalty(bc, phase)
+            value, g, pen_fhat = inverse_penalty(u, f_ins[0], phase)
             penalties.append(value)
             g *= zeta
             g += g_u  # g_u + zeta * g_pen_u, in the penalty's buffer
             for (gw, gb), (pw, pb) in zip(fhat_grads, pen_fhat):
                 gw += zeta * pw
                 gb += zeta * pb
-        gx, f_grads = stack_backward(g, bc.f_ins, phase.f_stack, n > 0 and not zeta > 0)
+        del u
+        gx, f_grads = stack_backward(g, f_ins, phase.f_stack, n > 0 and not zeta > 0)
         if n and zeta > 0:  # the penalty holds its input constant: g_u alone
-            gx = stack_input_grad(g_u, bc.f_ins, phase.f_stack)
-        del z, bc, g, g_u  # activations the next phase does not read
+            gx = stack_input_grad(g_u, f_ins, phase.f_stack)
+        del f_ins, g, g_u  # activations the next phase does not read
         grads.update(_phase_tensors(n, f_grads, fhat_grads, attn_grads, g_mu, g_eta))
 
         if n:
@@ -318,18 +325,20 @@ def network_backward(grad_x, cache, params, zeta=0.0):
     return grads, penalty
 
 
-def inverse_penalty(bc, phase):
+def inverse_penalty(u, v, phase):
     """Soft inversion penalty ||decode(encode(v)) - v||^2 of one phase.
 
-    v is the phase's denoising-block input, taken from its BlockCaches bc and
-    treated as a constant, so no gradient flows into earlier phases.  The
-    decode stack is re-run here on the encode output u without the attention
-    step in between.  Returns (value, g_pen_u, fhat_grads): the penalty's
-    gradient at u, which network_backward adds to the loss gradient before
-    the encode stack's one backward pass, and the decode stack's gradients as
-    per-layer (w, b) pairs.
+    v is the phase's denoising-block input in channels, the first encode
+    layer input, treated as a constant, so no gradient flows into earlier
+    phases.  The decode stack is re-run here on the encode output u without
+    the attention step in between.  Returns (value, g_pen_u, fhat_grads): the
+    penalty's gradient at u, which network_backward adds to the loss gradient
+    before the encode stack's one backward pass, and the decode stack's
+    gradients as per-layer (w, b) pairs.
     """
-    pen_out, pen_ins = stack_forward(bc.u, phase.fhat_stack)
-    r = pen_out - bc.f_ins[0]
-    g_pen_u, fhat_grads = stack_backward(2.0 * r, pen_ins, phase.fhat_stack)
-    return float(np.sum(r * r)), g_pen_u, fhat_grads
+    r, pen_ins = stack_forward(u, phase.fhat_stack)
+    r -= v  # the residual, in the decode output
+    value = float(np.sum(r * r))
+    r *= 2.0
+    g_pen_u, fhat_grads = stack_backward(r, pen_ins, phase.fhat_stack)
+    return value, g_pen_u, fhat_grads

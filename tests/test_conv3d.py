@@ -5,6 +5,8 @@ import pytest
 
 import dynmr.conv3d
 from dynmr.conv3d import (
+    BAND_BYTES,
+    CORRELATE_BYTES,
     Conv3dLayer,
     _band_rows,
     conv3d_backward,
@@ -296,18 +298,22 @@ def test_input_gradient_is_the_adjoint_on_odd_shapes(shape):
 
 
 def test_oracle_shape_spans_several_bands():
+    # under both budgets: the correlations' and the weight gradient's
     h, w, t = SHAPES[-1]
-    for c_in, c_out in CHANNELS[1:]:
-        rows = _band_rows(c_in, c_out, h, w, t)
-        assert rows < h and h % rows, (c_in, c_out, rows)
+    for budget in (CORRELATE_BYTES, BAND_BYTES):
+        for c_in, c_out in CHANNELS[1:]:
+            rows = _band_rows(c_in, c_out, h, w, t, budget)
+            assert rows < h and h % rows, (budget, c_in, c_out, rows)
 
 
 @pytest.mark.parametrize("band_bytes", [1, 20000])
 @pytest.mark.parametrize("activation", ["relu", "linear"])
 def test_band_boundaries_match_direct_sum(monkeypatch, band_bytes, activation):
-    # one-row bands, and bands of 3 rows over h = 10 (4 bands, the last one row)
+    # one-row bands, and bands of 3 rows over h = 10 (4 bands, the last one
+    # row), in the correlations and the weight gradient alike
+    monkeypatch.setattr(dynmr.conv3d, "CORRELATE_BYTES", band_bytes)
     monkeypatch.setattr(dynmr.conv3d, "BAND_BYTES", band_bytes)
-    assert _band_rows(3, 5, 10, 7, 3) == (1 if band_bytes == 1 else 3)
+    assert _band_rows(3, 5, 10, 7, 3, band_bytes) == (1 if band_bytes == 1 else 3)
     rng = np.random.default_rng(14)
     layer = init_conv_layer(3, 5, rng)
     layer.bias[:] = rng.uniform(-0.5, 0.5, size=5)
@@ -323,9 +329,9 @@ def test_in_place_forward_matches_allocating(monkeypatch, band_bytes, ch):
     # rows the next band's top halo needed, so the halo must come from the tap
     # buffer.  One-row bands, and bands of 4 or 3 rows over h = 10 whose last
     # band is short.  The rest of buf starts NaN: reading it would show.
-    monkeypatch.setattr(dynmr.conv3d, "BAND_BYTES", band_bytes)
+    monkeypatch.setattr(dynmr.conv3d, "CORRELATE_BYTES", band_bytes)
     c_in, c_out = ch
-    rows = _band_rows(c_in, c_out, 10, 7, 3)
+    rows = _band_rows(c_in, c_out, 10, 7, 3, band_bytes)
     assert rows == 1 if band_bytes == 1 else (rows > 1 and 10 % rows)
     rng = np.random.default_rng(16)
     layer = init_conv_layer(c_in, c_out, rng)
@@ -339,17 +345,44 @@ def test_in_place_forward_matches_allocating(monkeypatch, band_bytes, ch):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("ch", [(2, 16), (16, 16), (16, 2), (8, 8)],
+                         ids=lambda c: f"{c[0]}to{c[1]}")
+def test_correlation_bytes_do_not_depend_on_the_band_budget(monkeypatch, ch):
+    # The forward and the input gradient sum each output voxel's taps in one
+    # order whatever the band partition, so their bands may be sized apart
+    # from the weight gradient's, whose per-band partial GEMMs change its
+    # bytes.  At 37x29x6: the weight gradient's budget, the correlations'
+    # and one-row bands; each budget partitions h differently.
+    c_in, c_out = ch
+    shape = (37, 29, 6)
+    rng = np.random.default_rng(18)
+    layer = init_conv_layer(c_in, c_out, rng)
+    layer.bias[:] = rng.uniform(-0.5, 0.5, size=c_out)
+    x = rng.standard_normal((c_in, *shape))
+    g = rng.standard_normal((c_out, *shape))
+    budgets = (BAND_BYTES, CORRELATE_BYTES, 1)
+    assert len({_band_rows(c_in, c_out, *shape, b) for b in budgets}) == 3
+    runs = set()
+    for budget in budgets:
+        monkeypatch.setattr(dynmr.conv3d, "CORRELATE_BYTES", budget)
+        out = conv3d_forward(x, layer)
+        grad_in, _, _ = conv3d_backward(g, x, layer)
+        runs.add((out.tobytes(), grad_in.tobytes()))
+    assert len(runs) == 1
+
+
 def test_in_place_pass_allocates_no_output():
     # A 16 -> 16 layer at 32x32x8 over its own input holds only the band
     # working set: the tap buffer, the kernel-row product, the band
     # accumulator and the reordered weights, plus numpy's own temporaries (a
     # ufunc buffer, the carried halo row), under a quarter of an output.  An
-    # output-sized array (1 MB, half the working set) would break the bound.
+    # output-sized array (1 MB, twice the working set of these one-row
+    # bands) would break the bound.
     rng = np.random.default_rng(15)
     layer = init_conv_layer(16, 16, rng)
     x = rng.standard_normal((16, 32, 32, 8))
     want = conv3d_forward(x, layer)
-    rows, plane, t = _band_rows(16, 16, 32, 32, 8), 34 * 8, 8
+    rows, plane, t = _band_rows(16, 16, 32, 32, 8, CORRELATE_BYTES), 34 * 8, 8
     working = 8 * (
         3 * 16 * ((rows + 2) * plane + 2 * t)  # taps
         + 3 * 16 * (rows * plane + 2 * t)  # kernel-row product
@@ -413,7 +446,7 @@ def test_stack_forward_streams_through_two_buffers(monkeypatch, depth, nc):
     # input, with the bytes of the allocating run.  The buffer starts NaN and
     # the bands are one row, so a read of an unwritten voxel, or of a row
     # already overwritten, would show.
-    monkeypatch.setattr(dynmr.conv3d, "BAND_BYTES", 1)
+    monkeypatch.setattr(dynmr.conv3d, "CORRELATE_BYTES", 1)
     rng = np.random.default_rng(17)
     enc, dec = make_encode_stack(nc, depth, rng), make_decode_stack(nc, depth, rng)
     x = rng.standard_normal((2, 5, 4, 3))

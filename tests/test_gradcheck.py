@@ -17,8 +17,8 @@ def test_every_row_passes(seed):
 def test_a_scaled_penalty_gradient_fails_only_the_penalty_row(monkeypatch, capsys):
     exact = dynmr.network.inverse_penalty
 
-    def scaled(pc, phase):
-        value, g_pen_u, fhat_grads = exact(pc, phase)
+    def scaled(u, v, phase):
+        value, g_pen_u, fhat_grads = exact(u, v, phase)
         grow = [(gw * 1.0001, gb * 1.0001) for gw, gb in fhat_grads]
         return value, g_pen_u * 1.0001, grow
 

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,6 +187,28 @@ def test_dmrt_oversized_dims_are_truncation(tmp_path):
     p.write_bytes(out)
     with pytest.raises(FormatError, match="truncated"):
         load_dmrt(p)
+
+
+def test_dmrt_save_and_load_hold_no_copy_of_the_payload(tmp_path):
+    # save writes the header and then the array's own buffer, and load reads
+    # the payload straight into the array it returns: a converted, byte-string
+    # or bytearray copy of the 1 MB volume would break either bound
+    rng = np.random.default_rng(3)
+    v = rng.standard_normal((64, 64, 16)) + 1j * rng.standard_normal((64, 64, 16))
+    p = tmp_path / "big.dmrt"
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        save_dmrt(p, v)
+        save_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        back = load_dmrt(p)
+        load_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert save_peak < v.nbytes // 4, save_peak / v.nbytes
+    assert load_peak < 1.25 * v.nbytes, load_peak / v.nbytes
+    assert back.tobytes() == v.tobytes() and back.flags.writeable
 
 
 # ------------------------------------------------------ checkpoint files
