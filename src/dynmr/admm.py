@@ -11,7 +11,15 @@ transform T is the unitary temporal DFT.  One iteration:
 The x step solves the normal equations (A^H A + mu I) x = A^H b + mu y with
 y = z - l.  On a Cartesian grid A^H A is a projection P (the encoding DFT is
 unitary and the mask binary), so the solve has the closed form
-x = y + (A^H b - P y) / (1 + mu).  The tests check it against a
+x = y + (A^H b - P y) / (1 + mu).  A^H b lies in P's range, so in the
+encoder's uncentered k-space, F, this is
+
+    x = F^-1[ Y + c M'(D - Y) ],   Y = F(y),  c = 1/(1 + mu),  D = F(A^H b)
+
+with M' the sampled entries: one gather and scatter over them between the two
+transforms (Encoder.data_consistency).  D is formed once per solve, at the
+sampled entries only, so the solve holds x, z, l and one row band of
+scratch.  The tests check the step against the image-space form and against a
 conjugate-gradient solve of the same equations.
 """
 
@@ -21,6 +29,9 @@ import numpy as np
 
 from .errors import NumericalError
 from .volume import check_same_shape, fro_norm
+
+# Row-band size of the multiplier step, whose scratch holds one band.
+BAND_BYTES = 1 << 18
 
 
 @dataclass
@@ -52,7 +63,7 @@ def soft_threshold_complex(v, tau, out=None, work=None):
     The result goes to out, which may be v, when given.  work, two real
     arrays of v's shape, holds |v| and the shrunk magnitude.
     """
-    if tau < 0:
+    if not tau >= 0:  # NaN fails this too
         raise ValueError("tau must be >= 0")
     mag, shrunk = (np.empty(v.shape), np.empty(v.shape)) if work is None else work
     np.abs(v, out=mag)
@@ -77,7 +88,8 @@ def temporal_fft(v, direction="forward", out=None):
 def z_update(state, cfg, out=None, work=None):
     """Shrinkage step: T^H(ST(T(x + l), lam/mu)), computed in out when given.
 
-    work is soft_threshold_complex's pair of real arrays.
+    work is soft_threshold_complex's pair of real arrays; it is written only
+    after x + l is formed, so it may hold x's memory.
     """
     z = np.add(state.x, state.l, out=out)
     temporal_fft(z, "forward", out=z)
@@ -85,47 +97,45 @@ def z_update(state, cfg, out=None, work=None):
     return temporal_fft(z, "inverse", out=z)
 
 
-def x_update_closed_form(z, l, atb, encoder, mu, out=None, work=None):
-    """Exact minimizer of the data-consistency subproblem; atb = A^H b.
+def x_update_closed_form(z, l, d, encoder, mu, out=None):
+    """Exact minimizer of the data-consistency subproblem; d = encoder.samples(A^H b).
 
-    The result goes to out when given; work, a complex array of z's shape,
-    holds y = z - l.
+    x = F^-1[Y + c M'(d - Y)] with Y = F(z - l) and c = 1/(1 + mu), the
+    encoder's data_consistency step, computed in out when given.
     """
-    if mu <= 0:
+    if not mu > 0:  # NaN fails this too
         raise ValueError("mu must be > 0")
     check_same_shape(z, l)
-    check_same_shape(z, atb)
-    y = np.subtract(z, l, out=work)
-    # x = y + (atb - P y)/(1 + mu), in the P y buffer: fresh temporaries here
-    # make the heap shrink and regrow every iteration, page-faulting the
-    # other steps.
-    x = encoder.normal(y, out=out)
-    np.subtract(atb, x, out=x)
-    x /= 1.0 + mu
-    x += y
-    return x
+    y = np.subtract(z, l, out=out)
+    return encoder.data_consistency(y, d, 1.0 / (1.0 + mu))
 
 
-def l_update(state, eta, out=None, work=None):
-    """Scaled multiplier step l - eta*(z - x), into out when given.
+def l_update(state, eta, out=None):
+    """Scaled multiplier step l - eta*(z - x), into out when given; out may be l.
 
-    work, a complex array of l's shape, holds eta*(z - x); out may be l.
+    It runs one band of rows at a time, eta*(z - x) held for one band.
     """
     check_same_shape(state.z, state.x)
-    step = np.subtract(state.z, state.x, out=work)
-    step *= eta
-    return np.subtract(state.l, step, out=out)
+    l = np.empty(state.l.shape, complex) if out is None else out
+    rows = max(1, min(len(l), BAND_BYTES // max(1, l[0].nbytes)))
+    work = np.empty((rows, *l.shape[1:]), complex)
+    for r in range(0, len(l), rows):
+        band = slice(r, r + rows)
+        step = np.subtract(state.z[band], state.x[band], out=work[: len(l) - r])
+        step *= eta
+        np.subtract(state.l[band], step, out=l[band])
+    return l
 
 
-def xl_step(state, atb, encoder, mu, eta, work, where):
-    """x and l steps from state.z, into state's arrays; work is a scratch volume.
+def xl_step(state, d, encoder, mu, eta, where):
+    """x and l steps from state.z, into state's arrays; d = encoder.samples(A^H b).
 
     Raises NumericalError naming where if mu is not > 0 or x is non-finite.
     """
     if not mu > 0:
         raise NumericalError(f"mu = {mu} is not > 0 at {where}")
-    state.x = x_update_closed_form(state.z, state.l, atb, encoder, mu, state.x, work)
-    state.l = l_update(state, eta, state.l, work)
+    state.x = x_update_closed_form(state.z, state.l, d, encoder, mu, state.x)
+    state.l = l_update(state, eta, state.l)
     # x is built from z and the previous l, so a finite x vouches for both.
     if not np.isfinite(state.x).all():
         raise NumericalError(f"non-finite iterate at {where}")
@@ -143,18 +153,21 @@ def iterate(b, encoder, cfg):
     """Run n_iters alternating steps from the zero-filled start, lazily.
 
     Yields the solver's state after each z/x/l step.  It is the same
-    AdmmState object every time, and every step writes into arrays allocated
-    once at the start, so the next step overwrites x, z and l: copy what must
-    outlive it.  A non-finite x raises NumericalError naming the iteration.
+    AdmmState object every time, and every step writes into x, z and l,
+    allocated once at the start, so the next step overwrites them: copy what
+    must outlive it.  A non-finite x raises NumericalError naming the
+    iteration.
     """
-    atb = encoder.adjoint(b)
-    state = AdmmState(x=atb.copy(), z=np.empty_like(atb), l=np.zeros_like(atb))
-    work = np.empty_like(atb)
-    # z_update never touches work, so the shrinkage pair is its two real halves
-    mags = tuple(work.view(np.float64).reshape(2, *atb.shape))
+    x = encoder.adjoint(b)
+    z = np.empty_like(x)
+    d = encoder.samples(x, work=z)  # z_update overwrites z before reading it
+    state = AdmmState(x=x, z=z, l=np.zeros_like(x))
+    # the x step builds x from z and l alone, so x is dead once z_update has
+    # formed x + l, and its two real halves are the shrinkage pair
+    mags = tuple(x.view(np.float64).reshape(2, *x.shape))
     for it in range(1, cfg.n_iters + 1):
         state.z = z_update(state, cfg, state.z, mags)
-        xl_step(state, atb, encoder, cfg.mu, cfg.eta, work, f"iteration {it}")
+        xl_step(state, d, encoder, cfg.mu, cfg.eta, f"iteration {it}")
         yield state
 
 

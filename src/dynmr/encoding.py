@@ -17,17 +17,36 @@ _AXES = (0, 1)
 GOLDEN_FRACTION = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def fft2_frames(v, direction="forward"):
-    """Centered unitary 2-D DFT applied independently to every frame."""
-    if direction == "forward":
-        shifted = np.fft.ifftshift(v, axes=_AXES)
-        k = np.fft.fft2(shifted, axes=_AXES, norm="ortho")
-        return np.fft.fftshift(k, axes=_AXES)
-    if direction == "inverse":
-        shifted = np.fft.ifftshift(v, axes=_AXES)
-        x = np.fft.ifft2(shifted, axes=_AXES, norm="ortho")
-        return np.fft.fftshift(x, axes=_AXES)
-    raise ValueError(f"unknown direction {direction!r}")
+def _dft2(v, out=None, inverse=False):
+    """Uncentered unitary 2-D DFT of every frame, into out (which may be v).
+
+    Axis 1 and then axis 0, the order fft2 and ifft2 run them in, so the
+    bytes are theirs; the second pass works in place.  Every 2-D transform
+    in the package is these two passes.
+    """
+    step = np.fft.ifft if inverse else np.fft.fft
+    k = step(v, axis=1, norm="ortho", out=out)
+    return step(k, axis=0, norm="ortho", out=k)
+
+
+def fft2_frames(v, direction="forward", keep=None):
+    """Centered unitary 2-D DFT applied independently to every frame.
+
+    keep, a boolean array of v's shape in the uncentered layout of k-space
+    (Encoder._normal_filter), zeroes the k-space entries it does not hold: the
+    forward transform's output or the inverse transform's input.  The passes
+    run in place in the uncentering copy, so a call holds two volumes.
+    """
+    if direction not in ("forward", "inverse"):
+        raise ValueError(f"unknown direction {direction!r}")
+    inverse = direction == "inverse"
+    k = np.fft.ifftshift(v, axes=_AXES).astype(np.complex128, copy=False)
+    if keep is not None and inverse:
+        np.copyto(k, 0, where=~keep)
+    _dft2(k, k, inverse)
+    if keep is not None and not inverse:
+        np.copyto(k, 0, where=~keep)
+    return np.fft.fftshift(k, axes=_AXES)
 
 
 class Encoder:
@@ -45,16 +64,17 @@ class Encoder:
         # A^H A is circulant in each frame, so the centring shifts of
         # fft2_frames cancel around it: only the mask needs uncentring.
         self._normal_filter = np.fft.ifftshift(self.mask, axes=_AXES).astype(bool)
+        self._sampled = np.flatnonzero(self._normal_filter)
 
     def forward(self, x):
         """Sample k-space: mask * FFT(x).  Unsampled entries are exactly zero."""
         check_same_shape(x, self.mask)
-        return np.where(self.mask == 1, fft2_frames(x, "forward"), 0.0 + 0.0j)
+        return fft2_frames(x, "forward", self._normal_filter)
 
     def adjoint(self, b):
         """Adjoint of forward: inverse FFT of the masked data."""
         check_same_shape(b, self.mask)
-        return fft2_frames(np.where(self.mask == 1, b, 0.0 + 0.0j), "inverse")
+        return fft2_frames(b, "inverse", self._normal_filter)
 
     def normal(self, v, out=None):
         """Normal operator A^H A: the projection onto sampled k-space.
@@ -63,12 +83,35 @@ class Encoder:
         shape that may be v itself.
         """
         check_same_shape(v, self.mask)
-        # fft2 and ifft2 both run axis 1, then axis 0; ifft2 ignores its out
-        # argument, so the inverse's two passes are written out.
-        k = np.fft.fft2(v, axes=_AXES, norm="ortho", out=out)
+        k = _dft2(v, out)
         k *= self._normal_filter
-        np.fft.ifft(k, axis=1, norm="ortho", out=k)
-        return np.fft.ifft(k, axis=0, norm="ortho", out=k)
+        return _dft2(k, k, inverse=True)
+
+    def samples(self, v, work=None):
+        """F(v) at the sampled entries: the d of data_consistency for v = A^H b.
+
+        F is the uncentered per-frame DFT that normal() works in.  work, a
+        complex128 array of v's shape that may be v, holds F(v).
+        """
+        check_same_shape(v, self.mask)
+        return np.take(_dft2(v, work), self._sampled)
+
+    def data_consistency(self, y, d, c):
+        """y <- F^-1[Y + c M'(d - Y)], Y = F(y), in place in complex128 y.
+
+        M' keeps the sampled entries and d = samples(A^H b).  A^H b lies in
+        the sampled subspace, so this is y + c (A^H b - P y), P = A^H A,
+        with one gather and one scatter over the sampled entries in place of
+        the volume passes of that image-space form.
+        """
+        check_same_shape(y, self.mask)
+        _dft2(y, y)
+        sampled = np.take(y, self._sampled)
+        step = np.subtract(d, sampled)
+        step *= c
+        step += sampled
+        np.put(y, self._sampled, step)
+        return _dft2(y, y, inverse=True)
 
 
 def make_pseudo_radial_mask(shape, n_spokes, seed=0):

@@ -22,7 +22,9 @@ layer inputs are alive at a time.
 
 The data-consistency and multiplier blocks are the classical solver's x and l
 steps, one admm.xl_step per phase: x = y + (A^H b - P y)/(1 + mu), y = Z - L,
-P = A^H A.  It raises NumericalError naming the phase when mu is 0 or X is
+P = A^H A, taken in k-space as x = F^-1[Y + M'(D - Y)/(1 + mu)], Y = F(y),
+with D = F(A^H b) at the sampled entries formed once per forward (see admm).
+It raises NumericalError naming the phase when mu is 0 or X is
 non-finite.  The backward pass is written out by hand (one reverse sweep over
 phases, exact chain rule through that closed form, plus the optional ISTA-Net
 inversion penalty of each phase) and is validated against finite differences.
@@ -204,9 +206,12 @@ def block_caches(cache, n, phase):
     return z_block(x_prev, cache.phases[n].l_prev, phase)
 
 
-def x_block(z, l, atb, encoder, mu):
-    """The closed-form x step alone, atb = A^H b; kept for the bench's span table."""
-    return x_update_closed_form(z, l, atb, encoder, mu)
+def x_block(z, l, d, encoder, mu):
+    """The closed-form x step alone, d = encoder.samples(A^H b).
+
+    Kept for the bench's span table.
+    """
+    return x_update_closed_form(z, l, d, encoder, mu)
 
 
 # A diverging network overflows without a warning: xl_step's finiteness check
@@ -225,8 +230,11 @@ def network_forward(b, encoder, params, cfg, want_cache=True):
     params; cfg is not read, and is accepted only because the bench passes it.
     """
     atb = encoder.adjoint(b)
-    state = AdmmState(x=atb.copy(), z=None, l=np.zeros_like(atb))
-    work = np.empty_like(atb)
+    l = np.empty_like(atb)
+    d = encoder.samples(atb, work=l)
+    l[...] = 0
+    # inference keeps no A^H b: x starts as it and D stands for it in the DC step
+    state = AdmmState(x=atb.copy() if want_cache else atb, z=None, l=l)
     cache = NetCache(atb=atb, encoder=encoder) if want_cache else None
     width = max(
         layer.out_channels
@@ -240,7 +248,7 @@ def network_forward(b, encoder, params, cfg, want_cache=True):
         l_prev = state.l.copy() if want_cache else state.l  # xl_step overwrites l
         record = want_cache and n == last
         state.z, bc = z_block(state.x, l_prev, phase, None if record else buf)
-        xl_step(state, atb, encoder, mu_of(phase), eta_of(phase), work, f"phase {n}")
+        xl_step(state, d, encoder, mu_of(phase), eta_of(phase), f"phase {n}")
         if want_cache:
             cache.phases.append(PhaseCache(l_prev, state.x.copy()))
     if want_cache:

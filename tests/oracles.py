@@ -40,7 +40,7 @@ def x_update_cg(z, l, atb, encoder, mu):
     right-hand side, or after 100 iterations.  The operator is Hermitian
     positive definite with spectrum {mu, 1 + mu}, so a handful suffices.
     """
-    if mu <= 0:
+    if not mu > 0:
         raise ValueError("mu must be > 0")
     check_same_shape(z, l)
     check_same_shape(z, atb)
@@ -143,15 +143,15 @@ def neutral_phase_params(nc, mu, eta):
 def stored_block_caches(b, encoder, params):
     """Every phase's (z, BlockCaches), from a forward that stores them all."""
     atb = encoder.adjoint(b)
-    state = AdmmState(x=atb.copy(), z=None, l=np.zeros_like(atb))
-    work = np.empty_like(atb)
+    d = encoder.samples(atb)
+    state = AdmmState(x=atb, z=None, l=np.zeros_like(atb))
     stored = []
     for n, phase in enumerate(params.phases):
         u, f_ins = stack_forward(to_channels(state.x + state.l), phase.f_stack)
         fhat_out, fhat_ins = stack_forward(attn_forward(u, phase.attn), phase.fhat_stack)
         state.z = from_channels(fhat_out)
         stored.append((state.z, BlockCaches(f_ins, u, fhat_ins)))
-        xl_step(state, atb, encoder, mu_of(phase), eta_of(phase), work, f"phase {n}")
+        xl_step(state, d, encoder, mu_of(phase), eta_of(phase), f"phase {n}")
     return stored
 
 

@@ -122,7 +122,7 @@ def test_data_consistency_solver_equivalence(capsys):
         b = enc.forward(rand_volume(rng, shape))
         mu = float(rng.uniform(0.1, 2.0))
         atb = enc.adjoint(b)
-        xc = x_update_closed_form(z, l, atb, enc, mu)
+        xc = x_update_closed_form(z, l, enc.samples(atb), enc, mu)
         xg, info = x_update_cg(z, l, atb, enc, mu)
         worst_diff = max(worst_diff, fro_norm(xg - xc) / fro_norm(xc))
         worst_res = max(worst_res, info.residual)
@@ -151,14 +151,14 @@ def test_single_phase_classical_equivalence(capsys):
 
     phase = neutral_phase_params(4, mu, eta)
     z_n, _ = z_block(x_prev, l_prev, phase)
-    atb = enc.adjoint(b)
-    x_n = x_block(z_n, l_prev, atb, enc, mu_of(phase))
+    d = enc.samples(enc.adjoint(b))
+    x_n = x_block(z_n, l_prev, d, enc, mu_of(phase))
     l_n = l_prev - eta_of(phase) * (z_n - x_n)
 
     admm_cfg = AdmmConfig(lam=0.0, mu=mu, eta=eta, n_iters=1)
     state = AdmmState(x=x_prev, z=x_prev.copy(), l=l_prev)
     z_c = z_update(state, admm_cfg)
-    x_c = x_update_closed_form(z_c, l_prev, atb, enc, mu)
+    x_c = x_update_closed_form(z_c, l_prev, d, enc, mu)
     l_c = l_update(AdmmState(x=x_c, z=z_c, l=l_prev), eta)
 
     errs = (

@@ -134,6 +134,27 @@ def test_normal_into_out_is_bit_identical(shape):
     assert v.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("shape", [(8, 8, 4), (17, 12, 6), (33, 21, 5), (37, 29, 6)])
+def test_data_consistency_is_the_image_space_step(shape):
+    # F^-1[Y + c M'(D - Y)] with D = samples(A^H b) is y + c (A^H b - P y);
+    # odd sides are where a centring mix-up between D and M' would show
+    rng = np.random.default_rng(43)
+    masks = [
+        make_pseudo_radial_mask(shape, 5, seed=1),
+        make_vds_mask(shape, 2.5, center_lines=2, seed=2),
+    ]
+    for mask in masks:
+        enc = Encoder(mask)
+        atb = enc.adjoint(enc.forward(rand_volume(rng, shape)))
+        d = enc.samples(atb)
+        for mu in (0.05, 0.7, 3.0):
+            y = rand_volume(rng, shape)
+            c = 1.0 / (1.0 + mu)
+            want = y + c * (atb - enc.normal(y))
+            got = enc.data_consistency(y.copy(), d, c)
+            assert fro_norm(got - want) <= 1e-12 * fro_norm(want)
+
+
 def test_forward_adjoint_forward_is_projection():
     # A A^H is the projector onto the sampled set, so applying the forward
     # model to a zero-filled reconstruction returns the data unchanged
