@@ -33,7 +33,7 @@ def fft2_frames(v, direction="forward", keep=None):
     """Centered unitary 2-D DFT applied independently to every frame.
 
     keep, a boolean array of v's shape in the uncentered layout of k-space
-    (Encoder._normal_filter), zeroes the k-space entries it does not hold: the
+    (Encoder._keep), zeroes the k-space entries it does not hold: the
     forward transform's output or the inverse transform's input.  The passes
     run in place in the uncentering copy, so a call holds two volumes.
     """
@@ -63,35 +63,24 @@ class Encoder:
         self.mask = mask.astype(np.uint8)
         # A^H A is circulant in each frame, so the centring shifts of
         # fft2_frames cancel around it: only the mask needs uncentring.
-        self._normal_filter = np.fft.ifftshift(self.mask, axes=_AXES).astype(bool)
-        self._sampled = np.flatnonzero(self._normal_filter)
+        self._keep = np.fft.ifftshift(self.mask, axes=_AXES).astype(bool)
+        self._sampled = np.flatnonzero(self._keep)
 
     def forward(self, x):
         """Sample k-space: mask * FFT(x).  Unsampled entries are exactly zero."""
         check_same_shape(x, self.mask)
-        return fft2_frames(x, "forward", self._normal_filter)
+        return fft2_frames(x, "forward", self._keep)
 
     def adjoint(self, b):
         """Adjoint of forward: inverse FFT of the masked data."""
         check_same_shape(b, self.mask)
-        return fft2_frames(b, "inverse", self._normal_filter)
-
-    def normal(self, v, out=None):
-        """Normal operator A^H A: the projection onto sampled k-space.
-
-        The result is computed in out when given, a complex128 array of v's
-        shape that may be v itself.
-        """
-        check_same_shape(v, self.mask)
-        k = _dft2(v, out)
-        k *= self._normal_filter
-        return _dft2(k, k, inverse=True)
+        return fft2_frames(b, "inverse", self._keep)
 
     def samples(self, v, work=None):
         """F(v) at the sampled entries: the d of data_consistency for v = A^H b.
 
-        F is the uncentered per-frame DFT that normal() works in.  work, a
-        complex128 array of v's shape that may be v, holds F(v).
+        F is the uncentered per-frame DFT that data_consistency works in.
+        work, a complex128 array of v's shape that may be v, holds F(v).
         """
         check_same_shape(v, self.mask)
         return np.take(_dft2(v, work), self._sampled)

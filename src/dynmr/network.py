@@ -28,6 +28,8 @@ It raises NumericalError naming the phase when mu is 0 or X is
 non-finite.  The backward pass is written out by hand (one reverse sweep over
 phases, exact chain rule through that closed form, plus the optional ISTA-Net
 inversion penalty of each phase) and is validated against finite differences.
+Its data-consistency block is the forward's: the step is linear in y, so on
+zero data (D = 0) Encoder.data_consistency is its Jacobian I - P/(1 + mu).
 The penalty's gradient at the encode output joins the loss gradient in one
 encode-stack backward; conv3d.stack_input_grad is the loss-only input stream.
 Gradients flow as a flat dict keyed by the names from named_tensors, one entry
@@ -264,10 +266,12 @@ def network_backward(grad_x, cache, params, zeta=0.0):
     BlockCaches from block_caches and drops each array after its last reader,
     the decode layer inputs once the decode-stack backward has run, so at most
     one phase's layer inputs are alive at a time.  The data-consistency block
-    x = y + (A^H b - P y)/(1 + mu) is linear in y with the self-adjoint
-    Jacobian I - P/(1 + mu), so an incoming gradient g pulls back to
-    g - P g/(1 + mu), and the mu-derivative of the loss is
-    (<P g, y> - <g, A^H b>)/(1 + mu)^2.  P is the encoder's normal operator.
+    x = y + (A^H b - P y)/(1 + mu), P = A^H A, is linear in y with the
+    self-adjoint Jacobian I - P/(1 + mu): the forward's data_consistency step
+    on zero data, which pulls an incoming gradient g back in place in g.  As
+    x - y = (A^H b - P y)/(1 + mu), dx/dmu = -(x - y)/(1 + mu), so the
+    mu-derivative of the loss is -<g, x - y>/(1 + mu), read from the cached
+    x without P g or A^H b.  A real grad_x is taken as complex.
     The denoising block pulls back through the decode stack and attention to
     g_u, the gradient at the encode output u.  With zeta > 0 each phase adds
     zeta times its inverse_penalty gradients: on the decode stack directly,
@@ -281,7 +285,7 @@ def network_backward(grad_x, cache, params, zeta=0.0):
         raise ValueError("cache does not match the parameter phase count")
     grads = dict.fromkeys(name for name, _ in named_tensors(params))
     penalties = []
-    gx = np.asarray(grad_x)
+    gx = np.asarray(grad_x, dtype=np.complex128)
     gl = np.zeros_like(gx)
     for n in range(len(params.phases) - 1, -1, -1):
         pc = cache.phases[n]
@@ -293,16 +297,13 @@ def network_backward(grad_x, cache, params, zeta=0.0):
         f_ins, u, fhat_ins = bc.f_ins, bc.u, bc.fhat_ins
         del bc
 
-        g_eta = np.asarray(real_inner(gl, pc.x - z) * sigmoid(phase.eta_raw))
+        step = pc.x - z
+        g_eta = np.asarray(real_inner(gl, step) * sigmoid(phase.eta_raw))
         g = gx + eta * gl
-        pg = cache.encoder.normal(g)
-        gy = g - pg / (1.0 + mu)
-        g_mu = np.asarray(
-            (real_inner(pg, z - pc.l_prev) - real_inner(g, cache.atb))
-            / (1.0 + mu) ** 2
-            * sigmoid(phase.mu_raw)
-        )
-        del z, pg
+        step += pc.l_prev  # x - y
+        g_mu = np.asarray(-real_inner(g, step) / (1.0 + mu) * sigmoid(phase.mu_raw))
+        del z, step
+        gy = cache.encoder.data_consistency(g, 0.0, 1.0 / (1.0 + mu))
 
         gz = gy - eta * gl
         g, fhat_grads = stack_backward(to_channels(gz), fhat_ins, phase.fhat_stack)

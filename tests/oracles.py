@@ -46,7 +46,7 @@ def x_update_cg(z, l, atb, encoder, mu):
     check_same_shape(z, atb)
 
     def apply(v):
-        return encoder.normal(v) + mu * v
+        return encoder.adjoint(encoder.forward(v)) + mu * v
 
     rhs = atb + mu * (z - l)
     rhs_norm = fro_norm(rhs)

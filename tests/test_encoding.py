@@ -102,42 +102,26 @@ def test_fully_sampled_encoder_is_unitary():
 
 
 @pytest.mark.parametrize("shape", [(8, 8, 4), (33, 21, 5)])
-def test_normal_is_adjoint_of_forward_and_self_adjoint(shape):
-    # odd sides put the k-space centre off the half-way point, where the
-    # centring shifts that normal() leaves out do not trivially cancel
+def test_zero_data_step_is_self_adjoint(shape):
+    # on zero data the step is J = I - c P, the Jacobian the network backward
+    # pulls gradients through; odd sides put the k-space centre off the
+    # half-way point, where the centring shifts the step leaves out do not
+    # trivially cancel
     rng = np.random.default_rng(41)
-    for _ in range(5):
+    for c in (0.3, 0.9):
         enc = Encoder(rand_mask(rng, shape))
         u = rand_volume(rng, shape)
         v = rand_volume(rng, shape)
-        want = enc.adjoint(enc.forward(v))
-        assert fro_norm(enc.normal(v) - want) <= 1e-12 * fro_norm(want)
-        lhs = np.vdot(u, enc.normal(v))
-        rhs = np.vdot(enc.normal(u), v)
+        lhs = np.vdot(u, enc.data_consistency(v.copy(), 0.0, c))
+        rhs = np.vdot(enc.data_consistency(u.copy(), 0.0, c), v)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
-
-
-@pytest.mark.parametrize("shape", [(8, 8, 4), (33, 21, 5)])
-def test_normal_into_out_is_bit_identical(shape):
-    # the same bytes as fft2, the mask filter and ifft2 on fresh arrays,
-    # written into out; out may be the input itself
-    rng = np.random.default_rng(42)
-    enc = Encoder(rand_mask(rng, shape))
-    v = rand_volume(rng, shape)
-    k = np.fft.fft2(v, axes=(0, 1), norm="ortho")
-    want = np.fft.ifft2(enc._normal_filter * k, axes=(0, 1), norm="ortho")
-    assert enc.normal(v).tobytes() == want.tobytes()
-    buf = np.full_like(v, np.nan)
-    assert enc.normal(v, out=buf) is buf
-    assert buf.tobytes() == want.tobytes()
-    assert enc.normal(v, out=v) is v
-    assert v.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(8, 8, 4), (17, 12, 6), (33, 21, 5), (37, 29, 6)])
 def test_data_consistency_is_the_image_space_step(shape):
-    # F^-1[Y + c M'(D - Y)] with D = samples(A^H b) is y + c (A^H b - P y);
-    # odd sides are where a centring mix-up between D and M' would show
+    # F^-1[Y + c M'(D - Y)] with D = samples(A^H b) is y + c (A^H b - P y),
+    # P = A^H A, and on zero data y - c P y; odd sides are where a centring
+    # mix-up between D and M' would show
     rng = np.random.default_rng(43)
     masks = [
         make_pseudo_radial_mask(shape, 5, seed=1),
@@ -150,9 +134,10 @@ def test_data_consistency_is_the_image_space_step(shape):
         for mu in (0.05, 0.7, 3.0):
             y = rand_volume(rng, shape)
             c = 1.0 / (1.0 + mu)
-            want = y + c * (atb - enc.normal(y))
-            got = enc.data_consistency(y.copy(), d, c)
-            assert fro_norm(got - want) <= 1e-12 * fro_norm(want)
+            py = enc.adjoint(enc.forward(y))
+            for data, want in ((d, y + c * (atb - py)), (0.0, y - c * py)):
+                got = enc.data_consistency(y.copy(), data, c)
+                assert fro_norm(got - want) <= 1e-12 * fro_norm(want)
 
 
 def test_forward_adjoint_forward_is_projection():

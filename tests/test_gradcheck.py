@@ -7,7 +7,7 @@ from dynmr.gradcheck import run_gradcheck
 ROWS = ["conv", "attention", "mu/eta", "penalty"]
 
 
-@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("seed", range(8))
 def test_every_row_passes(seed):
     results = run_gradcheck(seed)
     assert [r.name for r in results] == ROWS

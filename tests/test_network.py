@@ -11,7 +11,7 @@ import dynmr.network
 from dynmr.admm import AdmmConfig, AdmmState, l_update, reconstruct, x_update_closed_form
 from dynmr.attention import attn_backward
 from dynmr.conv3d import stack_backward, stack_forward
-from dynmr.encoding import Encoder, make_pseudo_radial_mask
+from dynmr.encoding import Encoder, make_pseudo_radial_mask, make_vds_mask
 from dynmr.errors import NumericalError
 from dynmr.gradcheck import fd_at
 from dynmr.network import (
@@ -20,6 +20,7 @@ from dynmr.network import (
     NetworkConfig,
     NetworkParams,
     PhaseCache,
+    _raw,
     block_caches,
     eta_of,
     init_network_params,
@@ -32,6 +33,7 @@ from dynmr.network import (
     z_block,
 )
 from dynmr.phantom import PhantomSpec, generate_phantom
+from dynmr.training import mse_loss
 from dynmr.volume import from_channels, fro_norm, real_inner, to_channels
 from oracles import (
     inverse_penalty_two_pass,
@@ -667,6 +669,50 @@ def test_mu_gradient_moves_the_loss():
     params.phases[0].mu_raw -= 1e-3 * np.sign(g)
     after = loss()
     assert after < before
+
+
+@pytest.mark.parametrize("pattern", ["radial", "vds"])
+@pytest.mark.parametrize("mu", [0.02, 0.5, 20.0])
+def test_mu_eta_gradients_away_from_the_init(pattern, mu):
+    # the backward reads dx/dmu off x - y, which is small at large mu and
+    # large at small mu; a Cartesian mask samples whole lines, a radial one
+    # scattered points, on odd sides
+    shape = (9, 7, 3)
+    gt = generate_phantom(PhantomSpec(shape=shape, seed=14))
+    if pattern == "radial":
+        mask = make_pseudo_radial_mask(shape, 4, seed=14)
+    else:
+        mask = make_vds_mask(shape, 2.0, center_lines=2, seed=14)
+    enc = Encoder(mask)
+    b = enc.forward(gt)
+    cfg = NetworkConfig(n_phases=2, nc=4)
+    params = init_network_params(cfg, seed=14)
+    for phase in params.phases:
+        phase.mu_raw = _raw(mu)
+
+    def loss():
+        return mse_loss(network_forward(b, enc, params, cfg, want_cache=False)[0], gt)[0]
+
+    x, cache = network_forward(b, enc, params, cfg)
+    grads, _ = network_backward(mse_loss(x, gt)[1], cache, params)
+    for n, phase in enumerate(params.phases):
+        for name in ("mu_raw", "eta_raw"):
+            label = f"phase{n:02d}.{name}"
+            num = fd_at(loss, getattr(phase, name), ())
+            assert_close_grad(num, float(grads[label]), f"{label} at mu {mu}")
+
+
+def test_real_grad_x_is_taken_as_complex():
+    gt, enc, b, rng = small_problem(seed=15)
+    cfg = NetworkConfig(n_phases=2, nc=4)
+    params = init_network_params(cfg, seed=15)
+    _, cache = network_forward(b, enc, params, cfg)
+    g = rng.standard_normal(gt.shape)
+    real, real_pen = network_backward(g, cache, params, 0.1)
+    cplx, cplx_pen = network_backward(g.astype(complex), cache, params, 0.1)
+    assert real_pen == cplx_pen
+    for name, arr in cplx.items():
+        assert real[name].tobytes() == arr.tobytes(), name
 
 
 # ------------------------------------------------------------- penalty
