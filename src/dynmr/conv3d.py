@@ -2,14 +2,16 @@
 
 Convolutions are cross-correlations (no kernel flip), stride 1, zero padded
 by one voxel on every spatial/temporal side so output size equals input size.
-A pass works through bands of output rows.  Each band fills one small buffer
-with the input's three temporal shifts (no im2col, as in MEC, Cho & Brand
-2017) and runs one GEMM per kernel row: the row's three in-plane taps are
-stacked on the output rows, and their blocks are added at column shifts of
-0, t and 2t.  The input gradient is the same kernel with the flipped,
-transposed weights.  The weight gradient is the transposed product: per band
-and kernel row, one GEMM of the output gradient, stacked at the same three
-shifts, with the row's view of the buffer.
+A pass reads its input through one small band buffer of padded input rows,
+each laid out as (temporal tap, channel, w+2, t): the input's three temporal
+shifts (no im2col, as in MEC, Cho & Brand 2017).  The three buffer rows an
+output row reads are one contiguous (9 C_in x (w+2)t) matrix, so each output
+row is one GEMM, with kernel rows and temporal taps on K and the three
+in-plane column taps stacked on the output rows; their blocks are added into
+the output row at column shifts of 0, t and 2t.  The input gradient is the
+same kernel with the flipped, transposed weights.  The weight gradient is the
+transposed product: per output row, one GEMM of the output gradient, stacked
+at the same three shifts, with the row's tap matrix, summed in row order.
 
 A layer is linear: correlation plus bias.  A stack is a plain list of
 layers applied in order, with a ReLU after every layer but the last, so
@@ -27,17 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 KERNEL = 3
-# Band working sets, a band's (3 C_out) kernel-row product and (3 C_in) tap
-# rows; they bound a pass's transient memory.  The weight gradient adds one
-# partial GEMM per band, so its bytes depend on the band partition: it keeps
-# BAND_BYTES.  A correlation's bytes do not, and its bands are a quarter of
-# that, which takes paper-default streamed inference on 32x32x8 from 3.7 to
-# 2.3 MB traced (an activation is 1 MB).  Forward pass, best of 40, 1.5 MB /
-# 384 KB bands, 2-vCPU x86 VM, one BLAS thread: at 32x32x8, 16 -> 16 4.8 /
-# 4.1 ms, 2 -> 16 2.0 / 1.4 ms, 16 -> 2 0.8 / 1.0 ms; at 64x64x8, where most
-# bands become one row, 14.7 / 16.1, 5.2 / 6.2 and 3.7 / 5.8 ms.
-BAND_BYTES = 3 << 19  # 1.5 MB
-CORRELATE_BYTES = BAND_BYTES // 4  # 384 KB
+# The one band budget, for every pass: about 384 KB of padded input rows in
+# the tap buffer.  No pass's bytes depend on the band partition (each output
+# row is one GEMM, and the weight gradient sums them in row order).
+BAND_BYTES = 3 << 17  # 384 KB
 
 
 @dataclass
@@ -65,75 +60,70 @@ class Conv3dLayer:
         return self.weights.shape[0]
 
 
-def _band_rows(c_in, c_out, h, w, t, budget):
-    """Rows per band: the fewest bands whose working set stays near budget bytes."""
-    rows = max(1, budget // (KERNEL * (c_in + c_out) * (w + 2) * t * 8))
+def _band_rows(c, h, w, t):
+    """Rows per band: the fewest even bands whose tap buffer stays near BAND_BYTES."""
+    # at least 2, so the two halo rows a band carries never overlap their source
+    rows = max(2, BAND_BYTES // (KERNEL * c * (w + 2) * t * 8) - 2)
     bands = -(-h // rows)
     return -(-h // bands)
 
 
-def _tap_bands(x, rows):
-    """Yield (r0, r1, taps) for bands of output rows r0:r1 of (C, h, w, t) x.
+def _row_taps(x):
+    """Yield (y, taps) for every output row y of (C, h, w, t) x.
 
-    taps is one reused (3C, (rows+2)(w+2)t + 2t) buffer holding x's three
-    temporal shifts (row k*C + i for temporal tap k, channel i) over the
-    band's padded rows r0-1 .. r1, zero padded, flat with t zeros in front.
-    Band column j of the output widened by one w column each side reads
-    in-plane tap (a, b) at taps column j + a(w+2)t + bt; the junk columns
-    get cropped.  Past a short last band the buffer keeps the previous band's
-    rows; the band's views reach past its bottom pad row only into a zero pad
-    column.  Rows r0 .. r1 come from x (row h is the bottom pad); the top
-    halo row r0-1 is carried over from the previous band's buffer, so once a
-    band is yielded its output rows r0 .. r1-1 of x may be overwritten.
+    taps is the contiguous (9C, (w+2)t) stack of x's zero-padded rows y-1, y
+    and y+1: row (3a + k)C + i holds kernel row a, temporal tap k, channel i,
+    and column (j+1)t + s holds x[i, y+a-1, j, s+k-1].  It is a view of one
+    reused band buffer of padded rows, each laid out as (k, i, w+2, t).  A band
+    of output rows r0 .. r1-1 fills its rows from x when r0 is asked for; its
+    top two rows (input rows r0-1 and r0) come over from the previous band's
+    bottom two, so once row y is yielded, x's rows up to y may be overwritten.
+    Past a short last band the buffer keeps the previous band's rows; the last
+    band zeroes its bottom pad row and reads no row below it.
     """
     c, h, w, t = x.shape
-    plane = (w + 2) * t
-    buf = np.zeros((3, c, (rows + 2) * plane + 2 * t))
-    grid = buf[:, :, t:t + (rows + 2) * plane].reshape(3, c, rows + 2, w + 2, t)
-    taps = buf.reshape(3 * c, -1)
+    rows = _band_rows(c, h, w, t)
+    buf = np.zeros((rows + 2, KERNEL, c, w + 2, t))
+    stack = buf.reshape(-1, (w + 2) * t)
+    k = KERNEL * c  # stack rows per padded row
     for r0 in range(0, h, rows):
         r1 = min(r0 + rows, h)
-        hi = min(r1 + 1, h)
-        if r0:  # the first band's top row stays the zero pad
-            grid[:, :, 0] = grid[:, :, rows]
-        grid[:, :, hi - r0 + 1:r1 - r0 + 2] = 0
-        src = x[:, r0:hi]
-        dst = grid[:, :, 1:hi - r0 + 1, 1:-1]
-        dst[0, ..., 1:] = src[..., :-1]
-        dst[1] = src
-        dst[2, ..., :-1] = src[..., 1:]
-        yield r0, r1, taps
+        if r0:  # else the top row stays the zero pad
+            buf[:2] = buf[rows:]
+        lo, hi = (r0 + 1 if r0 else 0), min(r1 + 1, h)
+        src = x[:, lo:hi].transpose(1, 0, 2, 3)
+        dst = buf[lo - r0 + 1:hi - r0 + 1, :, :, 1:-1]
+        dst[:, 0, ..., 1:] = src[..., :-1]
+        dst[:, 1] = src
+        dst[:, 2, ..., :-1] = src[..., 1:]
+        buf[hi - r0 + 1:r1 - r0 + 2] = 0.0  # the bottom pad row, in the last band
+        for j in range(r1 - r0):
+            yield r0 + j, stack[j * k:(j + 3) * k]
 
 
 def _correlate(x, weights, out=None):
     """Zero-padded cross-correlation of (C_in, h, w, t) x with (C_out, C_in, 3, 3, 3).
 
     The result goes to out, a (C_out, h, w, t) float64 array, when given.  out
-    may hold x's leading planes in place: a band is written only after its
-    input rows are in the tap buffer, and later bands read only rows below it.
+    may hold x's leading planes in place: row y is written only after the tap
+    buffer holds every input row it reads, and later rows read only rows below.
     """
     c_in, h, w, t = x.shape
     c_out = weights.shape[0]
-    plane = (w + 2) * t
-    rows = _band_rows(c_in, c_out, h, w, t, CORRELATE_BYTES)
-    # kernel row a: rows b*C_out + o, columns k*C_in + i
-    w_rows = list(weights.transpose(2, 3, 0, 4, 1).reshape(KERNEL, KERNEL * c_out, -1))
+    # rows b*C_out + o (in-plane column tap b), columns (3a + k)C_in + i
+    w_mat = weights.transpose(3, 0, 2, 4, 1).reshape(KERNEL * c_out, -1)
     if out is None:
         out = np.empty((c_out, h, w, t))
-    prod = np.empty((KERNEL * c_out, rows * plane + 2 * t))
-    # Summing into out's strided rows instead is bit-identical but 1.1-1.8x slower.
-    acc = np.empty((c_out, rows * plane))
-    for r0, r1, taps in _tap_bands(x, rows):
-        n = (r1 - r0) * plane
-        p = prod[:, :n + 2 * t]
-        blocks = [p[b * c_out:(b + 1) * c_out, b * t:b * t + n] for b in range(KERNEL)]
-        band = acc[:, :n]
-        band.fill(0.0)
-        for a, w_row in enumerate(w_rows):
-            np.matmul(w_row, taps[:, a * plane:a * plane + n + 2 * t], out=p)
-            for block in blocks:
-                band += block
-        out[:, r0:r1] = band.reshape(c_out, -1, w + 2, t)[:, :, 1:-1]
+    prod = np.empty((KERNEL * c_out, (w + 2) * t))
+    # column tap b's block, shifted b columns: the output row's three addends
+    p0, p1, p2 = (prod[b * c_out:(b + 1) * c_out].reshape(c_out, w + 2, t)[:, b:b + w]
+                  for b in range(KERNEL))
+    # the first two meet in a contiguous row, so out's strided row is written once
+    pair = np.empty((c_out, w, t))
+    for y, taps in _row_taps(x):
+        np.matmul(w_mat, taps, out=prod)
+        np.add(p0, p1, out=pair)
+        np.add(pair, p2, out=out[:, y])
     return out
 
 
@@ -141,23 +131,20 @@ def _param_grads(g_pre, x):
     """(grad_weights, grad_bias) from a layer's output gradient and input."""
     c_out, h, w, t = g_pre.shape
     c_in = x.shape[0]
-    plane = (w + 2) * t
-    rows = _band_rows(c_in, c_out, h, w, t, BAND_BYTES)
-    # The forward's kernel-row product, transposed: g_pre on the band's widened
-    # grid (zero in the junk columns) at column shifts 0, t and 2t, row b*C_out + o.
-    # Past a short last band the previous band's values meet only zero pad columns.
-    g_rows = np.zeros((KERNEL, c_out, rows * plane + 2 * t))
-    g_taps = np.zeros((KERNEL, KERNEL * c_out, KERNEL * c_in))
-    for r0, r1, taps in _tap_bands(x, rows):
-        n = (r1 - r0) * plane
-        for b in range(KERNEL):
-            grid = g_rows[b, :, b * t:b * t + n].reshape(c_out, r1 - r0, w + 2, t)
-            grid[:, :, 1:-1] = g_pre[:, r0:r1]
-        g_stack = g_rows[:, :, :n + 2 * t].reshape(KERNEL * c_out, -1)
-        for a in range(KERNEL):
-            g_taps[a] += g_stack @ taps[:, a * plane:a * plane + n + 2 * t].T
-    g_weights = g_taps.reshape(KERNEL, KERNEL, c_out, KERNEL, c_in)
-    return g_weights.transpose(2, 4, 0, 1, 3), g_pre.sum(axis=(1, 2, 3))
+    # The forward's product, transposed: g_pre's row y at column shifts 0, t
+    # and 2t of a padded row (row b*C_out + o), zero elsewhere.
+    g_row = np.zeros((KERNEL * c_out, (w + 2) * t))
+    blocks = [g_row[b * c_out:(b + 1) * c_out].reshape(c_out, w + 2, t)[:, b:b + w]
+              for b in range(KERNEL)]
+    g_mat = np.zeros((KERNEL * c_out, KERNEL * KERNEL * c_in))
+    part = np.empty_like(g_mat)
+    for y, taps in _row_taps(x):
+        for block in blocks:
+            block[...] = g_pre[:, y]
+        np.matmul(g_row, taps.T, out=part)
+        g_mat += part
+    g_weights = g_mat.reshape(KERNEL, c_out, KERNEL, KERNEL, c_in)
+    return g_weights.transpose(1, 4, 2, 0, 3), g_pre.sum(axis=(1, 2, 3))
 
 
 def _same_voxels(x, out):

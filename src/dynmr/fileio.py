@@ -34,7 +34,7 @@ import numpy as np
 
 from .conv3d import KERNEL
 from .errors import FormatError
-from .network import NetworkConfig, check_params, init_network_params, named_tensors
+from .network import NetworkConfig, check_params, named_tensors, param_shells
 
 DMRT_MAGIC = b"DMRT"
 DUSC_MAGIC = b"DUSC"
@@ -218,7 +218,7 @@ def load_checkpoint(path):
         # before building shells, which could otherwise ask for gigabytes.
         if 8 * _param_floats(cfg) > r.size - r.pos:
             raise FormatError(f"{r.label}: truncated: too short for its config block")
-        params = init_network_params(cfg, seed=0)
+        params = param_shells(cfg)
         expected = list(named_tensors(params))
         n_tensors = r.u32()
         if n_tensors != len(expected):

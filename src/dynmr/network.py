@@ -99,21 +99,34 @@ def _raw(value):
     return np.asarray(softplus_inv(float(value)), dtype=np.float64)
 
 
+class _Zeros:
+    """Draws zeros where a Generator draws uniforms: shells without an RNG."""
+
+    def uniform(self, low, high, size):
+        return np.zeros(size)
+
+
+def _new_params(cfg, rng):
+    return NetworkParams(phases=[
+        PhaseParams(
+            f_stack=make_encode_stack(cfg.nc, cfg.f_depth, rng),
+            fhat_stack=make_decode_stack(cfg.nc, cfg.fhat_depth, rng),
+            attn=init_attn_params(cfg.nc, rng),
+            mu_raw=_raw(MU0),
+            eta_raw=_raw(ETA0),
+        )
+        for _ in range(cfg.n_phases)
+    ])
+
+
 def init_network_params(cfg, seed=0):
     """Seeded fresh parameters; every phase gets its own draws."""
-    rng = np.random.default_rng(seed)
-    phases = []
-    for _ in range(cfg.n_phases):
-        phases.append(
-            PhaseParams(
-                f_stack=make_encode_stack(cfg.nc, cfg.f_depth, rng),
-                fhat_stack=make_decode_stack(cfg.nc, cfg.fhat_depth, rng),
-                attn=init_attn_params(cfg.nc, rng),
-                mu_raw=_raw(MU0),
-                eta_raw=_raw(ETA0),
-            )
-        )
-    return NetworkParams(phases=phases)
+    return _new_params(cfg, np.random.default_rng(seed))
+
+
+def param_shells(cfg):
+    """Parameters of cfg's names and shapes, zero weights, drawn from no RNG."""
+    return _new_params(cfg, _Zeros())
 
 
 def _phase_tensors(p, f, fhat, attn, mu_raw, eta_raw):
@@ -142,7 +155,7 @@ def named_tensors(params):
 def check_params(params, cfg):
     """Raise ValueError unless params has exactly cfg's tensor names and shapes."""
     have = [(name, arr.shape) for name, arr in named_tensors(params)]
-    want = [(name, arr.shape) for name, arr in named_tensors(init_network_params(cfg))]
+    want = [(name, arr.shape) for name, arr in named_tensors(param_shells(cfg))]
     if have != want:
         got, expected = next(p for p in zip_longest(have, want) if p[0] != p[1])
         raise ValueError(f"params do not match {cfg}: {got} where it has {expected}")

@@ -6,7 +6,6 @@ import pytest
 import dynmr.conv3d
 from dynmr.conv3d import (
     BAND_BYTES,
-    CORRELATE_BYTES,
     Conv3dLayer,
     _band_rows,
     conv3d_backward,
@@ -298,27 +297,29 @@ def test_input_gradient_is_the_adjoint_on_odd_shapes(shape):
 
 
 def test_oracle_shape_spans_several_bands():
-    # under both budgets: the correlations' and the weight gradient's
+    # every pass reads its input through the band buffer: the forward and the
+    # weight gradient C_in-channel input, the input gradient its C_out-channel one
     h, w, t = SHAPES[-1]
-    for budget in (CORRELATE_BYTES, BAND_BYTES):
-        for c_in, c_out in CHANNELS[1:]:
-            rows = _band_rows(c_in, c_out, h, w, t, budget)
-            assert rows < h and h % rows, (budget, c_in, c_out, rows)
+    for ch in CHANNELS[1:]:
+        for c in ch:
+            rows = _band_rows(c, h, w, t)
+            assert 2 <= rows < h and h % rows, (ch, c, rows)
 
 
-@pytest.mark.parametrize("band_bytes", [1, 20000])
+@pytest.mark.parametrize("band_bytes", [1, 20000, 1 << 30])
 @pytest.mark.parametrize("activation", ["relu", "linear"])
 def test_band_boundaries_match_direct_sum(monkeypatch, band_bytes, activation):
-    # one-row bands, and bands of 3 rows over h = 10 (4 bands, the last one
-    # row), in the correlations and the weight gradient alike
-    monkeypatch.setattr(dynmr.conv3d, "CORRELATE_BYTES", band_bytes)
+    # over h = 11, in the forward, the input gradient and the weight gradient
+    # alike: bands at the 2-row minimum (the last one row), bands of 6 and 4
+    # rows whose last band is short, and one band over the whole of h
     monkeypatch.setattr(dynmr.conv3d, "BAND_BYTES", band_bytes)
-    assert _band_rows(3, 5, 10, 7, 3, band_bytes) == (1 if band_bytes == 1 else 3)
+    want = {1: (2, 2), 20000: (6, 4), 1 << 30: (11, 11)}[band_bytes]
+    assert tuple(_band_rows(c, 11, 7, 3) for c in (3, 5)) == want
     rng = np.random.default_rng(14)
     layer = init_conv_layer(3, 5, rng)
     layer.bias[:] = rng.uniform(-0.5, 0.5, size=5)
-    x = rng.standard_normal((3, 10, 7, 3))
-    g = rng.standard_normal((5, 10, 7, 3))
+    x = rng.standard_normal((3, 11, 7, 3))
+    g = rng.standard_normal((5, 11, 7, 3))
     assert_layer_matches_direct_sum(layer, x, g, activation)
 
 
@@ -327,18 +328,20 @@ def test_band_boundaries_match_direct_sum(monkeypatch, band_bytes, activation):
 def test_in_place_forward_matches_allocating(monkeypatch, band_bytes, ch):
     # out = buf[:C_out] over x = buf[:C_in]: each band's output lands on input
     # rows the next band's top halo needed, so the halo must come from the tap
-    # buffer.  One-row bands, and bands of 4 or 3 rows over h = 10 whose last
-    # band is short.  The rest of buf starts NaN: reading it would show.
-    monkeypatch.setattr(dynmr.conv3d, "CORRELATE_BYTES", band_bytes)
+    # buffer.  Over h = 11: bands at the 2-row minimum whose last band is one
+    # row, bands of 4 rows whose last band is short, and (2 input channels)
+    # one band over the whole of h.  The rest of buf starts NaN: reading it
+    # would show.
+    monkeypatch.setattr(dynmr.conv3d, "BAND_BYTES", band_bytes)
     c_in, c_out = ch
-    rows = _band_rows(c_in, c_out, 10, 7, 3, band_bytes)
-    assert rows == 1 if band_bytes == 1 else (rows > 1 and 10 % rows)
+    rows = _band_rows(c_in, 11, 7, 3)
+    assert rows == {1: 2, 20000: 11 if c_in == 2 else 4}[band_bytes]
     rng = np.random.default_rng(16)
     layer = init_conv_layer(c_in, c_out, rng)
     layer.bias[:] = rng.uniform(-0.5, 0.5, size=c_out)
-    x = rng.standard_normal((c_in, 10, 7, 3))
+    x = rng.standard_normal((c_in, 11, 7, 3))
     want = conv3d_forward(x, layer)
-    buf = np.full((max(ch), 10, 7, 3), np.nan)
+    buf = np.full((max(ch), 11, 7, 3), np.nan)
     buf[:c_in] = x
     got = conv3d_forward(buf[:c_in], layer, buf[:c_out])
     assert np.shares_memory(got, buf) and got.ctypes.data == buf.ctypes.data
@@ -348,11 +351,11 @@ def test_in_place_forward_matches_allocating(monkeypatch, band_bytes, ch):
 @pytest.mark.parametrize("ch", [(2, 16), (16, 16), (16, 2), (8, 8)],
                          ids=lambda c: f"{c[0]}to{c[1]}")
 def test_correlation_bytes_do_not_depend_on_the_band_budget(monkeypatch, ch):
-    # The forward and the input gradient sum each output voxel's taps in one
-    # order whatever the band partition, so their bands may be sized apart
-    # from the weight gradient's, whose per-band partial GEMMs change its
-    # bytes.  At 37x29x6: the weight gradient's budget, the correlations'
-    # and one-row bands; each budget partitions h differently.
+    # All three passes are correlations: the forward, the input gradient and
+    # the weight gradient (of the input with the output gradient).  Each output
+    # row is one GEMM, and the weight gradient sums its per-row products in
+    # row order, so no pass's bytes depend on the band partition.  At 37x29x6:
+    # 2-row bands, the default budget's and one band over the whole of h.
     c_in, c_out = ch
     shape = (37, 29, 6)
     rng = np.random.default_rng(18)
@@ -360,33 +363,32 @@ def test_correlation_bytes_do_not_depend_on_the_band_budget(monkeypatch, ch):
     layer.bias[:] = rng.uniform(-0.5, 0.5, size=c_out)
     x = rng.standard_normal((c_in, *shape))
     g = rng.standard_normal((c_out, *shape))
-    budgets = (BAND_BYTES, CORRELATE_BYTES, 1)
-    assert len({_band_rows(c_in, c_out, *shape, b) for b in budgets}) == 3
-    runs = set()
-    for budget in budgets:
-        monkeypatch.setattr(dynmr.conv3d, "CORRELATE_BYTES", budget)
+    parts, runs = [], set()
+    for budget in (1, BAND_BYTES, 1 << 30):
+        monkeypatch.setattr(dynmr.conv3d, "BAND_BYTES", budget)
+        parts.append([_band_rows(c, *shape) for c in ch])
         out = conv3d_forward(x, layer)
-        grad_in, _, _ = conv3d_backward(g, x, layer)
-        runs.add((out.tobytes(), grad_in.tobytes()))
+        grad_in, gw, gb = conv3d_backward(g, x, layer)
+        runs.add((out.tobytes(), grad_in.tobytes(), gw.tobytes(), gb.tobytes()))
+    assert parts[0] == [2, 2] and parts[-1] == [37, 37], parts
     assert len(runs) == 1
 
 
 def test_in_place_pass_allocates_no_output():
     # A 16 -> 16 layer at 32x32x8 over its own input holds only the band
-    # working set: the tap buffer, the kernel-row product, the band
-    # accumulator and the reordered weights, plus numpy's own temporaries (a
-    # ufunc buffer, the carried halo row), under a quarter of an output.  An
-    # output-sized array (1 MB, twice the working set of these one-row
-    # bands) would break the bound.
+    # working set: the tap buffer of 2-row bands (4 padded rows), the
+    # output row's product and the kernel matrix, plus numpy's own
+    # temporaries, under a quarter of an output.  An output-sized array
+    # (1 MB, about twice the working set) would break the bound.
     rng = np.random.default_rng(15)
     layer = init_conv_layer(16, 16, rng)
     x = rng.standard_normal((16, 32, 32, 8))
     want = conv3d_forward(x, layer)
-    rows, plane, t = _band_rows(16, 16, 32, 32, 8, CORRELATE_BYTES), 34 * 8, 8
+    rows, plane = _band_rows(16, 32, 32, 8), 34 * 8
+    assert rows == 2
     working = 8 * (
-        3 * 16 * ((rows + 2) * plane + 2 * t)  # taps
-        + 3 * 16 * (rows * plane + 2 * t)  # kernel-row product
-        + 16 * rows * plane  # accumulator
+        (rows + 2) * 3 * 16 * plane  # taps
+        + 3 * 16 * plane  # the output row's product
         + layer.weights.size
     )
     tracemalloc.start()
@@ -444,9 +446,9 @@ def test_stack_forward_streams_through_two_buffers(monkeypatch, depth, nc):
     # stack's input and one streaming buffer: the first layer writes the
     # buffer's leading planes, every later layer writes them over its own
     # input, with the bytes of the allocating run.  The buffer starts NaN and
-    # the bands are one row, so a read of an unwritten voxel, or of a row
-    # already overwritten, would show.
-    monkeypatch.setattr(dynmr.conv3d, "CORRELATE_BYTES", 1)
+    # the bands are at the 2-row minimum, the last one row, so a read of an
+    # unwritten voxel, or of a row already overwritten, would show.
+    monkeypatch.setattr(dynmr.conv3d, "BAND_BYTES", 1)
     rng = np.random.default_rng(17)
     enc, dec = make_encode_stack(nc, depth, rng), make_decode_stack(nc, depth, rng)
     x = rng.standard_normal((2, 5, 4, 3))

@@ -295,11 +295,11 @@ def test_inference_peak_is_a_few_activations(depth):
     # Without a cache every conv layer writes over its own input in one
     # reused activation-sized buffer, and attention shrinks in place with |u|
     # formed a chunk at a time in the block's 2-channel input, so the peak
-    # does not grow with depth.  Besides the buffer it holds one correlation's
-    # band working set, sized to CORRELATE_BYTES (about 0.5 MB whatever the
-    # volume), and a few complex volumes of 1/8 activation each.  An
-    # activation here is 1.9 MB, and the peak reads 2.09 activations (2.84
-    # with the weight gradient's 1.5 MB bands); a second buffer would add one.
+    # does not grow with depth.  Besides the buffer it holds one pass's band
+    # working set, a tap buffer sized to BAND_BYTES (here 2-row bands of
+    # 0.6 MB), and a few complex volumes of 1/8 activation each.  An
+    # activation here is 1.8 MB, and the peak reads 1.90 activations; a second
+    # buffer would add one.
     shape, nc = (41, 23, 16), 16
     _, enc, b, _ = small_problem(seed=8, shape=shape)
     cfg = NetworkConfig(n_phases=2, nc=nc, f_depth=depth, fhat_depth=depth)
@@ -579,9 +579,10 @@ def test_training_cache_grows_by_l_and_x_per_phase(depths):
 def test_toy_training_step_peak_is_bounded():
     # One toy step (3 phases, nc 8, 32x32x8, zeta 0.01): forward, loss
     # gradient, backward.  It peaks in a phase's decode-stack backward, with
-    # that phase's layer inputs alive, at 12.8 activations of 0.5 MB.  Decode
-    # inputs held through the penalty and the encode-stack backward read
-    # 14.5; with out-of-place ReLU masks and 1.5 MB correlation bands too, 15.9.
+    # that phase's layer inputs alive, at 10.9 activations of 0.5 MB (12.5
+    # while the weight gradient ran 1.5 MB bands).  Decode inputs held through
+    # the penalty and the encode-stack backward read 14.5; with out-of-place
+    # ReLU masks and 1.5 MB correlation bands too, 15.9.
     shape, nc = (32, 32, 8), 8
     gt, enc, b, _ = small_problem(seed=26, shape=shape, n_spokes=8)
     cfg = NetworkConfig(n_phases=3, nc=nc)
@@ -595,7 +596,7 @@ def test_toy_training_step_peak_is_bounded():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 14 * activation, peak / activation
+    assert peak <= 12 * activation, peak / activation
 
 
 def test_backward_zero_upstream_gives_zero_grads():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dynmr.encoding import Encoder, make_pseudo_radial_mask
+import dynmr.network
 from dynmr import fileio
 from dynmr.errors import FormatError
 from dynmr.fileio import load_checkpoint, load_dmrt, save_checkpoint, save_dmrt
@@ -236,6 +237,25 @@ def test_checkpoint_round_trip_exact(tmp_path):
     assert set(a) == set(b)
     for name in a:
         assert np.array_equal(a[name], b[name]), name
+
+
+def test_checkpoint_save_and_load_draw_no_random_weights(tmp_path, monkeypatch):
+    # the loader's shells and the saver's name and shape check are built
+    # without an RNG: a draw would raise here
+    cfg = NetworkConfig(n_phases=2, nc=4, f_depth=2, fhat_depth=3)
+    params = modified_params(cfg)
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("a checkpoint save or load drew random weights")
+
+    monkeypatch.setattr(dynmr.network.np.random, "default_rng", no_rng)
+    p = tmp_path / "net.dusc"
+    save_checkpoint(p, params, cfg, step=3, seed=1)
+    loaded, _, step, seed = load_checkpoint(p)
+    assert (step, seed) == (3, 1)
+    for (name, a), (name2, b) in zip(named_tensors(params), named_tensors(loaded),
+                                     strict=True):
+        assert name == name2 and a.tobytes() == b.tobytes(), name
 
 
 def test_checkpoint_round_trip_preserves_inference(tmp_path):
