@@ -9,11 +9,14 @@ One learned threshold per channel of a (nc, h, w, t) feature tensor:
     out_i = sign(u_i) * max(|u_i| - tau_i, 0)
 
 Since 0 <= s <= 1, the threshold never exceeds the channel's mean absolute
-value.  The backward pass is the exact chain rule through this map, with the
-usual subgradient conventions at the shrinkage kink (derivative 0 where
-|u| <= tau) and at u = 0 (sign contributes 0).  It keeps no cache: the
-backward recomputes the gate (a few length-nc vectors) and the |u| > tau mask
-from u.
+value.  The forward shrinks a chunk of channels in four passes,
+o = u + 0.0, m = o - clip(o, -tau_i, tau_i), out = copysign(m, o): the
+formula's bytes, signed zeros included.  The backward pass is the exact chain
+rule through this map, with the usual subgradient conventions at the
+shrinkage kink (derivative 0 where |u| <= tau) and at u = 0 (sign contributes
+0).  It keeps no cache: the backward recomputes the gate (a few length-nc
+vectors) and the |u| > tau mask from u, holding its output and one scratch
+of u's size.
 """
 
 from dataclasses import dataclass
@@ -60,11 +63,11 @@ def init_attn_params(nc, rng):
     )
 
 
-def _magnitudes(u, mag):
-    """Yield (channel slice, |u| over it, formed in mag), len(mag) channels at a time."""
-    for c in range(0, len(u), len(mag)):
-        chunk = u[c:c + len(mag)]
-        yield slice(c, c + len(chunk)), np.abs(chunk, out=mag[:len(chunk)])
+def _chunks(u, scratch):
+    """Yield (channel slice, scratch rows for it), len(scratch) channels at a time."""
+    for c in range(0, len(u), len(scratch)):
+        m = scratch[:len(u) - c]
+        yield slice(c, c + len(m)), m
 
 
 def _gate(u, params, mag):
@@ -73,7 +76,8 @@ def _gate(u, params, mag):
     |u| is formed in mag, a float64 array of u's plane shape, len(mag)
     channels at a time; mag holds all of |u| when it is u's size.
     """
-    a = np.concatenate([np.mean(m, axis=(1, 2, 3)) for _, m in _magnitudes(u, mag)])
+    a = np.concatenate([np.mean(np.abs(u[part], out=m), axis=(1, 2, 3))
+                        for part, m in _chunks(u, mag)])
     hidden = np.maximum(params.w1 @ a + params.b1, 0.0)
     s = sigmoid(params.w2 @ hidden + params.b2)
     return a, hidden, s, (s * a)[:, None, None, None]
@@ -83,9 +87,9 @@ def attn_forward(u, params, work=None):
     """Apply the operator and return its output.
 
     With work, a float64 array apart from u of u's plane shape and any
-    number of channels, the output overwrites u and |u| is formed in work
-    a chunk of len(work) channels at a time: plain inference allocates
-    nothing the size of u.
+    number of channels, the output overwrites u and work is the scratch, a
+    chunk of len(work) channels at a time: plain inference allocates nothing
+    the size of u.
     """
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 4 or u.shape[0] != params.nc:
@@ -95,12 +99,12 @@ def attn_forward(u, params, work=None):
     out = np.empty_like(u) if work is None else u
     mag = np.empty_like(u) if work is None else work
     tau_b = _gate(u, params, mag)[3]
-    # sign(u) * max(|u| - tau, 0), a chunk at a time in mag and the output
-    for part, m in _magnitudes(u, mag):
-        m -= tau_b[part]
-        np.maximum(m, 0.0, out=m)
-        np.sign(u[part], out=out[part])
-        out[part] *= m
+    # u + 0.0 turns -0.0 into +0.0, as the formula's sign(-0.0) * 0 does
+    for part, m in _chunks(u, mag):
+        o = np.add(u[part], 0.0, out=out[part])
+        np.clip(o, -tau_b[part], tau_b[part], out=m)
+        np.subtract(o, m, out=m)
+        np.copysign(m, o, out=o)
     return out
 
 
@@ -116,13 +120,13 @@ def attn_backward(grad_out, u, params):
     nvox = u[0].size
     mag = np.empty_like(u)
     a, hidden, s, tau_b = _gate(u, params, mag)
-    g_active = grad_out * (mag > tau_b)
-    sign_u = np.sign(u, out=mag)  # |u| is no longer read
-
-    # direct shrinkage route: d out/d u = 1 on active voxels
-    grad_in = g_active.copy()
-    # d out/d tau_i = -sign(u) on active voxels
-    g_tau = -np.sum(g_active * sign_u, axis=(1, 2, 3))
+    # direct shrinkage route: d out/d u = 1 on active voxels (mag > tau)
+    grad_in = np.multiply(grad_out, np.greater(mag, tau_b, out=mag))
+    sign_u = np.sign(u, out=mag)  # the mask is no longer read
+    # d out/d tau_i = -sign(u) on active voxels, a channel at a time
+    prod = np.empty_like(u[0])
+    g_tau = -np.array([np.multiply(g, sg, out=prod).sum()
+                       for g, sg in zip(grad_in, sign_u)])
 
     # tau = s * a
     g_s = g_tau * a
@@ -138,5 +142,5 @@ def attn_backward(grad_out, u, params):
     g_a = g_a + params.w1.T @ g_pre1
 
     # pooling route back to the input
-    grad_in += (g_a[:, None, None, None] / nvox) * sign_u
+    grad_in += np.multiply(sign_u, g_a[:, None, None, None] / nvox, out=sign_u)
     return grad_in, AttnParams(w1=g_w1, b1=g_b1, w2=g_w2, b2=g_b2)

@@ -4,7 +4,9 @@ Convolutions are cross-correlations (no kernel flip), stride 1, zero padded
 by one voxel on every spatial/temporal side so output size equals input size.
 A pass reads its input through one small band buffer of padded input rows,
 each laid out as (temporal tap, channel, w+2, t): the input's three temporal
-shifts (no im2col, as in MEC, Cho & Brand 2017).  The three buffer rows an
+shifts (no im2col, as in MEC, Cho & Brand 2017), each filled as one copy of
+the flattened (w t) input row at flat offset +1, 0 or -1, with the w voxels
+a shifted copy wraps into zeroed after.  The three buffer rows an
 output row reads are one contiguous (9 C_in x (w+2)t) matrix, so each output
 row is one GEMM, with kernel rows and temporal taps on K and the three
 in-plane column taps stacked on the output rows; their blocks are added into
@@ -80,10 +82,18 @@ def _row_taps(x):
     bottom two, so once row y is yielded, x's rows up to y may be overwritten.
     Past a short last band the buffer keeps the previous band's rows; the last
     band zeroes its bottom pad row and reads no row below it.
+
+    Tap k copies each channel's flat (w t) input row whole, at flat offset
+    1 - k of the padded row's interior, then zeroes the w voxels the shift
+    wraps into (s = 0 for k = 0, s = t-1 for k = 2).  The flat rows are a view
+    of x when its planes are C-contiguous, as every caller's are; any other x
+    is copied once here.
     """
     c, h, w, t = x.shape
+    flat = x.reshape(c, h, w * t)
     rows = _band_rows(c, h, w, t)
     buf = np.zeros((rows + 2, KERNEL, c, w + 2, t))
+    runs = buf.reshape(rows + 2, KERNEL, c, (w + 2) * t)[..., t:(w + 1) * t]
     stack = buf.reshape(-1, (w + 2) * t)
     k = KERNEL * c  # stack rows per padded row
     for r0 in range(0, h, rows):
@@ -91,11 +101,13 @@ def _row_taps(x):
         if r0:  # else the top row stays the zero pad
             buf[:2] = buf[rows:]
         lo, hi = (r0 + 1 if r0 else 0), min(r1 + 1, h)
-        src = x[:, lo:hi].transpose(1, 0, 2, 3)
-        dst = buf[lo - r0 + 1:hi - r0 + 1, :, :, 1:-1]
-        dst[:, 0, ..., 1:] = src[..., :-1]
+        src = flat[:, lo:hi].transpose(1, 0, 2)
+        dst = runs[lo - r0 + 1:hi - r0 + 1]
+        dst[:, 0, :, 1:] = src[..., :-1]
+        dst[:, 0, :, ::t] = 0.0  # s = 0, which the shift wrapped into
         dst[:, 1] = src
-        dst[:, 2, ..., :-1] = src[..., 1:]
+        dst[:, 2, :, :-1] = src[..., 1:]
+        dst[:, 2, :, t - 1::t] = 0.0  # s = t - 1
         buf[hi - r0 + 1:r1 - r0 + 2] = 0.0  # the bottom pad row, in the last band
         for j in range(r1 - r0):
             yield r0 + j, stack[j * k:(j + 3) * k]

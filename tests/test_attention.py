@@ -144,6 +144,51 @@ def test_forward_is_bit_identical_to_the_formula():
         assert out.tobytes() == want.tobytes(), k
 
 
+def formula_tau(u, params):
+    """tau_i = s_i * a_i, every step as the module docstring writes it."""
+    a = np.mean(np.abs(u), axis=(1, 2, 3))
+    hidden = np.maximum(params.w1 @ a + params.b1, 0.0)
+    return sigmoid(params.w2 @ hidden + params.b2) * a
+
+
+def test_forward_edge_bytes_match_the_formula():
+    # Per channel, voxels at +-0.0, exactly +-tau and one ulp inside and
+    # outside +-tau; tau moves with them, so they are reset until tau stops
+    # moving.  The last channel is all signed zeros (tau = 0).
+    rng = np.random.default_rng(21)
+    nc = 4
+    params = init_attn_params(nc, rng)
+    params.b1[:] = rng.uniform(-0.3, 0.3, size=nc)
+    u = rng.standard_normal((nc, 4, 5, 3))
+    u[-1] = np.where(rng.random(u[-1].shape) < 0.5, -0.0, 0.0)
+    for _ in range(20):
+        tau = formula_tau(u, params)
+        for i in range(nc - 1):
+            t = tau[i]
+            inside, outside = np.nextafter(t, 0.0), np.nextafter(t, np.inf)
+            u[i, 0, 0] = [0.0, -0.0, t]
+            u[i, 0, 1] = [-t, inside, -inside]
+            u[i, 0, 2] = [outside, -outside, 0.0]
+        if formula_tau(u, params).tobytes() == tau.tobytes():
+            break
+    else:
+        raise AssertionError("tau did not settle")
+    assert np.signbit(u[:-1, 0, 0, 1]).all() and not np.signbit(u[:-1, 0, 0, 0]).any()
+    assert tau[-1] == 0.0 and np.signbit(u[-1]).any() and not np.signbit(u[-1]).all()
+    want = np.sign(u) * np.maximum(np.abs(u) - tau[:, None, None, None], 0.0)
+    # every edge voxel but the two outside +-tau shrinks to a signed zero
+    assert not np.signbit(want[:-1, 0, 0]).any() and not want[:-1, 0, 0].any()
+    assert np.array_equal(np.signbit(want[:-1, 0, 1]), [[True, False, True]] * (nc - 1))
+    assert (want[:-1, 0, 2, :2] != 0.0).all()
+
+    assert attn_forward(u, params).tobytes() == want.tobytes()
+    for k in (1, 2, nc):
+        buf = u.copy()
+        out = attn_forward(buf, params, work=np.full((k, *u.shape[1:]), np.nan))
+        assert out is buf
+        assert out.tobytes() == want.tobytes(), k
+
+
 def test_init_is_seeded_and_bounded():
     a = init_attn_params(8, np.random.default_rng(5))
     b = init_attn_params(8, np.random.default_rng(5))

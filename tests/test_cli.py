@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -204,10 +205,10 @@ def test_recon_admm_non_mask_file_is_data_error(tmp_path):
     assert r.returncode == 3
 
 
-def write_radial_inputs(tmp_path):
+def write_radial_inputs(tmp_path, shape=(16, 16, 4), spokes=6):
     gt_p, mask_p = tmp_path / "gt.dmrt", tmp_path / "mask.dmrt"
-    save_dmrt(gt_p, generate_phantom(PhantomSpec(shape=(16, 16, 4), seed=1)))
-    save_dmrt(mask_p, make_pseudo_radial_mask((16, 16, 4), 6, seed=0))
+    save_dmrt(gt_p, generate_phantom(PhantomSpec(shape=shape, seed=1)))
+    save_dmrt(mask_p, make_pseudo_radial_mask(shape, spokes, seed=0))
     return gt_p, mask_p
 
 
@@ -419,6 +420,28 @@ def test_recon_net_non_finite_volume_is_numerical_error(tmp_path):
     assert r.returncode == 4
     assert "non-finite" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+def test_recon_net_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # Inference only: a paper-default (15 phases, nc 16) network on 32x32x8
+    # writes the same bytes at one and two BLAS threads.  Training gradients
+    # still depend on the thread count at 64x64x8.
+    gt_p, mask_p = write_radial_inputs(tmp_path, (32, 32, 8), spokes=8)
+    ckpt_p = tmp_path / "net.dusc"
+    cfg = NetworkConfig()
+    save_checkpoint(ckpt_p, init_network_params(cfg), cfg)
+    outs = []
+    for threads in ("1", "2"):
+        out_p = tmp_path / f"x{threads}.dmrt"
+        r = subprocess.run(
+            [sys.executable, "-m", "dynmr", "recon-net", "--ckpt", str(ckpt_p),
+             "--data", str(gt_p), "--mask", str(mask_p), "--out", str(out_p)],
+            capture_output=True, text=True,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+        )
+        assert r.returncode == 0, r.stderr
+        outs.append(out_p.read_bytes())
+    assert outs[0] == outs[1]
 
 
 # ------------------------------------------------------------ eval/gradcheck

@@ -8,6 +8,7 @@ from dynmr.conv3d import (
     BAND_BYTES,
     Conv3dLayer,
     _band_rows,
+    _row_taps,
     conv3d_backward,
     conv3d_forward,
     init_conv_layer,
@@ -372,6 +373,35 @@ def test_correlation_bytes_do_not_depend_on_the_band_budget(monkeypatch, ch):
         runs.add((out.tobytes(), grad_in.tobytes(), gw.tobytes(), gb.tobytes()))
     assert parts[0] == [2, 2] and parts[-1] == [37, 37], parts
     assert len(runs) == 1
+
+
+def padded_row_stacks(x):
+    """Per output row y, the (9C, (w+2)t) tap matrix from np.pad, rows (a, k, i)."""
+    c, h, w, t = x.shape
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (1, 1)))
+    return [np.stack([xp[i, y + a, :, k:k + t].ravel()
+                      for a in range(3) for k in range(3) for i in range(c)])
+            for y in range(h)]
+
+
+@pytest.mark.parametrize("band_bytes", [1, BAND_BYTES, 1 << 30])
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
+@pytest.mark.parametrize("c", [2, 16])
+def test_row_taps_match_padded_rows(monkeypatch, band_bytes, shape, c):
+    # the tap matrix of every output row, byte for byte, under 2-row bands,
+    # the default budget and one band over the whole of h: for x on its own,
+    # as the leading planes of a wider buffer (a streamed pass), and with
+    # Fortran-ordered planes, which the fill copies once
+    monkeypatch.setattr(dynmr.conv3d, "BAND_BYTES", band_bytes)
+    rng = np.random.default_rng(20)
+    wide = rng.standard_normal((c + 3, *shape))
+    for x in (wide[:c].copy(), wide[:c], np.asfortranarray(wide[:c])):
+        want = padded_row_stacks(x)
+        ys = []
+        for y, taps in _row_taps(x):
+            assert taps.tobytes() == want[y].tobytes(), y
+            ys.append(y)
+        assert ys == list(range(shape[0]))
 
 
 def test_in_place_pass_allocates_no_output():
