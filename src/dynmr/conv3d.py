@@ -20,8 +20,7 @@ layers applied in order, with a ReLU after every layer but the last, so
 activations are positional by construction and no layer stores one.  A stack's
 forward keeps the list of its layer inputs or, given one buffer, streams
 through it, each layer writing over its own input.  Its backward forms the
-parameter gradients and, unless told not to, the input gradient;
-stack_input_grad forms the input gradient alone.
+parameter gradients and, unless told not to, the input gradient.
 Factory helpers build the two stacks the reconstruction network needs: an
 encode stack 2 -> nc and a decode stack nc -> 2.
 """
@@ -187,12 +186,6 @@ def conv3d_forward(x, layer, out=None):
     return out
 
 
-def _input_grad(g_pre, layer):
-    """Correlate an output gradient with the flipped, transposed kernel."""
-    w_adj = np.transpose(layer.weights[:, :, ::-1, ::-1, ::-1], (1, 0, 2, 3, 4))
-    return _correlate(g_pre, w_adj)
-
-
 def conv3d_backward(grad_out, x, layer, want_input=True):
     """Gradients of one layer at input x; returns (grad_input, grad_weights, grad_bias).
 
@@ -201,7 +194,10 @@ def conv3d_backward(grad_out, x, layer, want_input=True):
     want = (layer.out_channels, *x.shape[1:])
     if grad_out.shape != want:
         raise ValueError(f"grad shape {grad_out.shape} does not match output {want}")
-    grad_in = _input_grad(grad_out, layer) if want_input else None
+    grad_in = None
+    if want_input:  # correlate with the flipped, transposed kernel
+        w_adj = np.transpose(layer.weights[:, :, ::-1, ::-1, ::-1], (1, 0, 2, 3, 4))
+        grad_in = _correlate(grad_out, w_adj)
     return (grad_in, *_param_grads(grad_out, x))
 
 
@@ -232,16 +228,6 @@ def stack_backward(grad_out, ins, layers, want_input=True):
         g, gw, gb = conv3d_backward(g, ins[j], layers[j], want_input or j > 0)
         grads[j] = (gw, gb)
     return g, grads
-
-
-def stack_input_grad(grad_out, ins, layers):
-    """The input gradient alone of a stack's backward, one correlation per layer."""
-    g = grad_out
-    for j in range(len(layers) - 1, -1, -1):
-        if j < len(layers) - 1:
-            g *= ins[j + 1] > 0
-        g = _input_grad(g, layers[j])
-    return g
 
 
 def init_conv_layer(in_ch, out_ch, rng):

@@ -1,11 +1,12 @@
 """Finite-difference spot check of the network's analytic gradients.
 
 One problem: a two-phase nc=4 network on 8x8x3 under a 4-spoke radial mask,
-loss MSE + zeta * sum_p ||decode_p(encode_p(v_p)) - v_p||^2 with each block
-input v_p fixed at its reference-forward value, as network_backward has it.
+loss MSE + zeta * sum_p ||decode_p(encode_p(v_p)) - v_p||^2, the objective
+training reports, with v_p phase p's block input taken from a fresh forward
+at every evaluation, so the penalty's gradient flows into earlier phases.
 Walking every tensor at zeta 0 gives the conv, attention and mu/eta rows (two
 phases chain every conv and attention input gradient into a phase-0 tensor);
-walking the conv tensors at ZETA gives the penalty row.
+walking every tensor again at ZETA gives the penalty row.
 """
 
 from dataclasses import dataclass
@@ -55,12 +56,13 @@ def run_gradcheck(seed=0):
     b = enc.forward(gt)
     x_hat, cache = network_forward(b, enc, params, cfg)
     gloss = mse_loss(x_hat, gt)[1]
-    x_prev = [cache.atb] + [pc.x for pc in cache.phases[:-1]]
-    inputs = [to_channels(x + pc.l_prev) for x, pc in zip(x_prev, cache.phases)]
 
     def loss(zeta):
-        total = mse_loss(network_forward(b, enc, params, cfg, want_cache=False)[0], gt)[0]
-        for v, phase in zip(inputs, params.phases) if zeta else ():
+        out, fresh = network_forward(b, enc, params, cfg)
+        total = mse_loss(out, gt)[0]
+        x_prev = [fresh.atb] + [pc.x for pc in fresh.phases[:-1]]
+        for x, pc, phase in zip(x_prev, fresh.phases, params.phases) if zeta else ():
+            v = to_channels(x + pc.l_prev)
             u = stack_forward(v, phase.f_stack)[0]
             r = stack_forward(u, phase.fhat_stack)[0] - v
             total += zeta * float(np.sum(r * r))
@@ -70,9 +72,7 @@ def run_gradcheck(seed=0):
     for zeta in (0.0, ZETA):
         grads, _ = network_backward(gloss, cache, params, zeta)
         for name, arr in named_tensors(params):
-            row = KIND_ROWS.get(name.split(".")[1], "penalty" if zeta else "conv")
-            if zeta and row != "penalty":
-                continue
+            row = "penalty" if zeta else KIND_ROWS.get(name.split(".")[1], "conv")
             for k in rng.choice(arr.size, size=min(2, arr.size), replace=False):
                 idx = np.unravel_index(k, arr.shape)
                 fd = fd_at(lambda: loss(zeta), arr, idx)

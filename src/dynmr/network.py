@@ -26,12 +26,15 @@ P = A^H A, taken in k-space as x = F^-1[Y + M'(D - Y)/(1 + mu)], Y = F(y),
 with D = F(A^H b) at the sampled entries formed once per forward (see admm).
 It raises NumericalError naming the phase when mu is 0 or X is
 non-finite.  The backward pass is written out by hand (one reverse sweep over
-phases, exact chain rule through that closed form, plus the optional ISTA-Net
-inversion penalty of each phase) and is validated against finite differences.
+phases, exact chain rule through that closed form) and is validated against
+finite differences.  It differentiates the objective training reports,
+loss + zeta * sum_p ||decode_p(encode_p(v_p)) - v_p||^2 with v_p phase p's
+block input, the optional ISTA-Net inversion penalty.
 Its data-consistency block is the forward's: the step is linear in y, so on
 zero data (D = 0) Encoder.data_consistency is its Jacobian I - P/(1 + mu).
 The penalty's gradient at the encode output joins the loss gradient in one
-encode-stack backward; conv3d.stack_input_grad is the loss-only input stream.
+encode-stack backward, and its direct term at v_p joins that pass's input
+gradient, so the penalty's gradient flows on into the earlier phases.
 Gradients flow as a flat dict keyed by the names from named_tensors, one entry
 per learnable array, so the optimizer never needs to know the phase structure.
 """
@@ -43,13 +46,7 @@ import numpy as np
 
 from .admm import AdmmState, x_update_closed_form, xl_step
 from .attention import AttnParams, attn_backward, attn_forward, init_attn_params
-from .conv3d import (
-    make_decode_stack,
-    make_encode_stack,
-    stack_backward,
-    stack_forward,
-    stack_input_grad,
-)
+from .conv3d import make_decode_stack, make_encode_stack, stack_backward, stack_forward
 from .mathutil import sigmoid, softplus, softplus_inv
 from .volume import from_channels, real_inner, to_channels
 
@@ -289,8 +286,8 @@ def network_backward(grad_x, cache, params, zeta=0.0):
     g_u, the gradient at the encode output u.  With zeta > 0 each phase adds
     zeta times its inverse_penalty gradients: on the decode stack directly,
     and on the encode stack through one stack_backward of g_u + zeta * g_pen_u.
-    The penalty holds its input constant, so the input gradient pulls back g_u
-    alone, through stack_input_grad (the loss-only stream) at zeta > 0.  Phase
+    That pass's input gradient, less zeta * 2r (r the penalty's residual at the
+    block input v), is the gradient at v of the loss and the penalty.  Phase
     0 forms no input gradient; nothing reads it.
     Returns (grads, penalty): the unweighted sum in phase order, 0.0 at zeta 0.
     """
@@ -324,7 +321,7 @@ def network_backward(grad_x, cache, params, zeta=0.0):
         g_u, attn_grads = attn_backward(g, u, phase.attn)
         g = g_u
         if zeta > 0:
-            value, g, pen_fhat = inverse_penalty(u, f_ins[0], phase)
+            value, g, pen_fhat, r2 = inverse_penalty(u, f_ins[0], phase)
             penalties.append(value)
             g *= zeta
             g += g_u  # g_u + zeta * g_pen_u, in the penalty's buffer
@@ -332,9 +329,10 @@ def network_backward(grad_x, cache, params, zeta=0.0):
                 gw += zeta * pw
                 gb += zeta * pb
         del u
-        gx, f_grads = stack_backward(g, f_ins, phase.f_stack, n > 0 and not zeta > 0)
-        if n and zeta > 0:  # the penalty holds its input constant: g_u alone
-            gx = stack_input_grad(g_u, f_ins, phase.f_stack)
+        gx, f_grads = stack_backward(g, f_ins, phase.f_stack, n > 0)
+        if n and zeta > 0:  # the penalty's direct term at v
+            r2 *= zeta
+            gx -= r2
         del f_ins, g, g_u  # activations the next phase does not read
         grads.update(_phase_tensors(n, f_grads, fhat_grads, attn_grads, g_mu, g_eta))
 
@@ -351,16 +349,16 @@ def inverse_penalty(u, v, phase):
     """Soft inversion penalty ||decode(encode(v)) - v||^2 of one phase.
 
     v is the phase's denoising-block input in channels, the first encode
-    layer input, treated as a constant, so no gradient flows into earlier
-    phases.  The decode stack is re-run here on the encode output u without
-    the attention step in between.  Returns (value, g_pen_u, fhat_grads): the
-    penalty's gradient at u, which network_backward adds to the loss gradient
-    before the encode stack's one backward pass, and the decode stack's
-    gradients as per-layer (w, b) pairs.
+    layer input.  The decode stack is re-run here on the encode output u
+    without the attention step in between.  Returns (value, g_pen_u,
+    fhat_grads, r2): the penalty's gradient at u, which network_backward adds
+    to the loss gradient before the encode stack's one backward pass, the
+    decode stack's gradients as per-layer (w, b) pairs, and 2r, r the residual
+    decode(u) - v, whose negative is the penalty's direct gradient at v.
     """
     r, pen_ins = stack_forward(u, phase.fhat_stack)
     r -= v  # the residual, in the decode output
     value = float(np.sum(r * r))
     r *= 2.0
     g_pen_u, fhat_grads = stack_backward(r, pen_ins, phase.fhat_stack)
-    return value, g_pen_u, fhat_grads
+    return value, g_pen_u, fhat_grads, r

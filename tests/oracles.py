@@ -9,8 +9,8 @@ conv layer inputs and encode output u, the reference for what
 network_backward rebuilds from its PhaseCache of l and x.
 inverse_penalty_two_pass is the inversion penalty as a second pass over those
 stored caches, with its own backward through both conv stacks: the reference
-for the penalty that network_backward folds into its one encode stack
-backward per phase.  make_pseudo_radial_mask_loop is the radial mask
+for the last phase's penalty gradients, which network_backward folds into its
+one encode stack backward.  make_pseudo_radial_mask_loop is the radial mask
 rasterized one spoke at a time, the reference for the vectorized one.  The
 gradient tests take their central difference from dynmr.gradcheck.fd_at.
 """
@@ -159,10 +159,12 @@ def inverse_penalty_two_pass(stored, params):
     """Soft inversion penalty sum_p ||decode(encode(v_p)) - v_p||^2.
 
     v_p is the denoising-block input of phase p, taken from its stored
-    BlockCaches and treated as a constant: the returned gradients cover only
-    the conv stacks of each phase and do not flow into earlier phases.  The
-    decode stack is re-run here without the attention step in between, and
-    the encode stack's input gradient is formed and dropped.
+    BlockCaches and held constant: the returned gradients are each phase's
+    own conv stacks' share of its own penalty, and none flows into earlier
+    phases.  That is the whole penalty gradient of the last phase's tensors,
+    which no later penalty reads, and of a one-phase net.  The decode stack is
+    re-run here without the attention step in between, and the encode stack's
+    input gradient is formed and dropped.
     """
     total = 0.0
     grads = {}

@@ -16,7 +16,6 @@ from dynmr.conv3d import (
     make_encode_stack,
     stack_backward,
     stack_forward,
-    stack_input_grad,
 )
 from dynmr.gradcheck import fd_at
 from oracles import identity_decode_stack, identity_encode_stack
@@ -546,15 +545,14 @@ def test_stack_gradients_match_finite_differences():
 
 
 @pytest.mark.parametrize("depth", [1, 3])
-def test_stack_backward_without_input_and_stack_input_grad(monkeypatch, depth):
-    # want_input=False drops the bottom layer's correlation and nothing else;
-    # stack_input_grad is the input gradient alone, with no weight gradient
+def test_stack_backward_without_input(monkeypatch, depth):
+    # want_input=False drops the bottom layer's correlation and nothing else
     rng = np.random.default_rng(16)
     layers = make_encode_stack(4, depth, rng)
     x = rng.standard_normal((2, 5, 4, 3))
     c = rng.standard_normal((4, 5, 4, 3))
     _, ins = stack_forward(x, layers)
-    want_in, want = stack_backward(c, ins, layers)
+    _, want = stack_backward(c, ins, layers)
     calls = {"_correlate": 0, "_param_grads": 0}
     for name in calls:
         def counted(*args, _fn=getattr(dynmr.conv3d, name), _name=name):
@@ -569,10 +567,6 @@ def test_stack_backward_without_input_and_stack_input_grad(monkeypatch, depth):
     assert len(got) == depth
     for (gw, gb), (ww, wb) in zip(got, want):
         assert gw.tobytes() == ww.tobytes() and gb.tobytes() == wb.tobytes()
-
-    calls.update(_correlate=0, _param_grads=0)
-    assert stack_input_grad(c, ins, layers).tobytes() == want_in.tobytes()
-    assert calls == {"_correlate": depth, "_param_grads": 0}
 
 
 def test_init_bounds_and_determinism():

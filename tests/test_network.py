@@ -55,14 +55,19 @@ def small_problem(seed=0, shape=(8, 8, 3), n_spokes=4):
     return gt, enc, enc.forward(gt), rng
 
 
-def inverse_penalty_from_inputs(v_list, params):
-    """Penalty value on explicitly given block inputs; the oracle for inverse_penalty."""
-    total = 0.0
+def penalty_residuals(v_list, params):
+    """Yield each phase's residual decode(encode(v)) - v on given block inputs."""
     for v, phase in zip(v_list, params.phases):
         c = to_channels(v)
         f_out, _ = stack_forward(c, phase.f_stack)
         pen_out, _ = stack_forward(f_out, phase.fhat_stack)
-        r = pen_out - c
+        yield pen_out - c
+
+
+def inverse_penalty_from_inputs(v_list, params):
+    """Penalty value on explicitly given block inputs; the oracle for inverse_penalty."""
+    total = 0.0
+    for r in penalty_residuals(v_list, params):
         total += float(np.sum(r * r))
     return total
 
@@ -400,36 +405,30 @@ def test_conv_layer_call_counts(monkeypatch, want_cache, zeta):
     # one conv3d_forward per layer in the forward, cached or streamed; in the
     # backward one conv3d_backward per layer, and every phase but the last,
     # which the forward recorded, re-runs its whole denoising block; at
-    # zeta > 0 the penalty adds its decode forward and backward per phase, and
-    # every phase but phase 0 pulls the encode input gradient back with
-    # stack_input_grad
-    calls = {"conv3d_forward": 0, "conv3d_backward": 0, "stack_input_grad": 0}
+    # zeta > 0 the penalty adds its decode forward and backward per phase
+    calls = {"conv3d_forward": 0, "conv3d_backward": 0}
     for name in calls:
-        owner = dynmr.network if name == "stack_input_grad" else dynmr.conv3d
-
-        def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+        def counted(*args, _fn=getattr(dynmr.conv3d, name), _name=name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(owner, name, counted)
+        monkeypatch.setattr(dynmr.conv3d, name, counted)
     cfg = NetworkConfig(n_phases=3, nc=4, f_depth=2, fhat_depth=3)
     params = init_network_params(cfg, seed=1)
     _, enc, b, rng = small_problem(seed=3)
     n, f, fhat = cfg.n_phases, cfg.f_depth, cfg.fhat_depth
 
     out, cache = network_forward(b, enc, params, cfg, want_cache)
-    assert calls == {"conv3d_forward": n * (f + fhat), "conv3d_backward": 0,
-                     "stack_input_grad": 0}
+    assert calls == {"conv3d_forward": n * (f + fhat), "conv3d_backward": 0}
     if not want_cache:
         return
     calls["conv3d_forward"] = 0
     network_backward(rand_volume(rng, out.shape), cache, params, zeta)
     if zeta == 0.0:
-        want = {"conv3d_forward": (n - 1) * (f + fhat), "conv3d_backward": n * (f + fhat),
-                "stack_input_grad": 0}
+        want = {"conv3d_forward": (n - 1) * (f + fhat), "conv3d_backward": n * (f + fhat)}
     else:
         want = {"conv3d_forward": (n - 1) * (f + fhat) + n * fhat,
-                "conv3d_backward": n * (f + 2 * fhat), "stack_input_grad": n - 1}
+                "conv3d_backward": n * (f + 2 * fhat)}
     assert calls == want
 
 
@@ -751,38 +750,65 @@ def test_penalty_value_matches_direct_recomputation():
     assert abs(total - want) < 1e-10 * max(1.0, want)
 
 
-def test_penalty_gradients_match_finite_differences():
-    # the penalty gradient is stack-local by construction, so the reference
-    # holds each block input fixed while a parameter moves
-    gt, enc, b, _ = small_problem(seed=16)
-    cfg = NetworkConfig(n_phases=2, nc=4)
+@pytest.mark.parametrize("pattern", ["radial", "vds"])
+@pytest.mark.parametrize("zeta", [0.01, 0.5])
+@pytest.mark.parametrize("depths", [(2, 2), (1, 3), (3, 1)])
+def test_penalty_gradients_match_finite_differences(depths, zeta, pattern):
+    # the objective training reports, mse + zeta * sum_p penalty_p, with each
+    # block input v_p taken from a fresh forward, so a phase's penalty moves
+    # every tensor of the phases before it.  A random ground truth keeps the
+    # block inputs off zero, where zero biases would put the ReLUs on their
+    # kinks.  The central difference is taken of every addend and then summed:
+    # the penalty's total is about 100x the mse, and the difference of two
+    # such totals carries a rounding error near the 1e-8 atol.
+    shape = (8, 8, 3)
+    rng = np.random.default_rng(16)
+    gt = rand_volume(rng, shape)
+    if pattern == "radial":
+        mask = make_pseudo_radial_mask(shape, 4, seed=16)
+    else:
+        mask = make_vds_mask(shape, 3.0, center_lines=2, seed=16)
+    enc = Encoder(mask)
+    b = enc.forward(gt)
+    cfg = NetworkConfig(n_phases=3, nc=4, f_depth=depths[0], fhat_depth=depths[1])
     params = init_network_params(cfg, seed=16)
-    _, cache = network_forward(b, enc, params, cfg)
-    grads, _ = penalty_sweep(cache, params)
-    v_list = block_inputs(cache, params)
+    x_hat, cache = network_forward(b, enc, params, cfg)
+    grads, _ = network_backward(mse_loss(x_hat, gt)[1], cache, params, zeta)
 
-    def loss():
-        return inverse_penalty_from_inputs(v_list, params)
+    def addends():
+        x_hat, fresh = network_forward(b, enc, params, cfg)
+        d = x_hat - gt
+        x_prev = [fresh.atb] + [pc.x for pc in fresh.phases[:-1]]
+        v_list = [x + pc.l_prev for x, pc in zip(x_prev, fresh.phases)]
+        pens = [zeta * (r * r).ravel() for r in penalty_residuals(v_list, params)]
+        return np.concatenate([(d.real**2 + d.imag**2).ravel() / (2 * d.size), *pens])
 
     probe = np.random.default_rng(7)
     for name, arr in named_tensors(params):
-        if ".f" not in name:
-            continue
-        for flat in probe.choice(arr.size, size=min(4, arr.size), replace=False):
+        for flat in probe.choice(arr.size, size=min(2, arr.size), replace=False):
             idx = np.unravel_index(flat, arr.shape)
-            num = fd_at(loss, arr, idx)
-            assert_close_grad(num, grads[name][idx], f"penalty {name}[{idx}]")
+            num = float(np.sum(fd_at(addends, arr, idx)))
+            assert_close_grad(num, grads[name][idx], f"{name}[{idx}]")
 
 
 def test_penalty_grads_only_cover_conv_stacks():
+    # the last phase's penalty reads only its conv stacks; in two phases,
+    # phase 1's block input is phase 0's x + l, so phase 0's attention and
+    # mu/eta get a penalty gradient too
     gt, enc, b, _ = small_problem(seed=17)
-    cfg = NetworkConfig(n_phases=1, nc=4)
-    params = init_network_params(cfg, seed=17)
-    _, cache = network_forward(b, enc, params, cfg)
-    grads, _ = penalty_sweep(cache, params)
-    assert any(g.any() for name, g in grads.items() if ".f" in name)
-    for name, g in grads.items():
-        assert ".f" in name or not g.any(), name
+    for n_phases in (1, 2):
+        cfg = NetworkConfig(n_phases=n_phases, nc=4)
+        params = init_network_params(cfg, seed=17)
+        _, cache = network_forward(b, enc, params, cfg)
+        grads, _ = penalty_sweep(cache, params)
+        last = f"phase{n_phases - 1:02d}."
+        assert any(g.any() for name, g in grads.items() if ".f" in name)
+        for name, g in grads.items():
+            if name.startswith(last):
+                assert ".f" in name or not g.any(), name
+        if n_phases == 2:
+            assert any(grads[f"phase00.attn.{k}"].any() for k in ("w1", "b1", "w2", "b2"))
+            assert grads["phase00.mu_raw"] != 0.0 and grads["phase00.eta_raw"] != 0.0
 
 
 def record_penalty_sweep(monkeypatch):
@@ -802,9 +828,9 @@ def record_penalty_sweep(monkeypatch):
         return g_in, grads
 
     def penalty_rec(u, v, phase):
-        value, g_pen, fhat_grads = penalty(u, v, phase)
+        value, g_pen, fhat_grads, r2 = penalty(u, v, phase)
         g_pen_u.append(g_pen.copy())
-        return value, g_pen, fhat_grads
+        return value, g_pen, fhat_grads, r2
 
     monkeypatch.setattr(dynmr.network, "attn_backward", attn_rec)
     monkeypatch.setattr(dynmr.network, "inverse_penalty", penalty_rec)
@@ -814,33 +840,41 @@ def record_penalty_sweep(monkeypatch):
 @pytest.mark.parametrize("zeta", [0.01, 0.5])
 @pytest.mark.parametrize("depths", [(2, 2), (1, 3), (3, 1)])
 def test_penalty_in_the_sweep_is_bit_identical_to_a_second_pass(monkeypatch, zeta, depths):
-    # the sweep adds zeta * the two-pass reference to the loss gradients of
-    # the decode stack name by name, and sums the penalty in phase order; the
-    # encode stack's gradients are one backward of g_u + zeta * g_pen_u
+    # the last phase's penalty moves no block input, so the sweep adds zeta *
+    # the two-pass reference to that phase's loss gradients of the decode
+    # stack name by name; a one-phase net is its last phase.  Every phase's
+    # encode stack gradients are one backward of g_u + zeta * g_pen_u, and the
+    # penalty is summed in phase order
     gt, enc, b, rng = small_problem(seed=18)
-    cfg = NetworkConfig(n_phases=3, nc=4, f_depth=depths[0], fhat_depth=depths[1])
-    params = init_network_params(cfg, seed=18)
-    _, cache = network_forward(b, enc, params, cfg)
     c = rand_volume(rng, gt.shape)
-    plain, zero = network_backward(c, cache, params)
     g_u, g_pen_u = record_penalty_sweep(monkeypatch)
-    grads, total = network_backward(c, cache, params, zeta)
-    stored = stored_block_caches(b, enc, params)
-    want_total, pen_grads = inverse_penalty_two_pass(stored, params)
-    assert zero == 0.0
-    assert total == want_total
-    for name, g in plain.items():
-        if ".f" not in name or ".fhat" in name:
-            want = g + zeta * pen_grads[name] if name in pen_grads else g
-            assert grads[name].tobytes() == want.tobytes(), name
-    for n, ((_, bc), phase) in enumerate(zip(stored, params.phases)):
-        g_sum = g_u[-1 - n] + zeta * g_pen_u[-1 - n]
-        _, want_f = stack_backward(g_sum, bc.f_ins, phase.f_stack)
-        for j, (ww, wb) in enumerate(want_f):
-            for key, want in ((f"phase{n:02d}.f{j}.w", ww), (f"phase{n:02d}.f{j}.b", wb)):
-                assert grads[key].tobytes() == want.tobytes(), key
+    for n_phases in (1, 3):
+        cfg = NetworkConfig(n_phases=n_phases, nc=4, f_depth=depths[0], fhat_depth=depths[1])
+        params = init_network_params(cfg, seed=18)
+        _, cache = network_forward(b, enc, params, cfg)
+        plain, zero = network_backward(c, cache, params)
+        g_u.clear()
+        g_pen_u.clear()
+        grads, total = network_backward(c, cache, params, zeta)
+        stored = stored_block_caches(b, enc, params)
+        want_total, pen_grads = inverse_penalty_two_pass(stored, params)
+        assert zero == 0.0
+        assert total == want_total
+        last = f"phase{n_phases - 1:02d}."
+        for name, g in plain.items():
+            if name.startswith(last) and (".f" not in name or ".fhat" in name):
+                want = g + zeta * pen_grads[name] if name in pen_grads else g
+                assert grads[name].tobytes() == want.tobytes(), name
+        for n, ((_, bc), phase) in enumerate(zip(stored, params.phases)):
+            g_sum = g_u[-1 - n] + zeta * g_pen_u[-1 - n]
+            _, want_f = stack_backward(g_sum, bc.f_ins, phase.f_stack)
+            for j, (ww, wb) in enumerate(want_f):
+                for key, want in ((f"phase{n:02d}.f{j}.w", ww), (f"phase{n:02d}.f{j}.b", wb)):
+                    assert grads[key].tobytes() == want.tobytes(), key
+        for key, g in plain.items():
+            if key.startswith(last + "f") and not key.startswith(last + "fhat"):
                 # the two passes' sum, up to the rounding of one addition order
-                two_pass = plain[key] + zeta * pen_grads[key]
+                two_pass = g + zeta * pen_grads[key]
                 err = np.max(np.abs(grads[key] - two_pass))
                 assert err <= 1e-13 * np.max(np.abs(two_pass)), key
 
@@ -883,8 +917,9 @@ def test_penalty_grads_are_bit_identical_without_the_input_gradient():
         pen_out, pen_ins = stack_forward(bc.u, phase.fhat_stack)
         r = pen_out - bc.f_ins[0]
         want_g, want_fhat = stack_backward(2.0 * r, pen_ins, phase.fhat_stack)
-        value, g_pen_u, fhat_grads = inverse_penalty(bc.u, bc.f_ins[0], phase)
+        value, g_pen_u, fhat_grads, r2 = inverse_penalty(bc.u, bc.f_ins[0], phase)
         assert value == float(np.sum(r * r))
+        assert r2.tobytes() == (2.0 * r).tobytes()
         assert g_pen_u.tobytes() == want_g.tobytes()
         assert len(fhat_grads) == len(want_fhat)
         for (gw, gb), (ww, wb) in zip(fhat_grads, want_fhat):
@@ -897,8 +932,7 @@ def test_penalty_grads_are_bit_identical_without_the_input_gradient():
 def test_backward_conv_pass_counts(monkeypatch, zeta, depths):
     # per phase: a weight-gradient pass per encode layer and one per decode
     # layer for the loss and again for the penalty; correlations for every
-    # input gradient, the penalty's decode forward, and at zeta > 0 the encode
-    # stack's second stream below its top layer; phase 0 forms no input
+    # input gradient and the penalty's decode forward; phase 0 forms no input
     # gradient; every phase but the last re-runs its whole block forward
     cfg = NetworkConfig(n_phases=3, nc=4, f_depth=depths[0], fhat_depth=depths[1])
     params = init_network_params(cfg, seed=21)
@@ -919,7 +953,7 @@ def test_backward_conv_pass_counts(monkeypatch, zeta, depths):
                 "_param_grads": n * (f + fhat)}
     else:
         want = {
-            "_correlate": n * 3 * fhat + (n - 1) * (2 * f - 1) + f - 1 + rebuilt,
+            "_correlate": n * 3 * fhat + (n - 1) * f + f - 1 + rebuilt,
             "_param_grads": n * (f + 2 * fhat),
         }
     assert calls == want
