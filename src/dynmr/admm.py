@@ -1,8 +1,8 @@
 """Model-based solver for the transformed-l1 reconstruction objective.
 
-Minimizes 0.5*||A(x) - b||_F^2 + lam*||T(x)||_1 by alternating-direction
-splitting with auxiliary variable z and scaled multiplier l.  The sparsifying
-transform T is the unitary temporal DFT.  One iteration:
+Minimizes 0.5*||A(x) - b||_F^2 + lam*||T(x)||_1, T the unitary temporal DFT,
+by ADMM with auxiliary variable z and scaled multiplier l.  One step of
+unroll, the loop that network.network_forward runs with a learned z step:
 
     z <- T^H( ST( T(x + l), lam/mu ) )
     x <- argmin 0.5*||A(x) - b||^2 + mu/2*||z - x - l||^2
@@ -149,26 +149,36 @@ def objective(x, b, encoder, cfg):
     return fidelity + cfg.lam * l1, fidelity, l1
 
 
-def iterate(b, encoder, cfg):
-    """Run n_iters alternating steps from the zero-filled start, lazily.
+def unroll(x, encoder, steps):
+    """The alternating loop from x = A^H b, which it overwrites, lazily.
 
-    Yields the solver's state after each z/x/l step.  It is the same
-    AdmmState object every time, and every step writes into x, z and l,
-    allocated once at the start, so the next step overwrites them: copy what
-    must outlive it.  A non-finite x raises NumericalError naming the
-    iteration.
+    For each (z_step, mu, eta, where) in steps, state.z = z_step(state) and
+    xl_step run, overflowing without a warning; xl_step's NumericalError names
+    where.  Yields the same AdmmState each time: copy what must outlive a step.
     """
+    state = AdmmState(x=x, z=None, l=np.empty_like(x))
+    d = encoder.samples(x, work=state.l)
+    state.l[...] = 0
+    for z_step, mu, eta, where in steps:
+        with np.errstate(over="ignore", invalid="ignore"):
+            state.z = z_step(state)
+            xl_step(state, d, encoder, mu, eta, where)
+        yield state
+
+
+def iterate(b, encoder, cfg):
+    """n_iters shrinkage steps of unroll from the zero-filled start, lazily."""
     x = encoder.adjoint(b)
     z = np.empty_like(x)
-    d = encoder.samples(x, work=z)  # z_update overwrites z before reading it
-    state = AdmmState(x=x, z=z, l=np.zeros_like(x))
     # the x step builds x from z and l alone, so x is dead once z_update has
     # formed x + l, and its two real halves are the shrinkage pair
     mags = tuple(x.view(np.float64).reshape(2, *x.shape))
-    for it in range(1, cfg.n_iters + 1):
-        state.z = z_update(state, cfg, state.z, mags)
-        xl_step(state, d, encoder, cfg.mu, cfg.eta, f"iteration {it}")
-        yield state
+
+    def step(state):
+        return z_update(state, cfg, z, mags)
+
+    steps = ((step, cfg.mu, cfg.eta, f"iteration {i + 1}") for i in range(cfg.n_iters))
+    yield from unroll(x, encoder, steps)
 
 
 def reconstruct(b, encoder, cfg):

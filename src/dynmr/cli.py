@@ -109,8 +109,9 @@ def _cmd_recon_admm(args):
         x = encoder.adjoint(b)  # what n_iters = 0 returns
         lines = ["iteration objective fidelity l1 constraint\n"]
         for it, state in enumerate(iterate(b, encoder, cfg), start=1):
-            total, fidelity, l1 = objective(state.x, b, encoder, cfg)
-            constraint = fro_norm(state.z - state.x)
+            with np.errstate(over="ignore", invalid="ignore"):  # as in unroll's steps
+                total, fidelity, l1 = objective(state.x, b, encoder, cfg)
+                constraint = fro_norm(state.z - state.x)
             lines.append(
                 f"{it} {total:.12e} {fidelity:.12e} {l1:.12e} {constraint:.12e}\n"
             )

@@ -188,6 +188,7 @@ def add_noise(b, sigma, mask, seed=0):
     support = mask != 0
     n = int(support.sum())
     rng = np.random.default_rng(seed)
-    noise = sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    with np.errstate(over="ignore"):  # the caller's finiteness check reports it
+        noise = sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
     out[support] += noise
     return out

@@ -20,13 +20,11 @@ BlockCaches go into the NetCache.  The backward re-runs each other phase's
 z_block in record mode just before that phase's reverse step, so one phase's
 layer inputs are alive at a time.
 
-The data-consistency and multiplier blocks are the classical solver's x and l
-steps, one admm.xl_step per phase: x = y + (A^H b - P y)/(1 + mu), y = Z - L,
-P = A^H A, taken in k-space as x = F^-1[Y + M'(D - Y)/(1 + mu)], Y = F(y),
-with D = F(A^H b) at the sampled entries formed once per forward (see admm).
-It raises NumericalError naming the phase when mu is 0 or X is
-non-finite.  The backward pass is written out by hand (one reverse sweep over
-phases, exact chain rule through that closed form) and is validated against
+The forward is the solver's own loop, admm.unroll, with z_block as each
+phase's z step: the data-consistency and multiplier blocks are its x and l
+steps (see admm), and its NumericalError names the phase when mu is 0 or X
+is non-finite.  The backward pass is written out by hand (one reverse sweep over
+phases, exact chain rule through the closed-form x step) and is validated against
 finite differences.  It differentiates the objective training reports,
 loss + zeta * sum_p ||decode_p(encode_p(v_p)) - v_p||^2 with v_p phase p's
 block input, the optional ISTA-Net inversion penalty.
@@ -44,7 +42,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .admm import AdmmState, x_update_closed_form, xl_step
+from .admm import unroll, x_update_closed_form
 from .attention import AttnParams, attn_backward, attn_forward, init_attn_params
 from .conv3d import make_decode_stack, make_encode_stack, stack_backward, stack_forward
 from .mathutil import sigmoid, softplus, softplus_inv
@@ -226,27 +224,20 @@ def x_block(z, l, d, encoder, mu):
     return x_update_closed_form(z, l, d, encoder, mu)
 
 
-# A diverging network overflows without a warning: xl_step's finiteness check
-# and adam_step's gradient check report it.
-@np.errstate(over="ignore", invalid="ignore")
 def network_forward(b, encoder, params, cfg, want_cache=True):
-    """Run all phases from the zero-filled adjoint.
+    """Run all phases from the zero-filled adjoint, one admm.unroll step each.
 
     Returns (reconstruction, cache), the cache holding A^H b, one PhaseCache
-    per phase and the last phase's (z, BlockCaches).  Each phase runs z_block
-    and then admm.xl_step, whose NumericalError names the phase ("phase 1"
-    for phase01.*).  Every phase's activations stream through one buffer
+    per phase and the last phase's (z, BlockCaches).  Each phase is one unroll
+    step with z_block as its z step, and its NumericalError names the phase
+    ("phase 1" for phase01.*).  Every phase's activations stream through one buffer
     allocated here, so memory does not grow with depth or phases; with
     want_cache the last phase runs in record mode instead.  When want_cache
     is False, for plain inference, the cache is None.  The phases come from
     params; cfg is not read, and is accepted only because the bench passes it.
     """
-    atb = encoder.adjoint(b)
-    l = np.empty_like(atb)
-    d = encoder.samples(atb, work=l)
-    l[...] = 0
-    # inference keeps no A^H b: x starts as it and D stands for it in the DC step
-    state = AdmmState(x=atb.copy() if want_cache else atb, z=None, l=l)
+    with np.errstate(over="ignore", invalid="ignore"):  # unroll reports a non-finite x
+        atb = encoder.adjoint(b)
     cache = NetCache(atb=atb, encoder=encoder) if want_cache else None
     width = max(
         layer.out_channels
@@ -254,17 +245,24 @@ def network_forward(b, encoder, params, cfg, want_cache=True):
         for layer in phase.f_stack + phase.fhat_stack
     )
     buf = np.empty((width, *atb.shape))
-    last = len(params.phases) - 1
-    for n, phase in enumerate(params.phases):
-        state.z = None  # inference then holds one z at a time
-        l_prev = state.l.copy() if want_cache else state.l  # xl_step overwrites l
-        record = want_cache and n == last
-        state.z, bc = z_block(state.x, l_prev, phase, None if record else buf)
-        xl_step(state, d, encoder, mu_of(phase), eta_of(phase), f"phase {n}")
+
+    def phase_step(n, phase):
+        def z_step(state):
+            state.z = None  # inference then holds one z at a time
+            record = want_cache and n == len(params.phases) - 1
+            z, bc = z_block(state.x, state.l, phase, None if record else buf)
+            if record:
+                cache.last = (z, bc)
+            return z
+        return z_step, mu_of(phase), eta_of(phase), f"phase {n}"
+
+    steps = (phase_step(n, phase) for n, phase in enumerate(params.phases))
+    # inference keeps no A^H b: x starts as it and D stands for it in the DC step
+    x, l_prev = (atb.copy(), np.zeros_like(atb)) if want_cache else (atb, None)
+    for state in unroll(x, encoder, steps):
         if want_cache:
             cache.phases.append(PhaseCache(l_prev, state.x.copy()))
-    if want_cache:
-        cache.last = (state.z, bc)
+            l_prev = state.l.copy()
     return state.x, cache
 
 

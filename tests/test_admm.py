@@ -410,6 +410,15 @@ def test_iterate_names_the_first_non_finite_iteration(monkeypatch):
         next(steps)
 
 
+def test_a_diverging_solve_raises_numerical_error_not_a_warning():
+    # eta = 1e308 overflows the multiplier step; with warnings made errors,
+    # only the finiteness check's NumericalError may come out of the solve
+    gt = generate_phantom(PhantomSpec(shape=(16, 16, 4), seed=1))
+    enc = Encoder(make_pseudo_radial_mask((16, 16, 4), 6, seed=0))
+    with pytest.raises(NumericalError, match="non-finite iterate at iteration"):
+        reconstruct(enc.forward(gt), enc, AdmmConfig(eta=1e308, n_iters=5))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         AdmmConfig(lam=-1.0)

@@ -3,8 +3,8 @@
 One table over every subcommand's failure paths: a usage error exits 2; a
 malformed, missing or unwritable file, a rejected setting or a volume too
 large to allocate exits 3; a non-finite result or a collapsed mu exits 4.
-No row prints a warning: a score, loss or network forward that overflows is
-reported by its exit code alone.
+No row prints a warning: a score, loss, noise draw, solve or network forward
+that overflows is reported by its exit code alone.
 Each row runs `python -m dynmr` in a child process whose address space is
 capped, so an oversized request fails at once on any machine instead of
 paging in.
@@ -62,6 +62,9 @@ TABLE = [
     ("recon-admm-unwritable-diag", [*RECON_ADMM, "--diag", "{dir}/no/d.txt"], 3),
     ("recon-admm-non-finite-keeps-diag",
      [*RECON_ADMM[:2], "{gt_nan}", *RECON_ADMM[3:], "--diag", "{diag_old}"], 4),
+    ("recon-admm-diverges", [*RECON_ADMM, "--eta", "1e308"], 4),
+    ("recon-admm-diverges-keeps-diag",
+     [*RECON_ADMM, "--eta", "1e308", "--diag", "{diag_old}"], 4),
     ("train-no-out-ckpt", ["train", "--config", "{cfg_ok}"], 2),
     ("train-missing-config", ["train", "--config", "{dir}/missing.cfg",
                               "--out-ckpt", "{dir}/c.dusc"], 3),
@@ -73,6 +76,8 @@ TABLE = [
                              "--out-ckpt", "{dir}/c.dusc"], 3),
     ("train-diverges", ["train", "--config", "{cfg_diverges}",
                         "--out-ckpt", "{dir}/c.dusc"], 4),
+    ("train-noise-overflows", ["train", "--config", "{cfg_noise_overflows}",
+                               "--out-ckpt", "{dir}/c.dusc"], 4),
     ("train-unwritable-ckpt", ["train", "--config", "{cfg_ok}",
                                "--out-ckpt", "{dir}/no/c.dusc"], 3),
     ("train-mu-collapses", ["train", "--config", "{cfg_mu_collapses}",
@@ -124,6 +129,7 @@ def files(tmp_path_factory):
         ("cfg_malformed", ["epochs 3"]),
         ("cfg_duplicate", ["epochs = 1", "epochs = 2"]),
         ("cfg_diverges", ["sigma = 1e300"]),  # noise overflows the loss
+        ("cfg_noise_overflows", ["sigma = 1e308"]),  # the noise draw itself overflows
         ("cfg_mu_collapses", ["epochs = 3", "lr0 = 1e10"]),  # softplus(mu_raw) -> 0
         # one step at this rate leaves weights whose next forward overflows
         ("cfg_lr_overflows", ["epochs = 2", "lr0 = 1e308"]),
@@ -168,7 +174,10 @@ NAMES = {
 }
 
 # The file a failed row must leave byte-unchanged, with no temporary beside it.
-KEPT = {"recon-admm-non-finite-keeps-diag": "diag_old"}
+KEPT = {
+    "recon-admm-non-finite-keeps-diag": "diag_old",
+    "recon-admm-diverges-keeps-diag": "diag_old",
+}
 
 
 @pytest.mark.parametrize("row, argv, code", TABLE, ids=[row[0] for row in TABLE])

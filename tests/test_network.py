@@ -243,6 +243,30 @@ def test_non_finite_x_names_the_phase(monkeypatch):
     assert len(calls) == 2
 
 
+def test_the_solver_and_the_network_run_one_loop(monkeypatch):
+    # admm.unroll's call of the module's xl_step is the only x/l step of
+    # either: a counting wrapper sees every iteration and every phase
+    calls = []
+    exact = dynmr.admm.xl_step
+
+    def counted(state, d, encoder, mu, eta, where):
+        calls.append(where)
+        return exact(state, d, encoder, mu, eta, where)
+
+    monkeypatch.setattr(dynmr.admm, "xl_step", counted)
+    _, enc, b, _ = small_problem(seed=4)
+    outside = np.geterr()
+    for state in dynmr.admm.iterate(b, enc, AdmmConfig(n_iters=4)):
+        assert np.geterr() == outside  # unroll's errstate stays inside its steps
+    assert calls == ["iteration 1", "iteration 2", "iteration 3", "iteration 4"]
+    cfg = NetworkConfig(n_phases=3, nc=4)
+    params = init_network_params(cfg, seed=4)
+    for want_cache in (True, False):
+        calls.clear()
+        network_forward(b, enc, params, cfg, want_cache)
+        assert calls == ["phase 0", "phase 1", "phase 2"]
+
+
 def test_forward_without_cache_matches():
     # streaming through two reused buffers gives the cached path's bytes
     for shape, nc, f_depth, fhat_depth, n_phases in [
