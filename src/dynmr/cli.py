@@ -5,7 +5,7 @@ classical solver or a trained network on retrospectively undersampled data,
 train from a config file, score reconstructions, and smoke-test the analytic
 gradients.  Exit codes: 0 success, 2 usage error, 3 data/format error (a
 malformed or missing file, a rejected setting, or a volume too large to
-allocate), 4 numerical failure (a non-finite result or a collapsed mu).
+allocate), 4 numerical failure (non-finite --data or result, collapsed mu).
 """
 
 import argparse
@@ -94,8 +94,13 @@ def _cmd_mask(args, parser):
 
 
 def _acquire(args):
-    """Retrospective undersampling of --data by --mask; returns (encoder, b)."""
+    """Retrospective undersampling of --data by --mask; returns (encoder, b).
+
+    A non-finite --data is a NumericalError naming it, raised before any FFT.
+    """
     gt = _load_volume(args.data)
+    if not np.isfinite(gt).all():
+        raise NumericalError(f"{args.data}: non-finite values")
     encoder = Encoder(_load_mask(args.mask))
     return encoder, encoder.forward(gt)
 

@@ -38,9 +38,9 @@ from .network import NetworkConfig, check_params, named_tensors, param_shells
 
 DMRT_MAGIC = b"DMRT"
 DUSC_MAGIC = b"DUSC"
-_DTYPE_MASK = 0
-_DTYPE_COMPLEX = 1
-_DTYPE_REAL = 3
+# DMRT dtype code: (stored dtype, dtype chars of the arrays saved under it)
+_DTYPES = {0: ("<u1", "?B"), 1: ("<c16", np.typecodes["Complex"]),
+           3: ("<f8", np.typecodes["Float"])}
 
 
 class _Reader:
@@ -123,15 +123,10 @@ def _read_dims(r):
 def save_dmrt(path, arr):
     """Write an array; dtype code is inferred (u8/bool, complex, float)."""
     a = np.asarray(arr)
-    if a.dtype == np.uint8 or a.dtype == bool:
-        code, dt = _DTYPE_MASK, "<u1"
-    elif np.issubdtype(a.dtype, np.complexfloating):
-        code, dt = _DTYPE_COMPLEX, "<c16"
-    elif np.issubdtype(a.dtype, np.floating):
-        code, dt = _DTYPE_REAL, "<f8"
-    else:
+    code = next((c for c, (_, chars) in _DTYPES.items() if a.dtype.char in chars), None)
+    if code is None:
         raise ValueError(f"unsupported dtype {a.dtype}")
-    payload = np.asarray(a, dtype=dt, order="C")  # a itself when it already fits
+    payload = np.asarray(a, dtype=_DTYPES[code][0], order="C")  # a itself when it fits
     header = struct.pack(f"<4sII{a.ndim}IB", DMRT_MAGIC, 1, a.ndim, *a.shape, code)
     _write_atomic(path, header, payload)
 
@@ -147,15 +142,9 @@ def load_dmrt(path):
             raise FormatError(f"{r.label}: unsupported version {version}")
         dims = _read_dims(r)
         code = r.u8()
-        if code == _DTYPE_MASK:
-            dt = np.dtype("<u1")
-        elif code == _DTYPE_COMPLEX:
-            dt = np.dtype("<c16")
-        elif code == _DTYPE_REAL:
-            dt = np.dtype("<f8")
-        else:
+        if code not in _DTYPES:
             raise FormatError(f"{r.label}: unknown dtype code {code}")
-        arr = r.array(dims, dt)
+        arr = r.array(dims, np.dtype(_DTYPES[code][0]))
         r.done()
         return arr
 

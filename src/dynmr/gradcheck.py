@@ -60,9 +60,8 @@ def run_gradcheck(seed=0):
     def loss(zeta):
         out, fresh = network_forward(b, enc, params, cfg)
         total = mse_loss(out, gt)[0]
-        x_prev = [fresh.atb] + [pc.x for pc in fresh.phases[:-1]]
-        for x, pc, phase in zip(x_prev, fresh.phases, params.phases) if zeta else ():
-            v = to_channels(x + pc.l_prev)
+        for (x, l), phase in zip(fresh.states, params.phases) if zeta else ():
+            v = to_channels(x + l)
             u = stack_forward(v, phase.f_stack)[0]
             r = stack_forward(u, phase.fhat_stack)[0] - v
             total += zeta * float(np.sum(r * r))

@@ -14,11 +14,12 @@ with L = 0.  z_block is the one denoising-block forward: it streams the conv
 stacks through one buffer by conv3d.stack_forward(buf), every layer writing
 over its own input and attention shrinking in place, or records every layer
 input in a BlockCaches.  Inference streams every phase.  So does training,
-which keeps a PhaseCache of L before the phase and X after it, two complex
-volumes per phase; only the last phase runs in record mode, and its Z and
+whose NetCache keeps the loop's trajectory: states[n], copies of the (X, L)
+entering phase n, two complex volumes per phase, and the output X alone as
+states[N].  Only the last phase runs in record mode, and its Z and
 BlockCaches go into the NetCache.  The backward re-runs each other phase's
-z_block in record mode just before that phase's reverse step, so one phase's
-layer inputs are alive at a time.
+z_block in record mode on states[n] just before that phase's reverse step, so
+one phase's layer inputs are alive at a time.
 
 The forward is the solver's own loop, admm.unroll, with z_block as each
 phase's z step: the data-consistency and multiplier blocks are its x and l
@@ -37,7 +38,7 @@ Gradients flow as a flat dict keyed by the names from named_tensors, one entry
 per learnable array, so the optimizer never needs to know the phase structure.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import zip_longest
 
 import numpy as np
@@ -157,14 +158,6 @@ def check_params(params, cfg):
 
 
 @dataclass
-class PhaseCache:
-    """What the training forward keeps of one phase; block_caches rebuilds the rest."""
-
-    l_prev: np.ndarray
-    x: np.ndarray
-
-
-@dataclass
 class BlockCaches:
     """Every layer input of one phase's denoising block; u is the attention input."""
 
@@ -175,9 +168,8 @@ class BlockCaches:
 
 @dataclass
 class NetCache:
-    atb: np.ndarray  # A^H b, the zero-filled start
     encoder: object
-    phases: list = field(default_factory=list)
+    states: list  # (x, l) entering each phase, from (A^H b, 0); then (output x,)
     last: tuple = None  # the last phase's (z, BlockCaches) until a sweep takes it
 
 
@@ -205,15 +197,14 @@ def block_caches(cache, n, phase):
 
     The last phase's pair is taken out of cache.last, which the forward
     filled, so a second sweep over the same cache rebuilds it.  Any other
-    phase re-runs z_block in record mode on x_prev + l_prev, x_prev being
-    phase n-1's x (A^H b for phase 0): the same calls on the same inputs as
-    the forward's, so every array equals the forward's.
+    phase re-runs z_block in record mode on cache.states[n], the (x, l) that
+    entered it: the same calls on the same inputs as the forward's, so every
+    array equals the forward's.
     """
-    if n == len(cache.phases) - 1 and cache.last is not None:
+    if n == len(cache.states) - 2 and cache.last is not None:
         kept, cache.last = cache.last, None
         return kept
-    x_prev = cache.phases[n - 1].x if n else cache.atb
-    return z_block(x_prev, cache.phases[n].l_prev, phase)
+    return z_block(*cache.states[n], phase)
 
 
 def x_block(z, l, d, encoder, mu):
@@ -227,29 +218,34 @@ def x_block(z, l, d, encoder, mu):
 def network_forward(b, encoder, params, cfg, want_cache=True):
     """Run all phases from the zero-filled adjoint, one admm.unroll step each.
 
-    Returns (reconstruction, cache), the cache holding A^H b, one PhaseCache
-    per phase and the last phase's (z, BlockCaches).  Each phase is one unroll
-    step with z_block as its z step, and its NumericalError names the phase
-    ("phase 1" for phase01.*).  Every phase's activations stream through one buffer
-    allocated here, so memory does not grow with depth or phases; with
-    want_cache the last phase runs in record mode instead.  When want_cache
-    is False, for plain inference, the cache is None.  The phases come from
-    params; cfg is not read, and is accepted only because the bench passes it.
+    Returns (reconstruction, cache), the cache holding the loop's trajectory
+    and the last phase's (z, BlockCaches).  cache.states[n] is a copy of the
+    (x, l) entering phase n, (A^H b, 0) for phase 0, and the last entry holds
+    a copy of the output x alone: 2N + 1 complex volumes for N phases.  Each
+    phase is one unroll step with z_block as its z step, and its
+    NumericalError names the phase ("phase 1" for phase01.*).  Every phase's
+    activations stream through one buffer allocated here, so memory does not
+    grow with depth or phases; with want_cache the last phase runs in record
+    mode instead.  When want_cache is False, for plain inference, the cache is
+    None.  The phases come from params; cfg is not read, and is accepted only
+    because the bench passes it.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # unroll reports a non-finite x
-        atb = encoder.adjoint(b)
-    cache = NetCache(atb=atb, encoder=encoder) if want_cache else None
+        x = encoder.adjoint(b)
+    cache = NetCache(encoder, []) if want_cache else None
     width = max(
         layer.out_channels
         for phase in params.phases
         for layer in phase.f_stack + phase.fhat_stack
     )
-    buf = np.empty((width, *atb.shape))
+    buf = np.empty((width, *x.shape))
 
     def phase_step(n, phase):
         def z_step(state):
             state.z = None  # inference then holds one z at a time
             record = want_cache and n == len(params.phases) - 1
+            if want_cache:  # unroll writes x and l over in place
+                cache.states.append((state.x.copy(), state.l.copy()))
             z, bc = z_block(state.x, state.l, phase, None if record else buf)
             if record:
                 cache.last = (z, bc)
@@ -257,12 +253,10 @@ def network_forward(b, encoder, params, cfg, want_cache=True):
         return z_step, mu_of(phase), eta_of(phase), f"phase {n}"
 
     steps = (phase_step(n, phase) for n, phase in enumerate(params.phases))
-    # inference keeps no A^H b: x starts as it and D stands for it in the DC step
-    x, l_prev = (atb.copy(), np.zeros_like(atb)) if want_cache else (atb, None)
-    for state in unroll(x, encoder, steps):
-        if want_cache:
-            cache.phases.append(PhaseCache(l_prev, state.x.copy()))
-            l_prev = state.l.copy()
+    for state in unroll(x, encoder, steps):  # overwrites A^H b; D stands for it
+        pass
+    if want_cache:
+        cache.states.append((state.x.copy(),))
     return state.x, cache
 
 
@@ -289,14 +283,15 @@ def network_backward(grad_x, cache, params, zeta=0.0):
     0 forms no input gradient; nothing reads it.
     Returns (grads, penalty): the unweighted sum in phase order, 0.0 at zeta 0.
     """
-    if len(cache.phases) != len(params.phases):
+    if len(cache.states) != len(params.phases) + 1:
         raise ValueError("cache does not match the parameter phase count")
     grads = dict.fromkeys(name for name, _ in named_tensors(params))
     penalties = []
     gx = np.asarray(grad_x, dtype=np.complex128)
     gl = np.zeros_like(gx)
     for n in range(len(params.phases) - 1, -1, -1):
-        pc = cache.phases[n]
+        l_prev = cache.states[n][1]
+        x = cache.states[n + 1][0]
         phase = params.phases[n]
         mu = mu_of(phase)
         eta = eta_of(phase)
@@ -305,10 +300,10 @@ def network_backward(grad_x, cache, params, zeta=0.0):
         f_ins, u, fhat_ins = bc.f_ins, bc.u, bc.fhat_ins
         del bc
 
-        step = pc.x - z
+        step = x - z
         g_eta = np.asarray(real_inner(gl, step) * sigmoid(phase.eta_raw))
         g = gx + eta * gl
-        step += pc.l_prev  # x - y
+        step += l_prev  # x - y
         g_mu = np.asarray(-real_inner(g, step) / (1.0 + mu) * sigmoid(phase.mu_raw))
         del z, step
         gy = cache.encoder.data_consistency(g, 0.0, 1.0 / (1.0 + mu))

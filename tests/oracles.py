@@ -4,9 +4,9 @@ x_update_cg solves the solver's data-consistency normal equations by
 conjugate gradients, as the reference for the closed form.  The identity conv
 stacks and neutral_phase_params build a phase whose denoising block is the
 exact identity, which pins the unrolled network to one classical iteration.
-stored_block_caches is the training forward that keeps every phase's z and
-conv layer inputs and encode output u, the reference for what
-network_backward rebuilds from its PhaseCache of l and x.
+stored_forward is the training forward that keeps every phase's z, conv
+layer inputs and encode output u, and the (x, l) it leaves: the reference for
+network_forward's states and for what network_backward rebuilds from them.
 inverse_penalty_two_pass is the inversion penalty as a second pass over those
 stored caches, with its own backward through both conv stacks: the reference
 for the last phase's penalty gradients, which network_backward folds into its
@@ -140,19 +140,24 @@ def neutral_phase_params(nc, mu, eta):
     )
 
 
-def stored_block_caches(b, encoder, params):
-    """Every phase's (z, BlockCaches), from a forward that stores them all."""
+def stored_forward(b, encoder, params):
+    """(stored, states) of a forward that keeps them all, one entry per phase.
+
+    stored[n] is phase n's (z, BlockCaches); states[n] is a copy of the
+    (x, l) phase n leaves.
+    """
     atb = encoder.adjoint(b)
     d = encoder.samples(atb)
     state = AdmmState(x=atb, z=None, l=np.zeros_like(atb))
-    stored = []
+    stored, states = [], []
     for n, phase in enumerate(params.phases):
         u, f_ins = stack_forward(to_channels(state.x + state.l), phase.f_stack)
         fhat_out, fhat_ins = stack_forward(attn_forward(u, phase.attn), phase.fhat_stack)
         state.z = from_channels(fhat_out)
         stored.append((state.z, BlockCaches(f_ins, u, fhat_ins)))
         xl_step(state, d, encoder, mu_of(phase), eta_of(phase), f"phase {n}")
-    return stored
+        states.append((state.x.copy(), state.l.copy()))
+    return stored, states
 
 
 def inverse_penalty_two_pass(stored, params):

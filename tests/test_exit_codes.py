@@ -2,7 +2,8 @@
 
 One table over every subcommand's failure paths: a usage error exits 2; a
 malformed, missing or unwritable file, a rejected setting or a volume too
-large to allocate exits 3; a non-finite result or a collapsed mu exits 4.
+large to allocate exits 3; a non-finite result, a non-finite --data volume
+or a collapsed mu exits 4.
 No row prints a warning: a score, loss, noise draw, solve or network forward
 that overflows is reported by its exit code alone.
 Each row runs `python -m dynmr` in a child process whose address space is
@@ -59,6 +60,9 @@ TABLE = [
     ("recon-admm-complex-mask", [*RECON_ADMM[:4], "{mask_complex}", *RECON_ADMM[5:]], 3),
     ("recon-admm-nan-lambda", [*RECON_ADMM, "--lambda=nan"], 3),
     ("recon-admm-non-finite", [*RECON_ADMM[:2], "{gt_nan}", *RECON_ADMM[3:]], 4),
+    ("recon-admm-iters0-non-finite",
+     [*RECON_ADMM[:2], "{gt_nan}", *RECON_ADMM[3:], "--iters", "0"], 4),
+    ("recon-admm-inf", [*RECON_ADMM[:2], "{gt_inf}", *RECON_ADMM[3:]], 4),
     ("recon-admm-unwritable-diag", [*RECON_ADMM, "--diag", "{dir}/no/d.txt"], 3),
     ("recon-admm-non-finite-keeps-diag",
      [*RECON_ADMM[:2], "{gt_nan}", *RECON_ADMM[3:], "--diag", "{diag_old}"], 4),
@@ -87,6 +91,7 @@ TABLE = [
     ("recon-net-missing-ckpt", [*RECON_NET[:2], "{dir}/missing.dusc", *RECON_NET[3:]], 3),
     ("recon-net-truncated-ckpt", [*RECON_NET[:2], "{ckpt_cut}", *RECON_NET[3:]], 3),
     ("recon-net-non-finite", [*RECON_NET[:4], "{gt_nan}", *RECON_NET[5:]], 4),
+    ("recon-net-inf", [*RECON_NET[:4], "{gt_inf}", *RECON_NET[5:]], 4),
     ("recon-net-overflowing-checkpoint",
      [*RECON_NET[:2], "{ckpt_overflowing}", *RECON_NET[3:]], 4),
     ("eval-missing-file", ["eval", "--recon", "{dir}/missing.dmrt", "--gt", "{gt}"], 3),
@@ -162,9 +167,15 @@ def _run(files, argv):
     )
 
 
-# What a row's message must name: the target path, not a temporary file, or
-# the rejected option.
+# What a row's message must name: the target path, not a temporary file, the
+# non-finite --data, or the rejected option.
 NAMES = {
+    "recon-admm-non-finite": "{gt_nan}",
+    "recon-admm-iters0-non-finite": "{gt_nan}",
+    "recon-admm-non-finite-keeps-diag": "{gt_nan}",
+    "recon-admm-inf": "{gt_inf}",
+    "recon-net-non-finite": "{gt_nan}",
+    "recon-net-inf": "{gt_inf}",
     "phantom-unwritable": "{dir}/no/p.dmrt",
     "recon-admm-unwritable-diag": "{dir}/no/d.txt",
     "train-unwritable-ckpt": "{dir}/no/c.dusc",

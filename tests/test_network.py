@@ -19,7 +19,6 @@ from dynmr.network import (
     NetCache,
     NetworkConfig,
     NetworkParams,
-    PhaseCache,
     _raw,
     block_caches,
     eta_of,
@@ -38,7 +37,7 @@ from dynmr.volume import from_channels, fro_norm, real_inner, to_channels
 from oracles import (
     inverse_penalty_two_pass,
     neutral_phase_params,
-    stored_block_caches,
+    stored_forward,
     x_update_cg,
 )
 
@@ -191,15 +190,15 @@ def test_forward_matches_manual_composition():
     atb = enc.adjoint(b)
     x, l = atb, np.zeros_like(atb)
     z_last, bc_last = cache.last
-    held = [x_out, z_last, *bc_last.f_ins, bc_last.u, *bc_last.fhat_ins]
-    for phase, pc in zip(params.phases, cache.phases, strict=True):
+    held = [x_out, z_last, *bc_last.f_ins, bc_last.u, *bc_last.fhat_ins, *cache.states[-1]]
+    for phase, (x_in, l_in) in zip(params.phases, cache.states[:-1], strict=True):
+        assert np.array_equal(x_in, x)
+        assert np.array_equal(l_in, l)
+        held += [x_in, l_in]
         z, block = z_block(x, l, phase)
-        l_prev = l
         x = x_update_closed_form(z, l, enc.samples(atb), enc, mu_of(phase))
         l = l_update(AdmmState(x=x, z=z, l=l), eta_of(phase))
-        assert np.array_equal(pc.x, x)
-        assert np.array_equal(pc.l_prev, l_prev)
-        held += [pc.x, pc.l_prev]
+    assert np.array_equal(cache.states[-1][0], x)
     # the last phase's z and layer inputs, from the forward's record mode
     assert np.array_equal(z_last, z)
     for got, want in [(bc_last.u, block.u), *zip(bc_last.f_ins, block.f_ins, strict=True),
@@ -285,7 +284,7 @@ def test_forward_without_cache_matches():
         x_b, none = network_forward(b, enc, params, cfg, want_cache=False)
         assert none is None
         assert x_a.tobytes() == x_b.tobytes(), (shape, nc, f_depth, fhat_depth)
-        assert len(cache.phases) == n_phases
+        assert len(cache.states) == n_phases + 1
 
 
 @pytest.mark.parametrize("want_cache", [False, True])
@@ -418,7 +417,7 @@ def test_backward_rejects_cg_mode_and_bad_cache():
     # the closed form is the only data-consistency step; there is no CG mode
     with pytest.raises(TypeError):
         NetworkConfig(n_phases=1, nc=4, dc_mode="cg")
-    short = NetCache(atb=enc.adjoint(b), encoder=enc, phases=[])
+    short = NetCache(enc, cache.states[:1])  # the start state, and no phase run
     with pytest.raises(ValueError):
         network_backward(np.zeros_like(gt), short, params)
 
@@ -457,26 +456,41 @@ def test_conv_layer_call_counts(monkeypatch, want_cache, zeta):
 
 
 def test_forward_cache_holds_each_activation_once():
-    # a phase keeps l_prev and x; the last phase's z and layer inputs are kept
-    # once, apart from every other array, and the first block_caches of that
-    # phase hands over those same arrays
+    # the cache is the loop's trajectory: the (x, l) entering each phase, from
+    # (A^H b, 0), then the output x with no l, 2N + 1 complex volumes with the
+    # oracle loop's bytes; the last phase's z and layer inputs are kept once,
+    # apart from every other array, and the first block_caches of that phase
+    # hands over those same arrays
     _, enc, b, _ = small_problem(seed=4)
-    cfg = NetworkConfig(n_phases=2, nc=4, f_depth=3, fhat_depth=2)
-    params = init_network_params(cfg, seed=4)
-    _, cache = network_forward(b, enc, params, cfg)
-    assert [f.name for f in fields(PhaseCache)] == ["l_prev", "x"]
+    atb = enc.adjoint(b)
     assert [f.name for f in fields(BlockCaches)] == ["f_ins", "u", "fhat_ins"]
-    assert [f.name for f in fields(NetCache)] == ["atb", "encoder", "phases", "last"]
-    z, bc = cache.last
-    assert len(bc.f_ins) == 3 and len(bc.fhat_ins) == 2
-    held = [cache.atb, z, *bc.f_ins, bc.u, *bc.fhat_ins]
-    held += [a for pc in cache.phases for a in (pc.l_prev, pc.x)]
-    for i, a in enumerate(held):
-        for other in held[i + 1:]:
-            assert not np.shares_memory(a, other)
-    got = block_caches(cache, 1, params.phases[1])
-    assert got[0] is z and got[1] is bc
-    assert cache.last is None
+    assert [f.name for f in fields(NetCache)] == ["encoder", "states", "last"]
+    for n_phases in (1, 3):
+        cfg = NetworkConfig(n_phases=n_phases, nc=4, f_depth=3, fhat_depth=2)
+        params = init_network_params(cfg, seed=4)
+        x_out, cache = network_forward(b, enc, params, cfg)
+        assert len(cache.states) == n_phases + 1
+        assert [len(s) for s in cache.states] == [2] * n_phases + [1]
+        assert cache.states[0][0].tobytes() == atb.tobytes()
+        assert cache.states[0][1].tobytes() == np.zeros_like(atb).tobytes()
+        _, oracle = stored_forward(b, enc, params)
+        for n, (got, want) in enumerate(zip(cache.states[1:], oracle, strict=True)):
+            assert got[0].tobytes() == want[0].tobytes(), (n_phases, n)
+            if n < n_phases - 1:
+                assert got[1].tobytes() == want[1].tobytes(), (n_phases, n)
+        assert cache.states[-1][0].tobytes() == x_out.tobytes()
+        volumes = [a for state in cache.states for a in state]
+        assert len(volumes) == 2 * n_phases + 1
+        assert all(a.dtype == np.complex128 and a.shape == atb.shape for a in volumes)
+        z, bc = cache.last
+        assert len(bc.f_ins) == 3 and len(bc.fhat_ins) == 2
+        held = [x_out, z, *bc.f_ins, bc.u, *bc.fhat_ins, *volumes]
+        for i, a in enumerate(held):
+            for other in held[i + 1:]:
+                assert not np.shares_memory(a, other)
+        got = block_caches(cache, n_phases - 1, params.phases[-1])
+        assert got[0] is z and got[1] is bc
+        assert cache.last is None
 
 
 def assert_same_bytes(got, want, label):
@@ -508,7 +522,7 @@ def test_rebuilt_caches_equal_the_stored_forward(monkeypatch, depths):
     cfg = NetworkConfig(n_phases=3, nc=4, f_depth=depths[0], fhat_depth=depths[1])
     params = init_network_params(cfg, seed=22)
     _, cache = network_forward(b, enc, params, cfg)
-    stored = stored_block_caches(b, enc, params)
+    stored, _ = stored_forward(b, enc, params)
     for sweep in range(2):
         for n, (phase, (want_z, want)) in enumerate(zip(params.phases, stored, strict=True)):
             z, got = block_caches(cache, n, phase)
@@ -545,7 +559,7 @@ def test_one_phase_sweep_rebuilds_nothing(monkeypatch, zeta):
     gt, enc, b, rng = small_problem(seed=24, shape=(9, 7, 3))
     cfg = NetworkConfig(n_phases=1, nc=4)
     params = init_network_params(cfg, seed=24)
-    stored = stored_block_caches(b, enc, params)
+    stored, _ = stored_forward(b, enc, params)
     c = rand_volume(rng, gt.shape)
     _, cache = network_forward(b, enc, params, cfg)
     calls = count_z_blocks(monkeypatch)
@@ -574,7 +588,7 @@ def test_two_sweeps_over_one_cache_give_the_same_bytes(monkeypatch, zeta):
 
 @pytest.mark.parametrize("depths", [(2, 2), (1, 3), (3, 1)])
 def test_training_cache_grows_by_l_and_x_per_phase(depths):
-    # each phase adds a PhaseCache of two complex volumes, l_prev and x, of
+    # each phase adds a state of two complex volumes, x and l, of
     # 1/8 activation each at nc = 16: 0.25 activations per phase, checked
     # against a bound of 0.3 for the objects around them; whatever the
     # depths, the layer inputs of one phase, the last, are all the cache
@@ -594,7 +608,7 @@ def test_training_cache_grows_by_l_and_x_per_phase(depths):
             sizes.append(tracemalloc.get_traced_memory()[0] - base)
         finally:
             tracemalloc.stop()
-        assert len(held[1].phases) == n_phases
+        assert len(held[1].states) == n_phases + 1
     per_phase = (sizes[1] - sizes[0]) / 6 / activation
     assert per_phase <= 0.3, per_phase
 
@@ -744,7 +758,7 @@ def test_real_grad_x_is_taken_as_complex():
 
 def penalty_sweep(cache, params, zeta=1.0):
     """network_backward with no loss gradient: only the penalty term is left."""
-    return network_backward(np.zeros_like(cache.atb), cache, params, zeta)
+    return network_backward(np.zeros_like(cache.states[0][0]), cache, params, zeta)
 
 
 def block_inputs(cache, params):
@@ -802,8 +816,7 @@ def test_penalty_gradients_match_finite_differences(depths, zeta, pattern):
     def addends():
         x_hat, fresh = network_forward(b, enc, params, cfg)
         d = x_hat - gt
-        x_prev = [fresh.atb] + [pc.x for pc in fresh.phases[:-1]]
-        v_list = [x + pc.l_prev for x, pc in zip(x_prev, fresh.phases)]
+        v_list = [x + l for x, l in fresh.states[:-1]]
         pens = [zeta * (r * r).ravel() for r in penalty_residuals(v_list, params)]
         return np.concatenate([(d.real**2 + d.imag**2).ravel() / (2 * d.size), *pens])
 
@@ -880,7 +893,7 @@ def test_penalty_in_the_sweep_is_bit_identical_to_a_second_pass(monkeypatch, zet
         g_u.clear()
         g_pen_u.clear()
         grads, total = network_backward(c, cache, params, zeta)
-        stored = stored_block_caches(b, enc, params)
+        stored, _ = stored_forward(b, enc, params)
         want_total, pen_grads = inverse_penalty_two_pass(stored, params)
         assert zero == 0.0
         assert total == want_total
@@ -937,7 +950,7 @@ def test_penalty_grads_are_bit_identical_without_the_input_gradient():
     gt, enc, b, rng = small_problem(seed=18)
     cfg = NetworkConfig(n_phases=2, nc=4, f_depth=2, fhat_depth=2)
     params = init_network_params(cfg, seed=18)
-    for (_, bc), phase in zip(stored_block_caches(b, enc, params), params.phases):
+    for (_, bc), phase in zip(stored_forward(b, enc, params)[0], params.phases):
         pen_out, pen_ins = stack_forward(bc.u, phase.fhat_stack)
         r = pen_out - bc.f_ins[0]
         want_g, want_fhat = stack_backward(2.0 * r, pen_ins, phase.fhat_stack)
